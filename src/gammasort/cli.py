@@ -8,20 +8,21 @@ deterministic given the config and seed: reruns produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import seeding, svgplot
+from . import svgplot
 from .ensemble import (
-    LabeledDataset,
     TaskKind,
-    poisson_sample,
+    _config_from_record,
+    _config_record,
     read_dataset,
+    sample_dataset,
+    stack_templates,
     standard_grid,
     write_dataset,
 )
@@ -113,7 +114,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(args) -> dict:
-    config = DEFAULT_CONFIG
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -172,6 +173,8 @@ def _grid_from_config(config: dict) -> list[SourceConfig]:
 def _rebin_factor(config: dict) -> int:
     n = config["detector"]["n_channels"]
     target = config["rebin"]
+    if type(target) is not int or target < 1:
+        raise CliError(f"rebin must be a positive integer channel count, got {target!r}")
     if target > n or n % target != 0:
         raise CliError(f"rebin target {target} does not divide {n} channels")
     return n // target
@@ -185,13 +188,6 @@ def _task_from_config(config: dict) -> TaskKind:
             f"unknown task {config['task']!r}; choose from "
             f"{[t.value for t in TaskKind]}"
         ) from err
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _template_name(index: int, config: SourceConfig) -> str:
@@ -209,28 +205,16 @@ def cmd_synth(args) -> int:
     background_cps = config["grid"]["background_cps"]
     materialize_config(config, out_dir)
 
-    def synth_one(item):
-        index, source = item
+    names = []
+    for index, source in enumerate(grid):
         template = build_template(source, detector, TEMPLATE_DWELL_S, background_cps)
-        name = _template_name(index, source)
-        write_spectrum_csv(template, out_dir / name)
-        return name
-
-    names = _map_jobs(synth_one, list(enumerate(grid)), args.jobs)
+        names.append(_template_name(index, source))
+        write_spectrum_csv(template, out_dir / names[-1])
     manifest = {
         "dwell_s": TEMPLATE_DWELL_S,
         "n_templates": len(names),
         "templates": [
-            {
-                "path": name,
-                "isotope": cfg.isotope.name,
-                "distance_m": cfg.distance_m,
-                "material": cfg.shielding.material.value,
-                "thickness_cm": cfg.shielding.thickness_cm,
-                "activity_bq": cfg.activity_bq,
-                "include_background": cfg.include_background,
-            }
-            for name, cfg in zip(names, grid)
+            {"path": name, **_config_record(cfg)} for name, cfg in zip(names, grid)
         ],
     }
     (out_dir / "templates_manifest.json").write_text(
@@ -258,26 +242,13 @@ def cmd_sample(args) -> int:
         raise CliError("samples_per_config must be at least 1")
     materialize_config(config, out_dir)
 
-    inputs = []
-    labels = []
-    provenance = []
-    for ci, entry in enumerate(manifest["templates"]):
-        template = rebin(read_spectrum_csv(templates_dir / entry["path"]), factor)
-        source = SourceConfig(
-            isotope=isotope_by_name(entry["isotope"]),
-            activity_bq=entry["activity_bq"],
-            distance_m=entry["distance_m"],
-            shielding=default_shielding(entry["material"], entry["thickness_cm"])
-            if entry["material"] != "Bare"
-            else default_shielding("Bare"),
-            include_background=entry["include_background"],
-        )
-        for si in range(samples):
-            item_seed = seeding.derive_seed(seed, ci, si)
-            inputs.append(poisson_sample(template, dwell, item_seed))
-            labels.append(task.one_hot(source))
-            provenance.append(source)
-    ds = LabeledDataset(tuple(inputs), np.stack(labels), task, tuple(provenance))
+    entries = manifest["templates"]
+    templates = stack_templates(
+        [rebin(read_spectrum_csv(templates_dir / entry["path"]), factor) for entry in entries],
+        [_config_from_record(entry) for entry in entries],
+        task,
+    )
+    ds = sample_dataset(templates, samples, dwell, seed)
     write_dataset(ds, out_dir, extra={"seed": seed, "samples_per_config": samples})
     print(f"wrote {len(ds)} samples to {out_dir}")
     return 0
@@ -322,8 +293,8 @@ def cmd_train(args) -> int:
     for key in ("train_dataset", "test_dataset"):
         if key not in paths:
             raise CliError(f"config.paths.{key} is required for train (or use --scenario)")
-    train_ds = _load_dataset(paths["train_dataset"])
-    test_ds = _load_dataset(paths["test_dataset"])
+    train_ds = read_dataset(paths["train_dataset"])
+    test_ds = read_dataset(paths["test_dataset"])
     task = _task_from_config(config)
     if train_ds.task is not task or test_ds.task is not task:
         raise CliError(
@@ -350,19 +321,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_dataset(path_str: str) -> LabeledDataset:
-    try:
-        return read_dataset(path_str)
-    except FileNotFoundError as err:
-        raise CliError(str(err)) from err
-
-
 def cmd_eval(args) -> int:
     model_path = Path(args.model)
     if not model_path.is_file():
         raise CliError(f"model file not found: {model_path}")
     params, train_config = load_model(model_path)
-    ds = _load_dataset(args.dataset)
+    ds = read_dataset(args.dataset)
     if params.n_channels != ds.n_channels:
         raise CliError(
             f"shape mismatch before evaluation: model {params.n_channels} channels, "
@@ -491,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, out_required=True):
         p.add_argument("--config", help="JSON run config (merged over defaults)")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="internal parallelism (default: logical cores)")
         p.add_argument("--rebin", type=int, choices=(1024, 256),
                        help="channel count after rebinning")
         p.add_argument("--out", required=out_required, help="output directory")

@@ -9,7 +9,7 @@ construction is reproducible and order-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -77,67 +77,75 @@ class TaskKind(Enum):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Spectra paired with one-hot task labels and per-item source provenance."""
+    """An (n_items, n_channels) counts matrix with one-hot task labels.
 
-    inputs: tuple[Spectrum, ...]
+    Calibration, dwell and spectrum kind are shared by every item; each item
+    keeps the source configuration it was drawn from as provenance.  The
+    matrix is validated once as a whole (finite, non-negative, and
+    integer-valued for sampled realizations), copied, and made read-only.
+    """
+
+    counts: np.ndarray
     labels: np.ndarray
     task: TaskKind
     provenance: tuple[SourceConfig, ...]
+    calibration: EnergyCalibration
+    dwell_s: float
+    kind: SpectrumKind
 
     def __post_init__(self):
-        inputs = tuple(self.inputs)
+        # Validate the caller's matrix, then copy it: the checks' temporaries
+        # and the copy are never alive at the same time.
+        counts = np.asarray(self.counts, dtype=np.float64)
         labels = np.array(self.labels, dtype=np.float64, copy=True)
-        if len(inputs) == 0:
-            raise ValueError("dataset must contain at least one item")
-        if labels.shape != (len(inputs), self.task.n_classes):
+        n_channels = self.calibration.n_channels
+        if counts.ndim != 2 or counts.shape[0] == 0 or counts.shape[1] != n_channels:
+            raise ValueError(f"counts shape {counts.shape} is not (n_items >= 1, {n_channels})")
+        n = counts.shape[0]
+        if not (np.all(np.isfinite(counts)) and np.all(counts >= 0)):
+            raise ValueError("counts must be finite and non-negative")
+        if self.kind is SpectrumKind.SAMPLED_REALIZATION and np.any(counts != np.floor(counts)):
+            raise ValueError("sampled realizations must have integer-valued counts")
+        if not self.dwell_s > 0:
+            raise ValueError(f"dwell must be positive, got {self.dwell_s}")
+        if labels.shape != (n, self.task.n_classes):
             raise ValueError(
                 f"labels shape {labels.shape} does not match "
-                f"{len(inputs)} items x {self.task.n_classes} classes"
+                f"{n} items x {self.task.n_classes} classes"
             )
         one_hot_ok = np.all((labels == 0.0) | (labels == 1.0)) and np.all(labels.sum(axis=1) == 1.0)
         if not one_hot_ok:
             raise ValueError("labels must be one-hot rows")
-        if len(self.provenance) != len(inputs):
-            raise ValueError("provenance must align with inputs")
-        cal = inputs[0].calibration
-        dwell = inputs[0].dwell_s
-        for spectrum in inputs:
-            if spectrum.calibration != cal or spectrum.dwell_s != dwell:
-                raise ValueError("all spectra must share one calibration and dwell")
+        if len(self.provenance) != n:
+            raise ValueError("provenance must align with the counts rows")
+        counts = counts.copy()
+        counts.setflags(write=False)
         labels.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
     def __len__(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def calibration(self) -> EnergyCalibration:
-        return self.inputs[0].calibration
-
-    @property
-    def dwell_s(self) -> float:
-        return self.inputs[0].dwell_s
+        return self.counts.shape[0]
 
     @property
     def n_channels(self) -> int:
         return self.calibration.n_channels
 
     def as_matrix(self) -> np.ndarray:
-        """(n_items, n_channels) float64 matrix of counts."""
-        return np.stack([spectrum.counts for spectrum in self.inputs])
+        """(n_items, n_channels) float64 matrix of counts (read-only)."""
+        return self.counts
 
     def label_indices(self) -> np.ndarray:
         return np.argmax(self.labels, axis=1)
 
     def subset(self, indices) -> "LabeledDataset":
-        indices = list(indices)
-        return LabeledDataset(
-            tuple(self.inputs[i] for i in indices),
-            self.labels[indices],
-            self.task,
-            tuple(self.provenance[i] for i in indices),
+        indices = np.asarray(indices, dtype=np.intp)
+        return replace(
+            self,
+            counts=self.counts[indices],
+            labels=self.labels[indices],
+            provenance=tuple(self.provenance[i] for i in indices),
         )
 
 
@@ -183,14 +191,58 @@ def poisson_sample(template: Spectrum, target_dwell_s: float, seed: int) -> Spec
     return Spectrum(draws, template.calibration, target_dwell_s, SpectrumKind.SAMPLED_REALIZATION)
 
 
-def _grid_templates(grid, detector, rebin_factor, background_cps):
+def stack_templates(
+    templates: list[Spectrum], grid: list[SourceConfig], task: TaskKind
+) -> LabeledDataset:
+    """Template dataset from one expected-count spectrum per grid cell."""
     if not grid:
         raise ValueError("source grid is empty")
-    templates = []
-    for config in grid:
-        template = build_template(config, detector, TEMPLATE_DWELL_S, background_cps)
-        templates.append(rebin(template, rebin_factor))
-    return templates
+    first = templates[0]
+    if any((t.calibration, t.dwell_s, t.kind) != (first.calibration, first.dwell_s, first.kind)
+           for t in templates):
+        raise ValueError("all templates must share one calibration, dwell and kind")
+    labels = np.stack([task.one_hot(config) for config in grid])
+    counts = np.stack([t.counts for t in templates])
+    return LabeledDataset(
+        counts, labels, task, tuple(grid), first.calibration, first.dwell_s, first.kind
+    )
+
+
+def rescale(templates: LabeledDataset, dwell_s: float) -> LabeledDataset:
+    """The same expected-count templates at another dwell (counts scale linearly)."""
+    return replace(
+        templates, counts=templates.counts * (dwell_s / templates.dwell_s), dwell_s=dwell_s
+    )
+
+
+def sample_dataset(
+    templates: LabeledDataset, samples_per_config: int, dwell_s: float, seed: int
+) -> LabeledDataset:
+    """Poisson-sampled ensemble: ``samples_per_config`` realizations per template.
+
+    Item ``si`` of template ``ci`` draws on the stream of
+    ``derive_seed(seed, ci, si)``, exactly as :func:`poisson_sample` would,
+    so every item is independent of the others and of the build order.
+    """
+    if templates.kind is not SpectrumKind.EXPECTED_TEMPLATE:
+        raise ValueError("can only Poisson-sample expected-count templates")
+    if samples_per_config < 1:
+        raise ValueError("samples_per_config must be at least 1 (empty dataset rejected)")
+    lam = templates.counts * (dwell_s / templates.dwell_s)
+    rows = np.repeat(np.arange(len(templates)), samples_per_config)
+    counts = np.empty((rows.size, templates.n_channels))
+    for item, ci in enumerate(rows):
+        si = item % samples_per_config
+        counts[item] = seeding.rng(seeding.derive_seed(seed, int(ci), si)).poisson(lam[ci])
+    return LabeledDataset(
+        counts,
+        templates.labels[rows],
+        templates.task,
+        tuple(templates.provenance[ci] for ci in rows),
+        templates.calibration,
+        dwell_s,
+        SpectrumKind.SAMPLED_REALIZATION,
+    )
 
 
 def build_dataset(
@@ -204,21 +256,10 @@ def build_dataset(
     background_cps: float = DEFAULT_BACKGROUND_CPS,
 ) -> LabeledDataset:
     """Poisson-sampled ensemble: ``samples_per_config`` realizations per grid cell."""
-    if samples_per_config < 1:
-        raise ValueError("samples_per_config must be at least 1 (empty dataset rejected)")
-    templates = _grid_templates(grid, detector, rebin_factor, background_cps)
-    labels = [task.one_hot(config) for config in grid]
-
-    inputs: list[Spectrum] = []
-    label_rows: list[np.ndarray] = []
-    provenance: list[SourceConfig] = []
-    for ci, (config, template) in enumerate(zip(grid, templates)):
-        for si in range(samples_per_config):
-            item_seed = seeding.derive_seed(seed, ci, si)
-            inputs.append(poisson_sample(template, dwell_s, item_seed))
-            label_rows.append(labels[ci])
-            provenance.append(config)
-    return LabeledDataset(tuple(inputs), np.stack(label_rows), task, tuple(provenance))
+    templates = template_dataset(
+        grid, task, detector, TEMPLATE_DWELL_S, rebin_factor, background_cps
+    )
+    return sample_dataset(templates, samples_per_config, dwell_s, seed)
 
 
 def template_dataset(
@@ -230,14 +271,11 @@ def template_dataset(
     background_cps: float = DEFAULT_BACKGROUND_CPS,
 ) -> LabeledDataset:
     """Noise-free dataset: one rescaled expected-count template per grid cell."""
-    templates = _grid_templates(grid, detector, rebin_factor, background_cps)
-    scale = dwell_s / TEMPLATE_DWELL_S
-    inputs = tuple(
-        Spectrum(t.counts * scale, t.calibration, dwell_s, SpectrumKind.EXPECTED_TEMPLATE)
-        for t in templates
-    )
-    labels = np.stack([task.one_hot(config) for config in grid])
-    return LabeledDataset(inputs, labels, task, tuple(grid))
+    templates = [
+        rebin(build_template(config, detector, TEMPLATE_DWELL_S, background_cps), rebin_factor)
+        for config in grid
+    ]
+    return rescale(stack_templates(templates, grid, task), dwell_s)
 
 
 def split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -280,56 +318,99 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
 
     Each row is the label index followed by the channel counts; floats are
     written in shortest round-trip form, so reading back is value-exact.
+    The manifest lists each distinct source configuration once under
+    ``sources``; ``source_index`` gives each item's entry in that list.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cal = ds.calibration
+    records = [tuple(_config_record(config).items()) for config in ds.provenance]
+    positions: dict[tuple, int] = {}
+    for record in records:
+        positions.setdefault(record, len(positions))
     manifest = {
         "task": ds.task.value,
         "class_names": list(ds.task.class_names),
         "n_items": len(ds),
         "calibration": {"e_min": cal.e_min, "e_max": cal.e_max, "n_channels": cal.n_channels},
         "dwell_s": ds.dwell_s,
-        "kind": ds.inputs[0].kind.value,
+        "kind": ds.kind.value,
         "data_csv": "data.csv",
-        "provenance": [_config_record(c) for c in ds.provenance],
+        "sources": [dict(record) for record in positions],
+        "source_index": [positions[record] for record in records],
     }
     if extra:
         manifest.update(extra)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    indices = ds.label_indices()
-    lines = []
-    for idx, spectrum in zip(indices, ds.inputs):
-        lines.append(",".join([str(int(idx))] + [repr(float(c)) for c in spectrum.counts]))
+    lines = [
+        ",".join([str(int(idx))] + [repr(c) for c in row.tolist()])
+        for idx, row in zip(ds.label_indices(), ds.counts)
+    ]
     (out_dir / "data.csv").write_text("\n".join(lines) + "\n")
     return out_dir / "manifest.json"
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:
-    """Load a dataset directory (or manifest path) written by :func:`write_dataset`."""
+    """Load a dataset directory (or manifest path) written by :func:`write_dataset`.
+
+    Malformed input raises ``ValueError`` naming the file, and the line for
+    data rows: a missing or ill-typed manifest field, a source index outside
+    the source list, a row count other than ``n_items``, a row whose width is
+    not the channel count, or a label outside the task's classes.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
     if not manifest_path.is_file():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    task = TaskKind(manifest["task"])
-    cal = EnergyCalibration(**manifest["calibration"])
-    dwell = manifest["dwell_s"]
-    kind = SpectrumKind(manifest["kind"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        task = TaskKind(manifest["task"])
+        cal = EnergyCalibration(**manifest["calibration"])
+        kind = SpectrumKind(manifest["kind"])
+        configs = [_config_from_record(record) for record in manifest["sources"]]
+        source_index = manifest["source_index"]
+        if not all(type(i) is int and 0 <= i < len(configs) for i in source_index):
+            raise ValueError("source_index entry outside the source list")
+        if type(cal.n_channels) is not int:
+            raise ValueError("calibration.n_channels must be an integer")
+        n_items, dwell = manifest["n_items"], manifest["dwell_s"]
+        data_path = manifest_path.parent / manifest["data_csv"]
+    except (KeyError, TypeError, ValueError) as err:
+        reason = f"{type(err).__name__}: {err}"
+        raise ValueError(f"{manifest_path}: malformed manifest: {reason}") from err
 
-    inputs: list[Spectrum] = []
-    label_rows: list[np.ndarray] = []
-    data_path = manifest_path.parent / manifest["data_csv"]
-    for line in data_path.read_text().splitlines():
-        if not line:
-            continue
+    lines = [(n, line) for n, line in enumerate(data_path.read_text().splitlines(), 1) if line]
+    if len(lines) != n_items:
+        raise ValueError(f"{data_path}: {len(lines)} rows, manifest n_items is {n_items}")
+    counts = np.empty((len(lines), cal.n_channels))
+    label_idx = np.empty(len(lines), dtype=np.intp)
+    for item, (lineno, line) in enumerate(lines):
         cells = line.split(",")
-        idx = int(cells[0])
-        counts = np.array([float(c) for c in cells[1:]])
-        inputs.append(Spectrum(counts, cal, dwell, kind))
-        row = np.zeros(task.n_classes)
-        row[idx] = 1.0
-        label_rows.append(row)
-    provenance = tuple(_config_from_record(r) for r in manifest["provenance"])
-    return LabeledDataset(tuple(inputs), np.stack(label_rows), task, provenance)
+        if len(cells) != cal.n_channels + 1:
+            raise ValueError(
+                f"{data_path}:{lineno}: {len(cells) - 1} counts, expected {cal.n_channels}"
+            )
+        try:
+            idx = int(cells[0])
+            counts[item] = [float(c) for c in cells[1:]]
+        except ValueError as err:
+            raise ValueError(f"{data_path}:{lineno}: {err}") from err
+        if not 0 <= idx < task.n_classes:
+            raise ValueError(
+                f"{data_path}:{lineno}: label {idx} outside [0, {task.n_classes}) "
+                f"for task {task.value}"
+            )
+        label_idx[item] = idx
+    try:
+        return LabeledDataset(
+            counts,
+            np.eye(task.n_classes)[label_idx],
+            task,
+            tuple(configs[i] for i in source_index),
+            cal,
+            dwell,
+            kind,
+        )
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{data_path}: {err}") from err

@@ -19,11 +19,12 @@ from .ensemble import (
     DEFAULT_DISTANCES_M,
     LabeledDataset,
     TaskKind,
-    build_dataset,
+    rescale,
+    sample_dataset,
     standard_grid,
     template_dataset,
 )
-from .forward_model import DEFAULT_ACTIVITY_BQ, default_detector
+from .forward_model import DEFAULT_ACTIVITY_BQ, TEMPLATE_DWELL_S, default_detector
 from .neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
@@ -366,19 +367,17 @@ def run_scenario(name: str, out_dir: str | Path, **overrides) -> dict:
         include_background=settings.include_background,
     )
 
-    train_ds = template_dataset(
-        grid, task, detector, dwell_s=settings.train_dwell_s, rebin_factor=settings.rebin_factor
+    templates = template_dataset(
+        grid, task, detector, dwell_s=TEMPLATE_DWELL_S, rebin_factor=settings.rebin_factor
     )
+    train_ds = rescale(templates, settings.train_dwell_s)
     if task is TaskKind.GAUGE_BINARY:
         train_ds = oversample_positives(train_ds, positive_class=0, ratio=settings.oversample_ratio)
-    test_ds = build_dataset(
-        grid,
-        task,
-        detector,
+    test_ds = sample_dataset(
+        templates,
         samples_per_config=settings.samples_per_config,
         dwell_s=settings.test_dwell_s,
         seed=seeding.derive_seed(settings.seed, 7001),
-        rebin_factor=settings.rebin_factor,
     )
 
     config_doc = {"scenario": name, "task": task.value, **settings.as_dict()}

@@ -11,7 +11,7 @@ float64.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
@@ -321,13 +321,13 @@ def save_model(path: str | Path, params: NetworkParams, train_config: dict | Non
 def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
     """Read a model JSON back; returns (params, train_config dict)."""
     doc = json.loads(Path(path).read_text())
-    arch = doc["arch"]
-    if arch == ARCH_LINEAR:
-        params: NetworkParams = LinearParams(np.array(doc["weights"]), np.array(doc["bias"]))
-    elif arch == ARCH_HIDDEN_TANH:
-        params = HiddenTanhParams(
-            np.array(doc["w1"]), np.array(doc["b1"]), np.array(doc["w2"]), np.array(doc["b2"])
-        )
-    else:
-        raise ValueError(f"unknown architecture {arch!r} in {path}")
+    arch = doc.get("arch") if isinstance(doc, dict) else None
+    params_type = {ARCH_LINEAR: LinearParams, ARCH_HIDDEN_TANH: HiddenTanhParams}.get(str(arch))
+    if params_type is None:
+        raise ValueError(f"unknown architecture {arch!r} (key 'arch') in {path}")
+    keys = [f.name for f in fields(params_type)]
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"model file {path} is missing key(s) {missing}")
+    params = params_type(*(np.array(doc[key]) for key in keys))
     return params, doc.get("train_config", {})

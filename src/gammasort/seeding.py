@@ -2,9 +2,9 @@
 
 Every stochastic operation in this package draws from a Philox counter-based
 generator keyed through ``numpy.random.SeedSequence``.  Streams for individual
-work items are derived from a master seed plus an integer spawn key, so a
-dataset built in parallel across configurations is bit-identical to one built
-serially, and reruns with the same seed reproduce every draw.
+work items are derived from a master seed plus an integer spawn key, so each
+item's draws are independent of the order in which items are built, and
+reruns with the same seed reproduce every draw.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
+import argparse
+import copy
 import json
 
+import numpy as np
 import pytest
 
+from gammasort import cli
 from gammasort.cli import main
+from gammasort.neuralnet import LinearParams, save_model
 
 SMALL_GRID_CONFIG = {
     "grid": {
@@ -71,14 +76,6 @@ class TestSynth:
         assert run("synth", "--out", out) == 0
         assert len(list(out.glob("template_*.csv"))) == 220
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path)
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        run("synth", "--config", cfg, "--out", serial, "--jobs", 1)
-        run("synth", "--config", cfg, "--out", parallel, "--jobs", 4)
-        for path_a in sorted(serial.glob("template_*.csv")):
-            assert path_a.read_bytes() == (parallel / path_a.name).read_bytes()
-
 
 class TestSample:
     def test_requires_templates_manifest(self, tmp_path, capsys):
@@ -117,6 +114,100 @@ class TestSample:
         run("sample", "--config", cfg, "--templates", tpl, "--out", ds, "--rebin", 256)
         first = (ds / "data.csv").read_text().splitlines()[0]
         assert len(first.split(",")) == 257  # label + 256 channels
+
+
+class TestConfig:
+    def test_seed_and_rebin_flags_leave_defaults_unchanged(self):
+        before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        config = cli.load_config(argparse.Namespace(config=None, seed=7, rebin=1024))
+        assert (config["seed"], config["rebin"]) == (7, 1024)
+        assert cli.DEFAULT_CONFIG == before
+        config["train"]["epochs"] = 1
+        assert cli.DEFAULT_CONFIG == before
+
+    @pytest.mark.parametrize("rebin", [0, -256, "256", 2.5, True])
+    def test_rebin_must_be_a_positive_int(self, tmp_path, capsys, rebin):
+        cfg = write_config(tmp_path, {"rebin": rebin})
+        tpl = tmp_path / "tpl"
+        run("synth", "--config", cfg, "--out", tpl)
+        capsys.readouterr()
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error: rebin")
+        assert err.count("\n") == 1
+
+
+class TestEvalInputBoundary:
+    """Malformed datasets and models end ``eval`` with exit 2 and one error line."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        cfg = write_config(tmp_path)
+        tpl, ds = tmp_path / "tpl", tmp_path / "ds"
+        run("synth", "--config", cfg, "--out", tpl)
+        run("sample", "--config", cfg, "--templates", tpl, "--out", ds)
+        model = tmp_path / "model.json"
+        save_model(model, LinearParams(np.zeros((5, 256)), np.zeros(5)))
+        return model, ds
+
+    def eval_error(self, capsys, model, ds):
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--dataset", ds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        return err
+
+    def edit_row(self, ds, row, edit):
+        lines = (ds / "data.csv").read_text().splitlines()
+        lines[row] = edit(lines[row])
+        (ds / "data.csv").write_text("\n".join(lines) + "\n")
+
+    def test_well_formed_inputs_evaluate(self, files, capsys):
+        model, ds = files
+        assert run("eval", "--model", model, "--dataset", ds) == 0
+
+    @pytest.mark.parametrize("label", ["9", "5", "-1"])
+    def test_label_outside_class_range(self, files, capsys, label):
+        model, ds = files
+        self.edit_row(ds, 0, lambda line: label + line[line.index(","):])
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv:1:" in err
+        assert f"label {label}" in err
+
+    def test_row_of_wrong_width(self, files, capsys):
+        model, ds = files
+        self.edit_row(ds, 2, lambda line: line.rsplit(",", 1)[0])
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv:3:" in err
+        assert "255 counts, expected 256" in err
+
+    def test_row_count_differs_from_n_items(self, files, capsys):
+        model, ds = files
+        lines = (ds / "data.csv").read_text().splitlines()
+        (ds / "data.csv").write_text("\n".join(lines[:-1]) + "\n")
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv" in err
+        assert "n_items" in err
+
+    def test_missing_manifest_field(self, files, capsys):
+        model, ds = files
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["source_index"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        err = self.eval_error(capsys, model, ds)
+        assert "manifest.json" in err
+        assert "source_index" in err
+
+    @pytest.mark.parametrize("key", ["weights", "bias", "arch"])
+    def test_model_missing_a_key(self, files, capsys, key):
+        model, ds = files
+        doc = json.loads(model.read_text())
+        del doc[key]
+        model.write_text(json.dumps(doc))
+        err = self.eval_error(capsys, model, ds)
+        assert f"'{key}'" in err
+        assert str(model) in err
 
 
 class TestTrainEval:

@@ -8,12 +8,14 @@ from gammasort.ensemble import (
     build_dataset,
     poisson_sample,
     read_dataset,
+    rescale,
+    sample_dataset,
     split,
     standard_grid,
     template_dataset,
     write_dataset,
 )
-from gammasort.forward_model import default_detector
+from gammasort.forward_model import TEMPLATE_DWELL_S, default_detector
 from gammasort.spectra import EnergyCalibration, Spectrum, SpectrumKind, total_counts
 
 DETECTOR = default_detector()
@@ -147,7 +149,79 @@ class TestBuildDataset:
         ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 2, 1.0, seed=3, rebin_factor=4)
         m = ds.as_matrix()
         assert np.all(m == np.floor(m))
-        assert all(s.kind is SpectrumKind.SAMPLED_REALIZATION for s in ds.inputs)
+        assert ds.kind is SpectrumKind.SAMPLED_REALIZATION
+
+
+class TestSampleDataset:
+    def test_rows_follow_the_per_item_seed_contract(self, small_grid):
+        templates = template_dataset(
+            small_grid, TaskKind.ISOTOPE_ID, DETECTOR, TEMPLATE_DWELL_S, rebin_factor=4
+        )
+        ds = sample_dataset(templates, 3, 2.0, seed=17)
+        assert len(ds) == 3 * len(small_grid)
+        for ci in range(len(small_grid)):
+            template = Spectrum(
+                templates.counts[ci], templates.calibration, templates.dwell_s,
+                SpectrumKind.EXPECTED_TEMPLATE,
+            )
+            for si in range(3):
+                expected = poisson_sample(template, 2.0, seeding.derive_seed(17, ci, si))
+                assert np.array_equal(ds.counts[3 * ci + si], expected.counts)
+                assert ds.provenance[3 * ci + si] is small_grid[ci]
+        assert ds.dwell_s == 2.0
+
+    def test_build_dataset_samples_the_reference_templates(self, small_grid):
+        templates = template_dataset(
+            small_grid, TaskKind.GAUGE_BINARY, DETECTOR, TEMPLATE_DWELL_S, rebin_factor=4
+        )
+        direct = build_dataset(small_grid, TaskKind.GAUGE_BINARY, DETECTOR, 2, 1.0, seed=4, rebin_factor=4)
+        via = sample_dataset(templates, 2, 1.0, seed=4)
+        assert np.array_equal(direct.as_matrix(), via.as_matrix())
+        assert np.array_equal(direct.labels, via.labels)
+
+    def test_rejects_realizations_as_templates(self, small_grid):
+        ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 1, 1.0, seed=1, rebin_factor=4)
+        with pytest.raises(ValueError):
+            sample_dataset(ds, 1, 1.0, seed=1)
+
+    def test_rescale_matches_template_dataset_at_that_dwell(self, small_grid):
+        reference = template_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, TEMPLATE_DWELL_S)
+        one = template_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, dwell_s=1.0)
+        assert np.array_equal(rescale(reference, 1.0).as_matrix(), one.as_matrix())
+
+
+class TestLabeledDataset:
+    def make(self, counts, kind=SpectrumKind.SAMPLED_REALIZATION, n_channels=4):
+        counts = np.asarray(counts, dtype=float)
+        grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
+        labels = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (len(counts), 1))
+        cal = EnergyCalibration(0.0, 3000.0, n_channels)
+        return LabeledDataset(counts, labels, TaskKind.ISOTOPE_ID, tuple(grid * len(counts)), cal, 1.0, kind)
+
+    def test_matrix_is_a_read_only_copy(self):
+        source = np.ones((2, 4))
+        ds = self.make(source)
+        source[0, 0] = 5.0
+        assert ds.as_matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.as_matrix()[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[1.0, 2.0, 3.0, 4.5]],  # a sampled realization must be integer-valued
+            [[1.0, -1.0, 0.0, 0.0]],
+            [[1.0, np.nan, 0.0, 0.0]],
+            [[1.0, 2.0, 3.0]],  # three columns for four channels
+            np.zeros((0, 4)),
+        ],
+    )
+    def test_whole_matrix_validation(self, counts):
+        with pytest.raises(ValueError):
+            self.make(counts)
+
+    def test_templates_may_hold_fractional_counts(self):
+        assert len(self.make([[0.5, 1.5, 0.0, 2.0]], kind=SpectrumKind.EXPECTED_TEMPLATE)) == 1
 
 
 class TestTemplateDataset:
@@ -157,7 +231,7 @@ class TestTemplateDataset:
 
     def test_every_item_is_a_template(self, small_grid):
         ds = template_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=4)
-        assert all(s.kind is SpectrumKind.EXPECTED_TEMPLATE for s in ds.inputs)
+        assert ds.kind is SpectrumKind.EXPECTED_TEMPLATE
 
     def test_isotope_labels_are_balanced(self, full_grid):
         ds = template_dataset(full_grid, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=4)
@@ -175,12 +249,12 @@ class TestSplit:
     def make_dataset(self, n):
         cal = EnergyCalibration(0.0, 3000.0, 8)
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
-        inputs = tuple(
-            Spectrum(np.full(8, float(i)), cal, 1.0, SpectrumKind.EXPECTED_TEMPLATE)
-            for i in range(n)
-        )
+        counts = np.repeat(np.arange(n, dtype=float)[:, None], 8, axis=1)
         labels = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (n, 1))
-        return LabeledDataset(inputs, labels, TaskKind.ISOTOPE_ID, tuple(grid * n))
+        return LabeledDataset(
+            counts, labels, TaskKind.ISOTOPE_ID, tuple(grid * n), cal, 1.0,
+            SpectrumKind.EXPECTED_TEMPLATE,
+        )
 
     def test_eighty_twenty(self):
         train, test = split(self.make_dataset(100), 0.8, seed=1)
@@ -190,7 +264,7 @@ class TestSplit:
         ds = self.make_dataset(30)
         train, test = split(ds, 0.7, seed=5)
         combined = sorted(
-            float(s.counts[0]) for s in (*train.inputs, *test.inputs)
+            np.concatenate([train.as_matrix()[:, 0], test.as_matrix()[:, 0]]).tolist()
         )
         assert combined == [float(i) for i in range(30)]
 
@@ -234,6 +308,23 @@ class TestDatasetRoundTrip:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["seed"] == 42
         assert manifest["n_items"] == len(ds)
+
+    def test_manifest_lists_each_source_once(self, tmp_path, small_grid):
+        import json
+
+        ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 3, 1.0, seed=8, rebin_factor=4)
+        manifest = json.loads(write_dataset(ds, tmp_path / "ds").read_text())
+        assert len(manifest["sources"]) == len(small_grid)
+        assert manifest["source_index"] == [ci for ci in range(len(small_grid)) for _ in range(3)]
+        back = read_dataset(tmp_path / "ds")
+        assert back.provenance[0] is back.provenance[2]
+        def cells(d):
+            return [
+                (c.isotope.name, c.distance_m, c.shielding.material, c.shielding.thickness_cm)
+                for c in d.provenance
+            ]
+
+        assert cells(back) == cells(ds)
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

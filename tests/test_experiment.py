@@ -29,7 +29,7 @@ from gammasort.neuralnet import (
     LinearParams,
     init_params,
 )
-from gammasort.spectra import EnergyCalibration, Spectrum, SpectrumKind
+from gammasort.spectra import EnergyCalibration, SpectrumKind
 
 DETECTOR = default_detector()
 
@@ -52,13 +52,13 @@ def synthetic_dataset(task, labels_idx, n_channels=8):
     cal = EnergyCalibration(0.0, 3000.0, n_channels)
     grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
     rng = np.random.default_rng(0)
-    inputs = tuple(
-        Spectrum(rng.uniform(0, 5, n_channels), cal, 1.0, SpectrumKind.EXPECTED_TEMPLATE)
-        for _ in labels_idx
-    )
+    counts = np.stack([rng.uniform(0, 5, n_channels) for _ in labels_idx])
     labels = np.zeros((len(labels_idx), task.n_classes))
     labels[np.arange(len(labels_idx)), labels_idx] = 1.0
-    return LabeledDataset(inputs, labels, task, tuple(grid * len(labels_idx)))
+    return LabeledDataset(
+        counts, labels, task, tuple(grid * len(labels_idx)), cal, 1.0,
+        SpectrumKind.EXPECTED_TEMPLATE,
+    )
 
 
 class TestEvaluate:
@@ -67,15 +67,10 @@ class TestEvaluate:
         task = TaskKind.ISOTOPE_ID
         cal = EnergyCalibration(0.0, 3000.0, 5)
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
-        inputs, labels = [], []
-        for k in range(5):
-            counts = np.zeros(5)
-            counts[k] = 10.0
-            inputs.append(Spectrum(counts, cal, 1.0, SpectrumKind.EXPECTED_TEMPLATE))
-            row = np.zeros(5)
-            row[k] = 1.0
-            labels.append(row)
-        ds = LabeledDataset(tuple(inputs), np.stack(labels), task, tuple(grid * 5))
+        ds = LabeledDataset(
+            10.0 * np.eye(5), np.eye(5), task, tuple(grid * 5), cal, 1.0,
+            SpectrumKind.EXPECTED_TEMPLATE,
+        )
         params = LinearParams(np.eye(5), np.zeros(5))
         result = evaluate(params, ds)
         assert result.accuracy == 1.0
@@ -292,6 +287,23 @@ class TestRunScenario:
         lines = (tmp_path / "comparison.csv").read_text().splitlines()
         assert lines[0] == "class,linear_acc,hidden_acc"
         assert len(lines) == 3
+
+    def test_templates_built_once_per_grid_cell(self, tmp_path, monkeypatch):
+        import gammasort.ensemble
+
+        calls = []
+        original = gammasort.ensemble.build_template
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gammasort.ensemble, "build_template", counting)
+        results = run_scenario(
+            "isotope", tmp_path, epochs=1, samples_per_config=2, distances_m=(10.0,)
+        )
+        assert len(calls) == len(results["train_ds"]) == 20
+        assert len(results["test_ds"]) == 40
 
     def test_shielding_scenario_label_space(self, tmp_path):
         results = run_scenario(
