@@ -1,14 +1,14 @@
 """Command-line surface: synthesize, sample, train, evaluate, report.
 
-One JSON config document describes a run; defaults are materialized into the
-output directory so every artifact is self-describing.  All commands are
-deterministic given the config and seed: reruns produce byte-identical files.
+One JSON config document, merged over ``experiment.DEFAULT_CONFIG``, describes
+a run; the resolved config is materialized into the output directory so every
+artifact is self-describing.  All commands are deterministic given the config
+and seed: reruns produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -17,177 +17,54 @@ import numpy as np
 
 from . import svgplot
 from .ensemble import (
-    TaskKind,
     _config_from_record,
     _config_record,
     read_dataset,
     sample_dataset,
     stack_templates,
-    standard_grid,
     write_dataset,
 )
 from .experiment import (
+    DEFAULT_CONFIG,  # noqa: F401  (re-exported: the run description, as cli.DEFAULT_CONFIG)
     SCENARIO_NAMES,
-    TrainConfig,
+    detector_from_config,
     evaluate,
+    grid_from_config,
+    rebin_factor,
+    run_config,
     run_scenario,
-    train,
+    task_from_config,
+    train_and_write,
+    write_config,
     write_confusion_csv,
-    write_metrics_csv,
-    write_weight_series,
-    oversample_positives,
 )
-from .forward_model import (
-    DEFAULT_ACTIVITY_BQ,
-    DEFAULT_BACKGROUND_CPS,
-    DEFAULT_COMPTON_FRACTION,
-    DEFAULT_FACE_AREA_CM2,
-    DEFAULT_INTRINSIC_EFFICIENCY,
-    DEFAULT_RESOLUTION_FWHM_FRAC_662,
-    TEMPLATE_DWELL_S,
-    DetectorModel,
-    SourceConfig,
-    build_template,
-    default_shielding,
-    isotope_by_name,
-)
-from .neuralnet import AdamHyper, load_model, save_model
-from .spectra import (
-    EnergyCalibration,
-    read_spectrum_csv,
-    rebin,
-    write_spectrum_csv,
-)
+from .forward_model import TEMPLATE_DWELL_S, SourceConfig, build_template
+from .neuralnet import load_model
+from .spectra import read_spectrum_csv, rebin, write_spectrum_csv
 
 
-class CliError(Exception):
-    """Raised for user-facing failures; rendered as one line on stderr."""
-
-
-DEFAULT_CONFIG: dict = {
-    "detector": {
-        "n_channels": 1024,
-        "e_min": 0.0,
-        "e_max": 3000.0,
-        "face_area_cm2": DEFAULT_FACE_AREA_CM2,
-        "intrinsic_efficiency": DEFAULT_INTRINSIC_EFFICIENCY,
-        "resolution_fwhm_frac_662": DEFAULT_RESOLUTION_FWHM_FRAC_662,
-        "compton_fraction": DEFAULT_COMPTON_FRACTION,
-    },
-    "grid": {
-        "isotopes": ["Cesium", "Cobalt", "Barium", "Selenium", "Iridium"],
-        "distances_m": [float(d) for d in range(10, 21)],
-        "shieldings": ["Bare", "Concrete", "Steel", "DepletedUranium"],
-        "activity_bq": DEFAULT_ACTIVITY_BQ,
-        "include_background": False,
-        "background_cps": DEFAULT_BACKGROUND_CPS,
-    },
-    "task": "IsotopeID",
-    "arch": "linear",
-    "rebin": 256,
-    "dwell_s": 1.0,
-    "samples_per_config": 20,
-    "seed": 42,
-    "train": {
-        "epochs": 100,
-        "batch_size": 32,
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "width": 64,
-        "oversample_ratio": 0.25,
-        "train_dwell_s": 1.0,
-    },
-    "paths": {},
-}
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
-
-
-def load_config(args) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
+def _config_overrides(args) -> dict:
+    """The ``--config`` document with the ``--seed`` and ``--rebin`` flags applied over it."""
+    overrides: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
-            raise CliError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         try:
-            config = _deep_merge(config, json.loads(path.read_text()))
+            overrides = json.loads(path.read_text())
         except json.JSONDecodeError as err:
-            raise CliError(f"config is not valid JSON: {path}: {err}") from err
+            raise ValueError(f"config is not valid JSON: {path}: {err}") from err
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config must be a JSON object: {path}")
     if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "rebin", None) is not None:
-        config["rebin"] = args.rebin
-    return config
+        overrides["rebin"] = args.rebin
+    return overrides
 
 
-def materialize_config(config: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-
-
-def _detector_from_config(config: dict) -> DetectorModel:
-    d = config["detector"]
-    cal = EnergyCalibration(d["e_min"], d["e_max"], d["n_channels"])
-    return DetectorModel(
-        calibration=cal,
-        face_area_cm2=d["face_area_cm2"],
-        intrinsic_efficiency=d["intrinsic_efficiency"],
-        resolution_fwhm_frac_662=d["resolution_fwhm_frac_662"],
-        compton_fraction=d["compton_fraction"],
-    )
-
-
-def _grid_from_config(config: dict) -> list[SourceConfig]:
-    g = config["grid"]
-    if not g["isotopes"] or not g["distances_m"] or not g["shieldings"]:
-        raise CliError("grid is empty: need at least one isotope, distance, and shielding")
-    for name in g["isotopes"]:
-        try:
-            isotope_by_name(name)
-        except ValueError as err:
-            raise CliError(f"grid.isotopes: {err}") from err
-    for name in g["shieldings"]:
-        try:
-            default_shielding(name)
-        except ValueError as err:
-            raise CliError(f"grid.shieldings: unknown material {name!r}") from err
-    return standard_grid(
-        isotopes=tuple(g["isotopes"]),
-        distances_m=tuple(g["distances_m"]),
-        materials=tuple(g["shieldings"]),
-        activity_bq=g["activity_bq"],
-        include_background=g["include_background"],
-    )
-
-
-def _rebin_factor(config: dict) -> int:
-    n = config["detector"]["n_channels"]
-    target = config["rebin"]
-    if type(target) is not int or target < 1:
-        raise CliError(f"rebin must be a positive integer channel count, got {target!r}")
-    if target > n or n % target != 0:
-        raise CliError(f"rebin target {target} does not divide {n} channels")
-    return n // target
-
-
-def _task_from_config(config: dict) -> TaskKind:
-    try:
-        return TaskKind(config["task"])
-    except ValueError as err:
-        raise CliError(
-            f"unknown task {config['task']!r}; choose from "
-            f"{[t.value for t in TaskKind]}"
-        ) from err
+def load_config(args) -> dict:
+    return run_config(_config_overrides(args))
 
 
 def _template_name(index: int, config: SourceConfig) -> str:
@@ -200,10 +77,10 @@ def _template_name(index: int, config: SourceConfig) -> str:
 def cmd_synth(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    detector = _detector_from_config(config)
-    grid = _grid_from_config(config)
+    detector = detector_from_config(config)
+    grid = grid_from_config(config)
     background_cps = config["grid"]["background_cps"]
-    materialize_config(config, out_dir)
+    write_config(config, out_dir)
 
     names = []
     for index, source in enumerate(grid):
@@ -224,116 +101,97 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_templates_manifest(path: Path) -> tuple[list[str], list[SourceConfig]]:
+    """Template file names and their source configs, as listed by ``synth``."""
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not valid JSON: {err}") from err
+    entries = manifest.get("templates") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: expected an object with a non-empty 'templates' list")
+    names, sources = [], []
+    for i, entry in enumerate(entries):
+        try:
+            names.append(entry["path"])
+            if not isinstance(names[-1], str):
+                raise TypeError(f"'path' is not a string: {names[-1]!r}")
+            sources.append(_config_from_record(entry))
+        except (KeyError, TypeError, ValueError) as err:
+            reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+            raise ValueError(f"{path}: templates[{i}]: {reason}") from err
+    return names, sources
+
+
 def cmd_sample(args) -> int:
     config = load_config(args)
-    templates_dir = Path(args.templates) if args.templates else Path(config["paths"].get("templates", ""))
-    manifest_path = templates_dir / "templates_manifest.json"
+    templates_dir = args.templates or config["paths"]["templates"]
+    if templates_dir is None:
+        raise ValueError("sample needs --templates or paths.templates in the config")
+    manifest_path = Path(templates_dir) / "templates_manifest.json"
     if not manifest_path.is_file():
-        raise CliError(f"template manifest not found: {manifest_path} (run synth first)")
-    manifest = json.loads(manifest_path.read_text())
+        raise ValueError(f"template manifest not found: {manifest_path} (run synth first)")
+    names, sources = _read_templates_manifest(manifest_path)
 
     out_dir = Path(args.out)
-    task = _task_from_config(config)
-    factor = _rebin_factor(config)
-    dwell = config["dwell_s"]
-    samples = config["samples_per_config"]
-    seed = config["seed"]
-    if samples < 1:
-        raise CliError("samples_per_config must be at least 1")
-    materialize_config(config, out_dir)
-
-    entries = manifest["templates"]
+    task = task_from_config(config)
+    factor = rebin_factor(config)
+    samples, seed = config["samples_per_config"], config["seed"]
     templates = stack_templates(
-        [rebin(read_spectrum_csv(templates_dir / entry["path"]), factor) for entry in entries],
-        [_config_from_record(entry) for entry in entries],
+        [rebin(read_spectrum_csv(manifest_path.parent / name), factor) for name in names],
+        sources,
         task,
     )
-    ds = sample_dataset(templates, samples, dwell, seed)
+    ds = sample_dataset(templates, samples, config["dwell_s"], seed)
+    write_config(config, out_dir)
     write_dataset(ds, out_dir, extra={"seed": seed, "samples_per_config": samples})
     print(f"wrote {len(ds)} samples to {out_dir}")
     return 0
 
 
-def _train_config(config: dict, task: TaskKind) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        task=task,
-        arch=config["arch"],
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        seed=config["seed"],
-        dwell_s=t["train_dwell_s"],
-        hyper=AdamHyper(t["learning_rate"], t["beta1"], t["beta2"], t["epsilon"]),
-        width=t["width"],
-    )
-
-
 def cmd_train(args) -> int:
-    config = load_config(args)
-    out_dir = Path(args.out)
-
-    scenario = args.scenario or config.get("scenario")
+    overrides = _config_overrides(args)
+    config = run_config(overrides)
+    scenario = args.scenario or config["scenario"]
     if scenario:
-        if scenario not in SCENARIO_NAMES:
-            raise CliError(f"unknown scenario {scenario!r}; choose from {SCENARIO_NAMES}")
-        overrides = config.get("scenario_overrides", {})
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        results = run_scenario(scenario, out_dir, **overrides)
-        for arch in ("linear", "hidden_tanh"):
-            if arch in results:
-                history = results[arch]["history"]
-                print(
-                    f"{scenario}/{arch}: accuracy {history.test_accuracy[-1]:.4f} "
-                    f"per-class {np.round(results[arch]['history'].per_class_accuracy[-1], 4).tolist()}"
-                )
-        return 0
-
-    paths = config["paths"]
-    for key in ("train_dataset", "test_dataset"):
-        if key not in paths:
-            raise CliError(f"config.paths.{key} is required for train (or use --scenario)")
-    train_ds = read_dataset(paths["train_dataset"])
-    test_ds = read_dataset(paths["test_dataset"])
-    task = _task_from_config(config)
-    if train_ds.task is not task or test_ds.task is not task:
-        raise CliError(
-            f"task mismatch before training: config {task.value}, "
-            f"train {train_ds.task.value}, test {test_ds.task.value}"
-        )
-    if train_ds.n_channels != test_ds.n_channels:
-        raise CliError(
-            f"channel mismatch before training: train {train_ds.n_channels}, "
-            f"test {test_ds.n_channels}"
-        )
-    if task is TaskKind.GAUGE_BINARY:
-        train_ds = oversample_positives(train_ds, 0, config["train"]["oversample_ratio"])
-
-    cfg = _train_config(config, task)
-    materialize_config(config, out_dir)
-    params, history = train(train_ds, test_ds, cfg)
-    class_names = task.class_names
-    save_model(out_dir / "model.json", params, {"task": task.value, **config["train"], "arch": cfg.arch, "seed": cfg.seed})
-    write_metrics_csv(out_dir / "metrics.csv", history, class_names)
-    write_confusion_csv(out_dir / "confusion.csv", history.confusion, class_names)
-    write_weight_series(out_dir, params, class_names)
-    print(f"trained {cfg.arch}: accuracy {history.test_accuracy[-1]:.4f}")
+        results = run_scenario(scenario, args.out, **overrides)
+    else:
+        paths = config["paths"]
+        for key in ("train_dataset", "test_dataset"):
+            if paths[key] is None:
+                raise ValueError(f"config.paths.{key} is required for train (or use --scenario)")
+        train_ds = read_dataset(paths["train_dataset"])
+        test_ds = read_dataset(paths["test_dataset"])
+        task = task_from_config(config)
+        if train_ds.task is not task or test_ds.task is not task:
+            raise ValueError(
+                f"task mismatch before training: config {task.value}, "
+                f"train {train_ds.task.value}, test {test_ds.task.value}"
+            )
+        results = train_and_write(config, train_ds, test_ds, args.out)
+    for arch in ("linear", "hidden_tanh"):
+        if arch in results:
+            history = results[arch]["history"]
+            print(
+                f"{scenario or 'train'}/{arch}: accuracy {history.test_accuracy[-1]:.4f} "
+                f"per-class {np.round(history.per_class_accuracy[-1], 4).tolist()}"
+            )
     return 0
 
 
 def cmd_eval(args) -> int:
     model_path = Path(args.model)
     if not model_path.is_file():
-        raise CliError(f"model file not found: {model_path}")
+        raise ValueError(f"model file not found: {model_path}")
     params, train_config = load_model(model_path)
     ds = read_dataset(args.dataset)
     if params.n_channels != ds.n_channels:
-        raise CliError(
+        raise ValueError(
             f"shape mismatch before evaluation: model {params.n_channels} channels, "
             f"dataset {ds.n_channels}"
         )
     if params.n_classes != ds.task.n_classes:
-        raise CliError(
+        raise ValueError(
             f"task mismatch before evaluation: model emits {params.n_classes} classes, "
             f"dataset task {ds.task.value} has {ds.task.n_classes}"
         )
@@ -355,13 +213,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
+METRICS_COLUMNS = ("epoch", "train_loss", "test_loss", "overall_acc")
+
+
 def _read_metrics_csv(path: Path):
     lines = path.read_text().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
+    missing = [name for name in METRICS_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks the columns {missing}")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no epoch rows")
     columns = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            columns[name].append(float(cell))
+    for lineno, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {len(header)}")
+        try:
+            for name, cell in zip(header, cells):
+                columns[name].append(float(cell))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
     return header, columns
 
 
@@ -422,7 +294,7 @@ def _report_one(run_dir: Path, out_dir: Path) -> None:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
-        raise CliError(f"run directory not found: {run_dir}")
+        raise ValueError(f"run directory not found: {run_dir}")
     out_dir = Path(args.out) if args.out else run_dir
     targets = []
     if (run_dir / "metrics.csv").is_file():
@@ -433,7 +305,7 @@ def cmd_report(args) -> int:
                 targets.append((sub, out_dir / sub.name if args.out else sub))
     if not targets:
         missing = [str(run_dir / "metrics.csv")]
-        raise CliError(f"no run artifacts to report; missing: {', '.join(missing)}")
+        raise ValueError(f"no run artifacts to report; missing: {', '.join(missing)}")
     for src, dst in targets:
         _report_one(src, dst)
         print(f"report written to {dst}")
@@ -497,9 +369,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"gammasort: error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"gammasort: error: {err}", file=sys.stderr)
         return 2

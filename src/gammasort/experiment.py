@@ -1,13 +1,15 @@
-"""Training loop, evaluation metrics, weight exports, and canned scenarios.
+"""Run description, training loop, evaluation metrics, weight exports, and canned scenarios.
 
-Three canned scenarios: isotope identification and shielding identification
-with the linear model (template-trained, tested on a Poisson-sampled
-ensemble), and the surrogate industrial-gauge task with the linear and
-hidden-layer architectures side by side.
+One nested run config, ``DEFAULT_CONFIG``, describes every run.  The three
+canned scenarios are presets merged over it: isotope identification and
+shielding identification with one model (linear by default; template-trained,
+tested on a Poisson-sampled ensemble), and the surrogate industrial-gauge task
+with the linear and hidden-layer architectures side by side.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +18,6 @@ import numpy as np
 
 from . import seeding
 from .ensemble import (
-    DEFAULT_DISTANCES_M,
     LabeledDataset,
     TaskKind,
     rescale,
@@ -24,7 +25,17 @@ from .ensemble import (
     standard_grid,
     template_dataset,
 )
-from .forward_model import DEFAULT_ACTIVITY_BQ, TEMPLATE_DWELL_S, default_detector
+from .forward_model import (
+    DEFAULT_ACTIVITY_BQ,
+    DEFAULT_BACKGROUND_CPS,
+    DEFAULT_COMPTON_FRACTION,
+    DEFAULT_FACE_AREA_CM2,
+    DEFAULT_INTRINSIC_EFFICIENCY,
+    DEFAULT_RESOLUTION_FWHM_FRAC_662,
+    TEMPLATE_DWELL_S,
+    DetectorModel,
+    SourceConfig,
+)
 from .neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
@@ -41,34 +52,168 @@ from .neuralnet import (
     save_model,
     softmax,
 )
+from .spectra import EnergyCalibration
 
-SCENARIO_NAMES = ("isotope", "shielding", "gauge")
-
-SCENARIO_TASKS = {
-    "isotope": TaskKind.ISOTOPE_ID,
-    "shielding": TaskKind.SHIELDING_ID,
-    "gauge": TaskKind.GAUGE_BINARY,
+# The one run description.  Every key a run config may set is here, and each
+# leaf's value fixes the type it takes; a ``None`` leaf takes a string.
+DEFAULT_CONFIG: dict = {
+    "detector": {
+        "n_channels": 1024,
+        "e_min": 0.0,
+        "e_max": 3000.0,
+        "face_area_cm2": DEFAULT_FACE_AREA_CM2,
+        "intrinsic_efficiency": DEFAULT_INTRINSIC_EFFICIENCY,
+        "resolution_fwhm_frac_662": DEFAULT_RESOLUTION_FWHM_FRAC_662,
+        "compton_fraction": DEFAULT_COMPTON_FRACTION,
+    },
+    "grid": {
+        "isotopes": ["Cesium", "Cobalt", "Barium", "Selenium", "Iridium"],
+        "distances_m": [float(d) for d in range(10, 21)],
+        "shieldings": ["Bare", "Concrete", "Steel", "DepletedUranium"],
+        "activity_bq": DEFAULT_ACTIVITY_BQ,
+        "include_background": False,
+        "background_cps": DEFAULT_BACKGROUND_CPS,
+    },
+    "task": "IsotopeID",
+    "arch": "linear",
+    "rebin": 256,
+    "dwell_s": 1.0,
+    "samples_per_config": 20,
+    "seed": 42,
+    "train": {
+        "epochs": 100,
+        "batch_size": 32,
+        "learning_rate": 1e-3,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-8,
+        "width": 64,
+        "oversample_ratio": 0.25,
+        "train_dwell_s": 1.0,
+    },
+    "paths": {"templates": None, "train_dataset": None, "test_dataset": None},
+    "scenario": None,
 }
 
-# The gauge window structure converges slowly; it gets a longer schedule and
-# a hotter step size than the single-peak-feature tasks.
-SCENARIO_DEFAULT_OVERRIDES = {
-    "isotope": {},
-    "shielding": {},
-    "gauge": {"epochs": 300, "learning_rate": 1e-2},
+# Leaves that also take null; ``None`` means full-batch training.
+_NULLABLE = {"train.batch_size"}
+
+# Canned scenarios, each merged over DEFAULT_CONFIG.  The gauge window
+# structure converges slowly; it gets a longer schedule and a hotter step size
+# than the single-peak-feature tasks.
+SCENARIO_PRESETS = {
+    "isotope": {"task": "IsotopeID"},
+    "shielding": {"task": "ShieldingID"},
+    "gauge": {"task": "GaugeBinary", "train": {"epochs": 300, "learning_rate": 1e-2}},
 }
+SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
+
+
+def _checked_leaf(path: str, default, value):
+    """``value`` if it has the type of ``default`` (ints pass as floats), else ``ValueError``."""
+    if value is None and (default is None or path in _NULLABLE):
+        return None
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path}: expected list, got {value!r}")
+        return [_checked_leaf(f"{path}[{i}]", default[0], v) for i, v in enumerate(value)]
+    expected = str if default is None else type(default)
+    if expected is float and type(value) is int:
+        return float(value)
+    if (type(value) is bool and expected is not bool) or not isinstance(value, expected):
+        raise ValueError(f"{path}: expected {expected.__name__}, got {value!r}")
+    return value
+
+
+def _deep_merge(base: dict, override, defaults: dict = DEFAULT_CONFIG, path: str = "") -> dict:
+    """``override`` merged over ``base``, key by key, checked against ``defaults``.
+
+    A key ``defaults`` lacks, or a value of the wrong type, raises
+    ``ValueError`` naming its dotted path.
+    """
+    if not isinstance(override, dict):
+        raise ValueError(f"{path or 'config'}: expected object, got {override!r}")
+    merged = dict(base)
+    for key, value in override.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in defaults:
+            raise ValueError(f"{where}: unknown key; expected one of {sorted(defaults)}")
+        if isinstance(defaults[key], dict):
+            merged[key] = _deep_merge(base[key], value, defaults[key], where)
+        else:
+            merged[key] = _checked_leaf(where, defaults[key], value)
+    return merged
+
+
+def run_config(*overrides: dict) -> dict:
+    """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    for override in overrides:
+        config = _deep_merge(config, override)
+    return config
+
+
+def write_config(config: dict, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+
+
+def detector_from_config(config: dict) -> DetectorModel:
+    d = config["detector"]
+    cal = EnergyCalibration(d["e_min"], d["e_max"], d["n_channels"])
+    return DetectorModel(
+        calibration=cal,
+        face_area_cm2=d["face_area_cm2"],
+        intrinsic_efficiency=d["intrinsic_efficiency"],
+        resolution_fwhm_frac_662=d["resolution_fwhm_frac_662"],
+        compton_fraction=d["compton_fraction"],
+    )
+
+
+def grid_from_config(config: dict) -> list[SourceConfig]:
+    g = config["grid"]
+    if not g["isotopes"] or not g["distances_m"] or not g["shieldings"]:
+        raise ValueError("grid is empty: need at least one isotope, distance, and shielding")
+    try:
+        return standard_grid(
+            isotopes=tuple(g["isotopes"]),
+            distances_m=tuple(g["distances_m"]),
+            materials=tuple(g["shieldings"]),
+            activity_bq=g["activity_bq"],
+            include_background=g["include_background"],
+        )
+    except ValueError as err:
+        raise ValueError(f"grid: {err}") from err
+
+
+def rebin_factor(config: dict) -> int:
+    n = config["detector"]["n_channels"]
+    target = config["rebin"]
+    if target < 1:
+        raise ValueError(f"rebin must be a positive integer channel count, got {target!r}")
+    if target > n or n % target != 0:
+        raise ValueError(f"rebin target {target} does not divide {n} channels")
+    return n // target
+
+
+def task_from_config(config: dict) -> TaskKind:
+    try:
+        return TaskKind(config["task"])
+    except ValueError as err:
+        raise ValueError(
+            f"unknown task {config['task']!r}; choose from "
+            f"{[t.value for t in TaskKind]}"
+        ) from err
 
 
 @dataclass
 class TrainConfig:
     """Everything one training run depends on."""
 
-    task: TaskKind
     arch: str = ARCH_LINEAR
     epochs: int = 100
     batch_size: int | None = None  # None = full batch
     seed: int = 0
-    dwell_s: float = 1.0
     hyper: AdamHyper = field(default_factory=AdamHyper)
     width: int = 64
 
@@ -237,31 +382,6 @@ def oversample_positives(
     return ds.subset(expanded)
 
 
-@dataclass
-class ScenarioSettings:
-    """Defaults shared by the canned scenarios; any field can be overridden."""
-
-    seed: int = 42
-    n_channels: int = 1024
-    rebin_factor: int = 4
-    samples_per_config: int = 20
-    test_dwell_s: float = 1.0
-    train_dwell_s: float = 1.0
-    epochs: int = 100
-    batch_size: int | None = 32
-    learning_rate: float = 1e-3
-    width: int = 64
-    oversample_ratio: float = 0.25
-    activity_bq: float = DEFAULT_ACTIVITY_BQ
-    distances_m: tuple = DEFAULT_DISTANCES_M
-    include_background: bool = False
-
-    def as_dict(self) -> dict:
-        doc = self.__dict__.copy()
-        doc["distances_m"] = list(self.distances_m)
-        return doc
-
-
 def _format_float(x: float) -> str:
     return repr(float(x))
 
@@ -302,94 +422,87 @@ def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> li
     return paths
 
 
-def _run_one_arch(arch, train_ds, test_ds, settings, out_dir, scenario) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = TrainConfig(
-        task=train_ds.task,
-        arch=arch,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        seed=seeding.derive_seed(settings.seed, 7002),
-        dwell_s=settings.train_dwell_s,
-        hyper=AdamHyper(learning_rate=settings.learning_rate),
-        width=settings.width,
-    )
-    initial = init_params(
-        cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width
-    )
-    initial_copy = copy_params(initial)
-    params, history = train(train_ds, test_ds, cfg, initial=initial)
+def train_and_write(
+    config: dict,
+    train_ds: LabeledDataset,
+    test_ds: LabeledDataset,
+    out_dir: str | Path,
+    archs: tuple[str, ...] | None = None,
+    seed: int | None = None,
+) -> dict:
+    """Train each architecture on one dataset pair and write the run directory.
+
+    ``config.json`` goes in ``out_dir``; each architecture's model, metrics,
+    confusion and weight files go there too, or in ``out_dir/<arch>`` when
+    there are several.  Gauge positives are oversampled first.  ``archs`` and
+    ``seed`` default to the config's ``arch`` and ``seed``.
+    """
+    out_dir = Path(out_dir)
+    archs = (config["arch"],) if archs is None else archs
+    seed = config["seed"] if seed is None else seed
+    t = config["train"]
+    hyper = AdamHyper(t["learning_rate"], t["beta1"], t["beta2"], t["epsilon"])
+    cfgs = [
+        TrainConfig(arch, t["epochs"], t["batch_size"], seed, hyper, t["width"]) for arch in archs
+    ]
+    if train_ds.task is TaskKind.GAUGE_BINARY:
+        train_ds = oversample_positives(train_ds, 0, t["oversample_ratio"])
+    write_config(config, out_dir)
 
     class_names = train_ds.task.class_names
-    train_config_doc = {
-        "scenario": scenario,
-        "arch": arch,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "dwell_s": cfg.dwell_s,
-        "learning_rate": cfg.hyper.learning_rate,
-        "width": cfg.width,
-        "task": train_ds.task.value,
-    }
-    save_model(out_dir / "model.json", params, train_config_doc)
-    write_metrics_csv(out_dir / "metrics.csv", history, class_names)
-    write_confusion_csv(out_dir / "confusion.csv", history.confusion, class_names)
-    write_weight_series(out_dir, params, class_names)
-    return {
-        "params": params,
-        "initial": initial_copy,
-        "history": history,
-        "dir": out_dir,
-    }
+    results: dict = {"train_ds": train_ds, "test_ds": test_ds, "config": config}
+    for arch, cfg in zip(archs, cfgs):
+        arch_dir = out_dir / arch if len(archs) > 1 else out_dir
+        arch_dir.mkdir(parents=True, exist_ok=True)
+        initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed, t["width"])
+        params, history = train(train_ds, test_ds, cfg, initial=initial)
+        train_doc = {"task": train_ds.task.value, **t, "arch": arch, "seed": seed}
+        save_model(arch_dir / "model.json", params, train_doc)
+        write_metrics_csv(arch_dir / "metrics.csv", history, class_names)
+        write_confusion_csv(arch_dir / "confusion.csv", history.confusion, class_names)
+        write_weight_series(arch_dir, params, class_names)
+        results[arch] = {"params": params, "initial": initial, "history": history, "dir": arch_dir}
+    return results
 
 
 def run_scenario(name: str, out_dir: str | Path, **overrides) -> dict:
     """Run one canned scenario end to end, writing artifacts under ``out_dir``.
 
-    isotope / shielding: linear model trained on rescaled templates, tested
-    on a Poisson-sampled ensemble.  gauge: linear and hidden models trained
-    on the same data for comparison.  Returns per-architecture params,
-    initial params, history, train/test datasets, and artifact paths.
+    The run config is DEFAULT_CONFIG with the scenario's preset and then
+    ``overrides`` (top-level run-config keys, nested sections as dicts)
+    merged over it.  isotope / shielding: a model of the config's ``arch``
+    trained on rescaled templates, tested on a Poisson-sampled ensemble.
+    gauge: linear and hidden models trained on the same data for comparison.
+    Returns what :func:`train_and_write` returns.
     """
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    merged = {**SCENARIO_DEFAULT_OVERRIDES[name], **overrides}
-    settings = ScenarioSettings(**merged)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    task = SCENARIO_TASKS[name]
-    detector = default_detector(settings.n_channels)
-    grid = standard_grid(
-        distances_m=settings.distances_m,
-        activity_bq=settings.activity_bq,
-        include_background=settings.include_background,
-    )
-
+    config = run_config(SCENARIO_PRESETS[name], overrides, {"scenario": name})
+    task = task_from_config(config)
     templates = template_dataset(
-        grid, task, detector, dwell_s=TEMPLATE_DWELL_S, rebin_factor=settings.rebin_factor
+        grid_from_config(config),
+        task,
+        detector_from_config(config),
+        dwell_s=TEMPLATE_DWELL_S,
+        rebin_factor=rebin_factor(config),
+        background_cps=config["grid"]["background_cps"],
     )
-    train_ds = rescale(templates, settings.train_dwell_s)
-    if task is TaskKind.GAUGE_BINARY:
-        train_ds = oversample_positives(train_ds, positive_class=0, ratio=settings.oversample_ratio)
+    train_ds = rescale(templates, config["train"]["train_dwell_s"])
     test_ds = sample_dataset(
         templates,
-        samples_per_config=settings.samples_per_config,
-        dwell_s=settings.test_dwell_s,
-        seed=seeding.derive_seed(settings.seed, 7001),
+        samples_per_config=config["samples_per_config"],
+        dwell_s=config["dwell_s"],
+        seed=seeding.derive_seed(config["seed"], 7001),
     )
 
-    config_doc = {"scenario": name, "task": task.value, **settings.as_dict()}
-    (out_dir / "config.json").write_text(json.dumps(config_doc, indent=2, sort_keys=True) + "\n")
+    gauge = task is TaskKind.GAUGE_BINARY
+    archs = (ARCH_LINEAR, ARCH_HIDDEN_TANH) if gauge else (config["arch"],)
+    out_dir = Path(out_dir)
+    results = train_and_write(
+        config, train_ds, test_ds, out_dir, archs, seeding.derive_seed(config["seed"], 7002)
+    )
 
-    archs = (ARCH_LINEAR, ARCH_HIDDEN_TANH) if task is TaskKind.GAUGE_BINARY else (ARCH_LINEAR,)
-    results: dict = {"train_ds": train_ds, "test_ds": test_ds, "settings": settings}
-    for arch in archs:
-        arch_dir = out_dir / arch if len(archs) > 1 else out_dir
-        results[arch] = _run_one_arch(arch, train_ds, test_ds, settings, arch_dir, name)
-
-    if task is TaskKind.GAUGE_BINARY:
+    if gauge:
         lines = ["class,linear_acc,hidden_acc"]
         linear_acc = results[ARCH_LINEAR]["history"].per_class_accuracy[-1]
         hidden_acc = results[ARCH_HIDDEN_TANH]["history"].per_class_accuracy[-1]

@@ -184,15 +184,16 @@ def test_criterion_6_zero_column_invariance(isotope_run):
 
 def test_criterion_7_weight_feature_alignment(isotope_run):
     # oracle: argmax of the bare cesium template in the trained binning
-    settings = isotope_run["settings"]
-    detector = default_detector(settings.n_channels)
+    config = isotope_run["config"]
+    n_channels = config["detector"]["n_channels"]
+    detector = default_detector(n_channels)
     grid = standard_grid(
         isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",),
-        activity_bq=settings.activity_bq,
+        activity_bq=config["grid"]["activity_bq"],
     )
     template = template_dataset(
-        grid, TaskKind.ISOTOPE_ID, detector, dwell_s=settings.train_dwell_s,
-        rebin_factor=settings.rebin_factor,
+        grid, TaskKind.ISOTOPE_ID, detector, dwell_s=config["train"]["train_dwell_s"],
+        rebin_factor=n_channels // config["rebin"],
     )
     oracle = int(np.argmax(template.as_matrix()[0]))
     cesium_row = isotope_run[ARCH_LINEAR]["params"].weights[0]
@@ -207,7 +208,11 @@ def test_criterion_7_weight_feature_alignment(isotope_run):
 
 
 def test_criterion_8_reproducibility(tmp_path):
-    overrides = {"epochs": 4, "samples_per_config": 2, "distances_m": (10.0, 15.0)}
+    overrides = {
+        "train": {"epochs": 4},
+        "samples_per_config": 2,
+        "grid": {"distances_m": [10.0, 15.0]},
+    }
     run_scenario("isotope", tmp_path / "a", **overrides)
     run_scenario("isotope", tmp_path / "b", **overrides)
     same_metrics = (tmp_path / "a" / "metrics.csv").read_bytes() == (

@@ -268,11 +268,9 @@ class TestScenarioCommand:
     def test_scenario_writes_artifacts_and_report_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "scenario_overrides": {
-                "epochs": 3,
-                "samples_per_config": 1,
-                "distances_m": [10.0, 15.0],
-            }
+            "train": {"epochs": 3},
+            "samples_per_config": 1,
+            "grid": {"distances_m": [10.0, 15.0]},
         }))
         out = tmp_path / "run"
         assert run("scenario", "isotope", "--config", cfg, "--out", out) == 0
@@ -292,11 +290,9 @@ class TestScenarioCommand:
     def test_gauge_scenario_report_recurses_into_arch_dirs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "scenario_overrides": {
-                "epochs": 2,
-                "samples_per_config": 1,
-                "distances_m": [10.0],
-            }
+            "train": {"epochs": 2},
+            "samples_per_config": 1,
+            "grid": {"distances_m": [10.0]},
         }))
         out = tmp_path / "gauge"
         assert run("train", "--scenario", "gauge", "--config", cfg, "--out", out) == 0
@@ -330,3 +326,150 @@ class TestSvgContent:
 
         with pytest.raises(ValueError):
             write_line_svg(tmp_path / "x.svg", [("a", [1, 2], [1.0])])
+
+
+class TestSampleManifest:
+    """A malformed templates manifest ends ``sample`` with exit 2 and one error line."""
+
+    @pytest.fixture()
+    def templates(self, tmp_path):
+        cfg = write_config(tmp_path)
+        tpl = tmp_path / "tpl"
+        run("synth", "--config", cfg, "--out", tpl)
+        return cfg, tpl
+
+    def sample_error(self, capsys, cfg, tpl, tmp_path):
+        capsys.readouterr()
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        assert "templates_manifest.json" in err
+        return err
+
+    def test_entry_without_path(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        manifest = json.loads((tpl / "templates_manifest.json").read_text())
+        del manifest["templates"][3]["path"]
+        (tpl / "templates_manifest.json").write_text(json.dumps(manifest))
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert "templates[3]" in err
+        assert "'path'" in err
+
+    def test_missing_templates_key(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        manifest = json.loads((tpl / "templates_manifest.json").read_text())
+        del manifest["templates"]
+        (tpl / "templates_manifest.json").write_text(json.dumps(manifest))
+        assert "'templates'" in self.sample_error(capsys, cfg, tpl, tmp_path)
+
+    def test_manifest_is_a_list(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        manifest = json.loads((tpl / "templates_manifest.json").read_text())
+        (tpl / "templates_manifest.json").write_text(json.dumps(manifest["templates"]))
+        self.sample_error(capsys, cfg, tpl, tmp_path)
+
+
+class TestConfigChecks:
+    """Unknown keys and ill-typed values exit 2 with their dotted path on one line."""
+
+    def config_error(self, capsys, *argv):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["scenario", "train"])
+    def test_unknown_key_names_dotted_path(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"train": {"epoch": 3}})
+        argv = ["scenario", "isotope"] if command == "scenario" else ["train"]
+        err = self.config_error(capsys, *argv, "--config", cfg, "--out", tmp_path / "x")
+        assert "train.epoch: unknown key" in err
+
+    def test_unknown_paths_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"paths": {"model": "m"}})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "paths.model: unknown key" in err
+
+    def test_ill_typed_epochs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"epochs": "ten"}})
+        err = self.config_error(capsys, "train", "--config", cfg, "--out", tmp_path / "x")
+        assert "train.epochs: expected int, got 'ten'" in err
+
+    def test_ill_typed_samples_per_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"samples_per_config": "3"})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "samples_per_config: expected int, got '3'" in err
+
+    def test_bool_is_not_an_int(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": {"width": True}})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "train.width: expected int, got True" in err
+
+    def test_ill_typed_list_item(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"grid": {"distances_m": [10.0, "far"]}})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "grid.distances_m[1]: expected float, got 'far'" in err
+
+    def test_section_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"train": 5})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "train: expected object, got 5" in err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert "JSON object" in err
+
+    def test_int_for_float_and_null_batch_size_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"grid": {"distances_m": [10, 15]},
+                                      "train": {"batch_size": None, "learning_rate": 1}})
+        out = tmp_path / "tpl"
+        assert run("synth", "--config", cfg, "--out", out) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["grid"]["distances_m"] == [10.0, 15.0]
+        assert config["train"]["batch_size"] is None
+        assert config["train"]["learning_rate"] == 1.0
+
+
+class TestScenarioHonoursConfig:
+    def test_train_scenario_uses_config_rebin_and_train_section(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"isotopes": ["Cesium", "Cobalt"], "distances_m": [12.0],
+                     "shieldings": ["Bare", "Steel"]},
+            "train": {"epochs": 2, "learning_rate": 0.05},
+            "samples_per_config": 1,
+        }))
+        out = tmp_path / "run"
+        assert run("train", "--scenario", "isotope", "--config", cfg, "--rebin", 1024,
+                   "--seed", 9, "--out", out) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert model["n_channels"] == 1024
+        assert model["train_config"]["learning_rate"] == 0.05
+        config = json.loads((out / "config.json").read_text())
+        assert config["scenario"] == "isotope"
+        assert (config["rebin"], config["seed"]) == (1024, 9)
+        assert config["train"]["learning_rate"] == 0.05
+        assert config["grid"]["isotopes"] == ["Cesium", "Cobalt"]
+        assert config["grid"]["distances_m"] == [12.0]
+        assert config["grid"]["shieldings"] == ["Bare", "Steel"]
+
+
+class TestReportInputBoundary:
+    @pytest.mark.parametrize("text", ["", "epoch,train_loss\n",
+                                      "epoch,train_loss,test_loss,overall_acc\n",
+                                      "epoch,train_loss,test_loss,overall_acc\n1,0.5,0.5\n",
+                                      "epoch,train_loss,test_loss,overall_acc\n1,0.5,x,0.2\n"])
+    def test_malformed_metrics_csv(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(text)
+        assert run("report", "--run", run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        assert "metrics.csv" in err

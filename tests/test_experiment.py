@@ -11,11 +11,14 @@ from gammasort.ensemble import (
     template_dataset,
 )
 from gammasort.experiment import (
+    DEFAULT_CONFIG,
+    SCENARIO_PRESETS,
     MetricsHistory,
     TrainConfig,
     evaluate,
     export_weight_features,
     oversample_positives,
+    run_config,
     run_scenario,
     train,
     write_confusion_csv,
@@ -123,22 +126,22 @@ class TestTrain:
     def test_task_mismatch_rejected(self):
         train_ds, _ = small_datasets(TaskKind.ISOTOPE_ID)
         _, other_test = small_datasets(TaskKind.SHIELDING_ID)
-        cfg = TrainConfig(task=TaskKind.ISOTOPE_ID, epochs=1)
+        cfg = TrainConfig(epochs=1)
         with pytest.raises(ValueError):
             train(train_ds, other_test, cfg)
 
     def test_invalid_epochs_rejected(self):
         with pytest.raises(ValueError):
-            TrainConfig(task=TaskKind.ISOTOPE_ID, epochs=0)
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(task=TaskKind.ISOTOPE_ID, batch_size=0)
+            TrainConfig(batch_size=0)
 
     def test_single_item_memorization(self):
         # one template, trained on itself: loss collapses
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
         ds = template_dataset(grid, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=8)
         cfg = TrainConfig(
-            task=TaskKind.ISOTOPE_ID, arch=ARCH_LINEAR, epochs=500, seed=4,
+            arch=ARCH_LINEAR, epochs=500, seed=4,
             hyper=AdamHyper(learning_rate=1e-2),
         )
         _, history = train(ds, ds, cfg)
@@ -146,7 +149,7 @@ class TestTrain:
 
     def test_bit_reproducible_per_seed(self):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(task=TaskKind.ISOTOPE_ID, epochs=5, batch_size=8, seed=11)
+        cfg = TrainConfig(epochs=5, batch_size=8, seed=11)
         p1, h1 = train(train_ds, test_ds, cfg)
         p2, h2 = train(train_ds, test_ds, cfg)
         assert np.array_equal(p1.weights, p2.weights)
@@ -156,7 +159,7 @@ class TestTrain:
 
     def test_metrics_recorded_every_epoch(self):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(task=TaskKind.ISOTOPE_ID, epochs=7, seed=0)
+        cfg = TrainConfig(epochs=7, seed=0)
         _, history = train(train_ds, test_ds, cfg)
         assert history.epochs == list(range(1, 8))
         assert len(history.train_loss) == 7
@@ -166,7 +169,7 @@ class TestTrain:
         train_ds, test_ds = small_datasets()
         init = init_params(ARCH_LINEAR, train_ds.n_channels, 5, seed=55)
         frozen = init.weights.copy()
-        cfg = TrainConfig(task=TaskKind.ISOTOPE_ID, epochs=2, seed=0)
+        cfg = TrainConfig(epochs=2, seed=0)
         params, _ = train(train_ds, test_ds, cfg, initial=init)
         # caller's copy untouched, trained params differ
         assert np.array_equal(init.weights, frozen)
@@ -175,7 +178,7 @@ class TestTrain:
     def test_hidden_arch_trains(self):
         train_ds, test_ds = small_datasets()
         cfg = TrainConfig(
-            task=TaskKind.ISOTOPE_ID, arch=ARCH_HIDDEN_TANH, epochs=10, seed=1,
+            arch=ARCH_HIDDEN_TANH, epochs=10, seed=1,
             hyper=AdamHyper(learning_rate=1e-2), width=16,
         )
         _, history = train(train_ds, test_ds, cfg)
@@ -261,25 +264,25 @@ class TestRunScenario:
         results = run_scenario(
             "isotope",
             tmp_path,
-            epochs=3,
+            train={"epochs": 3},
             samples_per_config=2,
-            distances_m=(10.0, 15.0),
+            grid={"distances_m": [10.0, 15.0]},
         )
         for name in ("config.json", "model.json", "metrics.csv", "confusion.csv"):
             assert (tmp_path / name).is_file(), name
         assert len(list(tmp_path.glob("weights_class_*.csv"))) == 5
         config = json.loads((tmp_path / "config.json").read_text())
         assert config["scenario"] == "isotope"
-        assert config["epochs"] == 3
+        assert config["train"]["epochs"] == 3
         assert len(results["test_ds"]) == 5 * 2 * 4 * 2
 
     def test_small_gauge_scenario_emits_comparison(self, tmp_path):
         run_scenario(
             "gauge",
             tmp_path,
-            epochs=3,
+            train={"epochs": 3},
             samples_per_config=1,
-            distances_m=(10.0, 15.0),
+            grid={"distances_m": [10.0, 15.0]},
         )
         assert (tmp_path / "comparison.csv").is_file()
         assert (tmp_path / "linear" / "model.json").is_file()
@@ -300,7 +303,8 @@ class TestRunScenario:
 
         monkeypatch.setattr(gammasort.ensemble, "build_template", counting)
         results = run_scenario(
-            "isotope", tmp_path, epochs=1, samples_per_config=2, distances_m=(10.0,)
+            "isotope", tmp_path, train={"epochs": 1}, samples_per_config=2,
+            grid={"distances_m": [10.0]},
         )
         assert len(calls) == len(results["train_ds"]) == 20
         assert len(results["test_ds"]) == 40
@@ -309,9 +313,9 @@ class TestRunScenario:
         results = run_scenario(
             "shielding",
             tmp_path,
-            epochs=2,
+            train={"epochs": 2},
             samples_per_config=1,
-            distances_m=(10.0,),
+            grid={"distances_m": [10.0]},
         )
         assert results["test_ds"].task is TaskKind.SHIELDING_ID
         assert results["test_ds"].task.class_names == (
@@ -320,3 +324,60 @@ class TestRunScenario:
             "Steel",
             "DepletedUranium",
         )
+
+
+class TestRunConfig:
+    def test_no_overrides_is_a_copy_of_the_defaults(self):
+        config = run_config()
+        assert config == DEFAULT_CONFIG
+        config["grid"]["isotopes"].append("Cesium")
+        config["train"]["epochs"] = 1
+        assert run_config() == DEFAULT_CONFIG != config
+
+    def test_later_overrides_win_and_siblings_survive(self):
+        config = run_config(SCENARIO_PRESETS["gauge"], {"train": {"epochs": 2}})
+        assert config["task"] == "GaugeBinary"
+        assert config["train"]["epochs"] == 2
+        assert config["train"]["learning_rate"] == 1e-2
+        assert config["train"]["width"] == DEFAULT_CONFIG["train"]["width"]
+
+    @pytest.mark.parametrize("override, message", [
+        ({"epochs": 3}, "epochs: unknown key"),
+        ({"train": {"epoch": 3}}, "train.epoch: unknown key"),
+        ({"scenario_overrides": {}}, "scenario_overrides: unknown key"),
+        ({"train": {"epochs": "ten"}}, "train.epochs: expected int, got 'ten'"),
+        ({"train": {"epochs": 3.0}}, "train.epochs: expected int, got 3.0"),
+        ({"grid": {"include_background": 1}}, "grid.include_background: expected bool, got 1"),
+        ({"train": {"learning_rate": None}}, "train.learning_rate: expected float, got None"),
+        ({"grid": {"isotopes": "Cesium"}}, "grid.isotopes: expected list, got 'Cesium'"),
+        ({"paths": {"templates": 3}}, "paths.templates: expected str, got 3"),
+        ({"detector": []}, "detector: expected object, got []"),
+    ])
+    def test_rejects_with_dotted_path(self, override, message):
+        with pytest.raises(ValueError, match="^" + message.replace("[", r"\[")):
+            run_config(override)
+
+    def test_nullable_and_optional_leaves(self):
+        config = run_config(
+            {"train": {"batch_size": None}, "scenario": "gauge", "paths": {"templates": "t"}},
+            {"train": {"batch_size": 8}},
+        )
+        assert config["train"]["batch_size"] == 8
+        assert (config["scenario"], config["paths"]["templates"]) == ("gauge", "t")
+
+    def test_run_scenario_rejects_unknown_key(self, tmp_path):
+        with pytest.raises(ValueError, match="epoch: unknown key"):
+            run_scenario("isotope", tmp_path, epoch=3)
+        assert not (tmp_path / "config.json").exists()
+
+    def test_gauge_preset_and_overrides_in_config_json(self, tmp_path):
+        run_scenario(
+            "gauge", tmp_path, seed=7, train={"epochs": 2}, samples_per_config=1,
+            grid={"distances_m": [10.0]},
+        )
+        config = json.loads((tmp_path / "config.json").read_text())
+        assert (config["scenario"], config["task"], config["seed"]) == ("gauge", "GaugeBinary", 7)
+        assert (config["train"]["epochs"], config["train"]["learning_rate"]) == (2, 1e-2)
+        model = json.loads((tmp_path / "hidden_tanh" / "model.json").read_text())
+        assert model["train_config"]["arch"] == "hidden_tanh"
+        assert model["train_config"]["epochs"] == 2

@@ -1,0 +1,55 @@
+"""Guards for the benchmark tooling, which reaches into gammasort by name.
+
+``perfbench/tracing.py`` wraps module attributes with ``getattr`` when it
+installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
+and ``cli.build_template``.  A rename in ``src/`` would break the traced
+benchmark without failing any other test.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_function_resolves(tracing):
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(f"gammasort.{mod}"), attr, None))
+    ]
+    assert not missing
+
+
+def test_every_traced_method_resolves(tracing):
+    missing = [
+        f"{mod}.{cls}.{attr}"
+        for mod, cls, attr in tracing.METHOD_TARGETS
+        if not callable(
+            getattr(getattr(importlib.import_module(f"gammasort.{mod}"), cls, None), attr, None)
+        )
+    ]
+    assert not missing
+
+
+def test_cli_names_the_selftest_reads():
+    from gammasort import cli, forward_model
+
+    assert isinstance(cli.DEFAULT_CONFIG, dict)
+    assert cli.build_template is forward_model.build_template
