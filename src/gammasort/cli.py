@@ -222,6 +222,8 @@ def _read_metrics_csv(path: Path):
     missing = [name for name in METRICS_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"{path}: header lacks the columns {missing}")
+    if not any(name.startswith("acc_") for name in header):
+        raise ValueError(f"{path}: header has no per-class 'acc_<class>' column")
     if len(lines) < 2:
         raise ValueError(f"{path}: no epoch rows")
     columns = {name: [] for name in header}
@@ -272,14 +274,19 @@ def _report_one(run_dir: Path, out_dir: Path) -> None:
     series = []
     for path in weight_files:
         rows = path.read_text().splitlines()
-        name = rows[0].split("=", 1)[1] if rows[0].startswith("# series=") else path.stem
+        name = rows[0].split("=", 1)[1] if rows and rows[0].startswith("# series=") else path.stem
         channels, weights = [], []
-        for row in rows:
+        for lineno, row in enumerate(rows, 1):
             if row.startswith("#") or row == "channel,weight" or not row:
                 continue
-            ch, w = row.split(",")
-            channels.append(float(ch))
-            weights.append(float(w))
+            try:
+                ch, w = row.split(",")
+                channels.append(float(ch))
+                weights.append(float(w))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
+        if not channels:
+            raise ValueError(f"{path}: no weight rows")
         series.append((name, channels, weights))
     if series:
         svgplot.write_line_svg(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ from .neuralnet import (
     NetworkParams,
     adam_step,
     backward,
-    copy_params,
     cross_entropy,
     forward,
     init_adam,
@@ -302,8 +301,10 @@ def train(
     """Adam training with per-epoch shuffling and per-epoch metrics.
 
     Deterministic per cfg.seed: initialization, every epoch's shuffle, and
-    therefore the whole trajectory reproduce bit for bit.  ``initial`` lets a
-    caller supply (and keep a copy of) the starting parameters.
+    therefore the whole trajectory reproduce bit for bit.  ``initial`` supplies
+    the starting parameters; they are copied, because Adam updates in place.
+    A step that leaves non-finite parameters, or logits that overflow, raises
+    ``ValueError`` naming the architecture and the epoch.
     """
     if train_ds.task is not test_ds.task:
         raise ValueError(
@@ -323,22 +324,27 @@ def train(
             cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width
         )
     else:
-        params = copy_params(initial)
+        params = replace(initial)  # the constructor copies into a new buffer
     state = init_adam(params, cfg.hyper)
 
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     history = MetricsHistory()
     for epoch in range(1, cfg.epochs + 1):
         order = seeding.rng(cfg.seed, 1, epoch).permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            _, grads = backward(params, x_train[idx], y_train[idx])
-            params, state = adam_step(params, grads, state)
-        train_loss = cross_entropy(softmax(forward(params, x_train)), y_train)
-        test_logits = forward(params, x_test)
-        history.append(
-            epoch, train_loss, _metrics_from_predictions(test_logits, y_test, params.n_classes)
-        )
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, batch):
+                    idx = order[start : start + batch]
+                    _, grads = backward(params, x_train[idx], y_train[idx])
+                    params, state = adam_step(params, grads, state)
+                    if not np.isfinite(params.flat).all():
+                        raise ValueError("non-finite parameters")
+                train_loss = cross_entropy(softmax(forward(params, x_train)), y_train)
+                test_logits = forward(params, x_test)
+                result = _metrics_from_predictions(test_logits, y_test, params.n_classes)
+        except ValueError as err:  # the inputs were checked above: the trajectory failed
+            raise ValueError(f"{params.arch}: training diverged at epoch {epoch}: {err}") from err
+        history.append(epoch, train_loss, result)
     return params, history
 
 

@@ -33,9 +33,22 @@ class AdamHyper:
     epsilon: float = 1e-8
 
 
+def _bind_flat(params: NetworkParams) -> None:
+    """Copy the fields into one finite float64 buffer, ``params.flat``, and
+    rebind each field as a view into it."""
+    arrays = [np.asarray(getattr(params, f.name), dtype=np.float64) for f in fields(params)]
+    params.flat = np.concatenate([a.ravel() for a in arrays])
+    offset = 0
+    for f, a in zip(fields(params), arrays):
+        setattr(params, f.name, params.flat[offset : offset + a.size].reshape(a.shape))
+        offset += a.size
+    if not np.isfinite(params.flat).all():
+        raise ValueError("parameters must be finite")
+
+
 @dataclass
 class LinearParams:
-    """Weights (n_classes x n_channels) and bias (n_classes,) of the linear model."""
+    """Weights (n_classes x n_channels) and bias (n_classes,), views into ``flat``."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -43,14 +56,11 @@ class LinearParams:
     arch = ARCH_LINEAR
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        _bind_flat(self)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError(
                 f"inconsistent shapes: weights {self.weights.shape}, bias {self.bias.shape}"
             )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("parameters must be finite")
 
     @property
     def n_classes(self) -> int:
@@ -63,7 +73,7 @@ class LinearParams:
 
 @dataclass
 class HiddenTanhParams:
-    """Parameters of the single-hidden-layer tanh network."""
+    """Parameters of the single-hidden-layer tanh network, views into ``flat``."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -73,10 +83,7 @@ class HiddenTanhParams:
     arch = ARCH_HIDDEN_TANH
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
+        _bind_flat(self)
         width = self.w1.shape[0] if self.w1.ndim == 2 else -1
         ok = (
             self.w1.ndim == 2
@@ -90,9 +97,6 @@ class HiddenTanhParams:
                 "inconsistent shapes: "
                 f"w1 {self.w1.shape}, b1 {self.b1.shape}, w2 {self.w2.shape}, b2 {self.b2.shape}"
             )
-        arrays = (self.w1, self.b1, self.w2, self.b2)
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise ValueError("parameters must be finite")
 
     @property
     def width(self) -> int:
@@ -108,30 +112,6 @@ class HiddenTanhParams:
 
 
 NetworkParams = Union[LinearParams, HiddenTanhParams]
-
-# Gradients and Adam moments reuse the parameter containers: same shapes,
-# same field order.
-Gradients = NetworkParams
-
-
-def _arrays(params: NetworkParams) -> list[np.ndarray]:
-    if isinstance(params, LinearParams):
-        return [params.weights, params.bias]
-    return [params.w1, params.b1, params.w2, params.b2]
-
-
-def _rebuild(template: NetworkParams, arrays: list[np.ndarray]) -> NetworkParams:
-    if isinstance(template, LinearParams):
-        return LinearParams(*arrays)
-    return HiddenTanhParams(*arrays)
-
-
-def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    return _rebuild(params, [np.zeros_like(a) for a in _arrays(params)])
-
-
-def copy_params(params: NetworkParams) -> NetworkParams:
-    return _rebuild(params, [a.copy() for a in _arrays(params)])
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -255,18 +235,18 @@ def backward(params: NetworkParams, x: np.ndarray, one_hot: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and step counter for one parameter set."""
+    """First/second moment estimates (flat, like ``params.flat``) and step counter."""
 
-    m: NetworkParams
-    v: NetworkParams
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     hyper: AdamHyper = field(default_factory=AdamHyper)
 
 
 def init_adam(params: NetworkParams, hyper: AdamHyper | None = None) -> AdamState:
     return AdamState(
-        m=zeros_like_params(params),
-        v=zeros_like_params(params),
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat),
         t=0,
         hyper=hyper or AdamHyper(),
     )
@@ -274,27 +254,27 @@ def init_adam(params: NetworkParams, hyper: AdamHyper | None = None) -> AdamStat
 
 def adam_step(
     params: NetworkParams,
-    grads: Gradients,
+    grads: NetworkParams,
     state: AdamState,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update; returns new params and advanced state."""
-    h = state.hyper
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
-    for theta, g, m, v in zip(_arrays(params), _arrays(grads), _arrays(state.m), _arrays(state.v)):
+    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both."""
+    if type(grads) is not type(params):
+        raise ValueError(f"{params.arch} parameters need {params.arch} gradients, got {grads.arch}")
+    for f in fields(params):
+        theta, g = getattr(params, f.name), getattr(grads, f.name)
         if theta.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {theta.shape}")
-        m2 = h.beta1 * m + (1.0 - h.beta1) * g
-        v2 = h.beta2 * v + (1.0 - h.beta2) * (g * g)
-        m_hat = m2 / (1.0 - h.beta1**t)
-        v_hat = v2 / (1.0 - h.beta2**t)
-        new_params.append(theta - h.learning_rate * m_hat / (np.sqrt(v_hat) + h.epsilon))
-        new_m.append(m2)
-        new_v.append(v2)
-    return (
-        _rebuild(params, new_params),
-        AdamState(_rebuild(params, new_m), _rebuild(params, new_v), t, h),
-    )
+    h = state.hyper
+    state.t += 1
+    g = grads.flat
+    state.m *= h.beta1
+    state.m += (1.0 - h.beta1) * g
+    state.v *= h.beta2
+    state.v += (1.0 - h.beta2) * (g * g)
+    m_hat = state.m / (1.0 - h.beta1**state.t)
+    v_hat = state.v / (1.0 - h.beta2**state.t)
+    params.flat -= h.learning_rate * m_hat / (np.sqrt(v_hat) + h.epsilon)
+    return params, state
 
 
 def save_model(path: str | Path, params: NetworkParams, train_config: dict | None = None) -> None:

@@ -156,7 +156,7 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
     text = Path(path).read_text().splitlines()
     header = None
     rows = []
-    for line in text:
+    for lineno, line in enumerate(text, start=1):
         line = line.strip()
         if not line:
             continue
@@ -166,8 +166,11 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
             continue
         if line == "channel,counts":
             continue
-        ch_s, count_s = line.split(",")
-        rows.append((int(ch_s), float(count_s)))
+        try:
+            ch_s, count_s = line.split(",")
+            rows.append((int(ch_s), float(count_s)))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
     if header is None:
         raise ValueError(f"{path}: missing '# e_min=... e_max=... dwell=... kind=...' header")
     fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split())

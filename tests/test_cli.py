@@ -1,6 +1,10 @@
 import argparse
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +367,20 @@ class TestSampleManifest:
         (tpl / "templates_manifest.json").write_text(json.dumps(manifest))
         assert "'templates'" in self.sample_error(capsys, cfg, tpl, tmp_path)
 
+    @pytest.mark.parametrize("row", ["1,abc", "0,1.0,2"])
+    def test_bad_template_row_names_the_file(self, templates, tmp_path, capsys, row):
+        cfg, tpl = templates
+        template = sorted(tpl.glob("template_*.csv"))[2]
+        lines = template.read_text().splitlines()
+        lines[-1] = row
+        template.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        assert f"{template.name}:{len(lines)}:" in err
+
     def test_manifest_is_a_list(self, templates, tmp_path, capsys):
         cfg, tpl = templates
         manifest = json.loads((tpl / "templates_manifest.json").read_text())
@@ -463,6 +481,7 @@ class TestReportInputBoundary:
     @pytest.mark.parametrize("text", ["", "epoch,train_loss\n",
                                       "epoch,train_loss,test_loss,overall_acc\n",
                                       "epoch,train_loss,test_loss,overall_acc\n1,0.5,0.5\n",
+                                      "epoch,train_loss,test_loss,overall_acc\n1,0.5,0.5,0.2\n",
                                       "epoch,train_loss,test_loss,overall_acc\n1,0.5,x,0.2\n"])
     def test_malformed_metrics_csv(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
@@ -473,3 +492,38 @@ class TestReportInputBoundary:
         assert err.startswith("gammasort: error:")
         assert err.count("\n") == 1
         assert "metrics.csv" in err
+
+    @pytest.mark.parametrize("text, where", [("# series=A\nchannel,weight\n0,1.0,3\n", ":3:"),
+                                             ("# series=A\nchannel,weight\n0,x\n", ":3:"),
+                                             ("# series=A\nchannel,weight\n", ": no weight rows"),
+                                             ("", ": no weight rows")])
+    def test_malformed_weights_csv(self, tmp_path, capsys, text, where):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
+        )
+        (run_dir / "weights_A.csv").write_text(text)
+        assert run("report", "--run", run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        assert f"weights_A.csv{where}" in err
+
+
+class TestDivergence:
+    def test_train_reports_the_epoch_on_one_line(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 3, "learning_rate": 1e308}}))
+        # A fresh interpreter, so that numpy's RuntimeWarnings would reach stderr.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammasort.cli", "train", "--scenario", "isotope",
+             "--config", str(cfg), "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "gammasort: error: linear: training diverged at epoch 1: non-finite parameters\n"
+        )

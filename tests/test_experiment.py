@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestTrain:
         assert np.array_equal(init.weights, frozen)
         assert not np.array_equal(params.weights, frozen)
 
+    @pytest.mark.parametrize(
+        "arch, learning_rate, cause",
+        [
+            (ARCH_LINEAR, 1e308, "non-finite parameters"),
+            (ARCH_LINEAR, 1e306, "logits must be finite"),
+            (ARCH_HIDDEN_TANH, 1e308, "logits must be finite"),
+        ],
+    )
+    def test_divergence_names_arch_and_epoch(self, arch, learning_rate, cause):
+        train_ds, test_ds = small_datasets()
+        cfg = TrainConfig(
+            arch=arch, epochs=3, hyper=AdamHyper(learning_rate=learning_rate), width=4
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                train(train_ds, test_ds, cfg)
+        assert str(info.value) == f"{arch}: training diverged at epoch 1: {cause}"
+
     def test_hidden_arch_trains(self):
         train_ds, test_ds = small_datasets()
         cfg = TrainConfig(
@@ -275,6 +295,11 @@ class TestRunScenario:
         assert config["scenario"] == "isotope"
         assert config["train"]["epochs"] == 3
         assert len(results["test_ds"]) == 5 * 2 * 4 * 2
+
+    def test_diverging_scenario_names_arch_and_epoch(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            run_scenario("isotope", tmp_path, train={"epochs": 3, "learning_rate": 1e308})
+        assert str(info.value) == "linear: training diverged at epoch 1: non-finite parameters"
 
     def test_small_gauge_scenario_emits_comparison(self, tmp_path):
         run_scenario(

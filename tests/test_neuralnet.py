@@ -254,15 +254,81 @@ class TestBackward:
         assert np.allclose(g_batch.weights, mean_w, atol=1e-14)
 
 
+def field_arrays(params):
+    return [getattr(params, f.name) for f in dataclasses.fields(params)]
+
+
+def reference_adam_step(arrays, grads, m, v, t, h):
+    """The out-of-place recurrence, field by field, that the in-place update must match."""
+    new_arrays, new_m, new_v = [], [], []
+    for theta, g, m_f, v_f in zip(arrays, grads, m, v):
+        m2 = h.beta1 * m_f + (1.0 - h.beta1) * g
+        v2 = h.beta2 * v_f + (1.0 - h.beta2) * (g * g)
+        m_hat = m2 / (1.0 - h.beta1**t)
+        v_hat = v2 / (1.0 - h.beta2**t)
+        new_arrays.append(theta - h.learning_rate * m_hat / (np.sqrt(v_hat) + h.epsilon))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_arrays, new_m, new_v
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    def test_fields_are_views_of_one_buffer(self, arch):
+        p = init_params(arch, 7, 3, seed=2, width=4)
+        arrays = field_arrays(p)
+        assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+        assert p.flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, p.flat) for a in arrays)
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in arrays]))
+
+    def test_constructor_copies_its_inputs(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        p = LinearParams(w, b)
+        p.flat[:] = 5.0
+        assert np.all(w == 1.0) and np.all(b == 0.0)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            LinearParams(np.array([[1.0, np.nan]]), np.zeros(1))
+
+
 class TestAdam:
-    def test_zero_gradient_leaves_params_bit_identical(self):
-        p = init_params(ARCH_LINEAR, 5, 2, seed=0)
-        g = LinearParams(np.zeros((2, 5)), np.zeros(2))
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    def test_zero_gradient_leaves_params_bit_identical(self, arch):
+        p = init_params(arch, 5, 2, seed=0, width=3)
+        before = [a.copy() for a in field_arrays(p)]
+        g = type(p)(*(np.zeros_like(a) for a in before))
         state = init_adam(p)
         p2, state2 = adam_step(p, g, state)
-        assert np.array_equal(p2.weights, p.weights)
-        assert np.array_equal(p2.bias, p.bias)
+        for after, start in zip(field_arrays(p2), before):
+            assert np.array_equal(after, start)
         assert state2.t == 1
+
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    def test_in_place_update_matches_out_of_place_recurrence(self, arch):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0.0, 4.0, size=(9, 6))
+        Y = np.zeros((9, 3))
+        Y[np.arange(9), rng.integers(0, 3, size=9)] = 1.0
+        hyper = AdamHyper(learning_rate=0.05)
+        params = init_params(arch, 6, 3, seed=4, width=5)
+        state = init_adam(params, hyper)
+        ref = [a.copy() for a in field_arrays(params)]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        for t in range(1, 21):
+            _, grads = backward(params, X, Y)
+            ref, ref_m, ref_v = reference_adam_step(
+                ref, field_arrays(grads), ref_m, ref_v, t, hyper
+            )
+            returned, state = adam_step(params, grads, state)
+            assert returned is params
+            assert state.t == t
+            for got, want in zip(field_arrays(params), ref):
+                assert np.array_equal(got, want)
+            assert np.array_equal(state.m, np.concatenate([a.ravel() for a in ref_m]))
+            assert np.array_equal(state.v, np.concatenate([a.ravel() for a in ref_v]))
 
     def test_first_step_is_signed_learning_rate(self):
         p = LinearParams(np.array([[1.0]]), np.array([0.0]))
@@ -298,6 +364,12 @@ class TestAdam:
         bad = LinearParams(np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ValueError):
             adam_step(p, bad, init_adam(p))
+
+    def test_architecture_mismatch_rejected(self):
+        p = init_params(ARCH_LINEAR, 5, 2, seed=0)
+        other = init_params(ARCH_HIDDEN_TANH, 5, 2, seed=0, width=3)
+        with pytest.raises(ValueError, match="gradients"):
+            adam_step(p, other, init_adam(p))
 
     def test_zero_input_column_never_moves(self):
         # channel 3 is zero for every item: its weight column must stay put

@@ -203,6 +203,16 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("row, cause", [("1,abc", "abc"), ("0,1.0,2", "too many values")])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# e_min=0.0 e_max=3000.0 dwell=1.0 kind=template\nchannel,counts\n"
+            f"0,1.0\n{row}\n"
+        )
+        with pytest.raises(ValueError, match=rf"bad\.csv:4: .*{cause}"):
+            read_spectrum_csv(path)
+
     def test_write_is_deterministic(self, tmp_path):
         s = make_spectrum(np.linspace(0, 7, 16) ** 1.5)
         write_spectrum_csv(s, tmp_path / "a.csv")

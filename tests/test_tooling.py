@@ -11,6 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -53,3 +54,13 @@ def test_cli_names_the_selftest_reads():
 
     assert isinstance(cli.DEFAULT_CONFIG, dict)
     assert cli.build_template is forward_model.build_template
+
+
+@pytest.mark.parametrize("arch, width", [("linear", 0), ("hidden_tanh", 64)])
+def test_flop_annotator_reads_the_parameter_fields(tracing, arch, width):
+    # The GFLOP counts tell the architectures apart by ``weights`` versus
+    # ``w1``/``w2``; a parameter refactor that moved those would miscount silently.
+    from gammasort.neuralnet import init_params
+
+    params = init_params(arch, 256, 5, 0, 64)
+    assert tracing._shapes(params, np.ones((32, 256))) == (32, 256, width, 5)
