@@ -30,6 +30,8 @@ from .experiment import (
     detector_from_config,
     evaluate,
     grid_from_config,
+    read_metrics_csv,
+    read_weight_series,
     rebin_factor,
     run_config,
     run_scenario,
@@ -110,13 +112,13 @@ def _read_templates_manifest(path: Path) -> tuple[list[str], list[SourceConfig]]
     entries = manifest.get("templates") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected an object with a non-empty 'templates' list")
-    names, sources = [], []
+    names, sources, built = [], [], {}
     for i, entry in enumerate(entries):
         try:
             names.append(entry["path"])
             if not isinstance(names[-1], str):
                 raise TypeError(f"'path' is not a string: {names[-1]!r}")
-            sources.append(_config_from_record(entry))
+            sources.append(_config_from_record(entry, built))
         except (KeyError, TypeError, ValueError) as err:
             reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
             raise ValueError(f"{path}: templates[{i}]: {reason}") from err
@@ -185,17 +187,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"model file not found: {model_path}")
     params, train_config = load_model(model_path)
     ds = read_dataset(args.dataset)
-    if params.n_channels != ds.n_channels:
-        raise ValueError(
-            f"shape mismatch before evaluation: model {params.n_channels} channels, "
-            f"dataset {ds.n_channels}"
-        )
-    if params.n_classes != ds.task.n_classes:
-        raise ValueError(
-            f"task mismatch before evaluation: model emits {params.n_classes} classes, "
-            f"dataset task {ds.task.value} has {ds.task.n_classes}"
-        )
-    result = evaluate(params, ds)
+    result = evaluate(params, ds)  # checks the model against the dataset first
     summary = {
         "cross_entropy": result.cross_entropy,
         "accuracy": result.accuracy,
@@ -213,35 +205,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-METRICS_COLUMNS = ("epoch", "train_loss", "test_loss", "overall_acc")
-
-
-def _read_metrics_csv(path: Path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",") if lines else []
-    missing = [name for name in METRICS_COLUMNS if name not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks the columns {missing}")
-    if not any(name.startswith("acc_") for name in header):
-        raise ValueError(f"{path}: header has no per-class 'acc_<class>' column")
-    if len(lines) < 2:
-        raise ValueError(f"{path}: no epoch rows")
-    columns = {name: [] for name in header}
-    for lineno, line in enumerate(lines[1:], 2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {len(header)}")
-        try:
-            for name, cell in zip(header, cells):
-                columns[name].append(float(cell))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
-    return header, columns
-
-
-def _report_one(run_dir: Path, out_dir: Path) -> None:
+def _report_one(out_dir: Path, columns: dict, series: list) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, columns = _read_metrics_csv(run_dir / "metrics.csv")
     epochs = columns["epoch"]
     svgplot.write_line_svg(
         out_dir / "loss.svg",
@@ -251,7 +216,7 @@ def _report_one(run_dir: Path, out_dir: Path) -> None:
         y_label="loss",
     )
     acc_series = [("overall", epochs, columns["overall_acc"])]
-    class_cols = [name for name in header if name.startswith("acc_")]
+    class_cols = [name for name in columns if name.startswith("acc_")]
     acc_series += [(name[4:], epochs, columns[name]) for name in class_cols]
     svgplot.write_line_svg(
         out_dir / "accuracy.svg",
@@ -270,24 +235,6 @@ def _report_one(run_dir: Path, out_dir: Path) -> None:
         title="final per-class accuracy",
         y_label="accuracy",
     )
-    weight_files = sorted(run_dir.glob("weights_*.csv"))
-    series = []
-    for path in weight_files:
-        rows = path.read_text().splitlines()
-        name = rows[0].split("=", 1)[1] if rows and rows[0].startswith("# series=") else path.stem
-        channels, weights = [], []
-        for lineno, row in enumerate(rows, 1):
-            if row.startswith("#") or row == "channel,weight" or not row:
-                continue
-            try:
-                ch, w = row.split(",")
-                channels.append(float(ch))
-                weights.append(float(w))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from err
-        if not channels:
-            raise ValueError(f"{path}: no weight rows")
-        series.append((name, channels, weights))
     if series:
         svgplot.write_line_svg(
             out_dir / "weights.svg",
@@ -313,8 +260,11 @@ def cmd_report(args) -> int:
     if not targets:
         missing = [str(run_dir / "metrics.csv")]
         raise ValueError(f"no run artifacts to report; missing: {', '.join(missing)}")
-    for src, dst in targets:
-        _report_one(src, dst)
+    # Every input is read before the first write, so a bad file leaves no partial report.
+    runs = [(dst, read_metrics_csv(src / "metrics.csv"), read_weight_series(src))
+            for src, dst in targets]
+    for dst, columns, series in runs:
+        _report_one(dst, columns, series)
         print(f"report written to {dst}")
     return 0
 

@@ -27,7 +27,7 @@ from .forward_model import (
     default_shielding,
     isotope_by_name,
 )
-from .spectra import EnergyCalibration, Spectrum, SpectrumKind, rebin
+from .spectra import EnergyCalibration, Spectrum, SpectrumKind, csv_rows, read_csv_table, rebin
 
 ISOTOPE_NAMES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
 SHIELDING_NAMES = ("Bare", "Concrete", "Steel", "DepletedUranium")
@@ -301,14 +301,19 @@ def _config_record(config: SourceConfig) -> dict:
     }
 
 
-def _config_from_record(record: dict) -> SourceConfig:
+def _config_from_record(record: dict, built: dict) -> SourceConfig:
+    # ``built`` keeps one manifest's isotopes and shieldings: each table is read once.
+    name, material = record["isotope"], record["material"]
+    thickness = None if material == "Bare" else record["thickness_cm"]
+    if name not in built:
+        built[name] = isotope_by_name(name)
+    if (material, thickness) not in built:
+        built[material, thickness] = default_shielding(material, thickness)
     return SourceConfig(
-        isotope=isotope_by_name(record["isotope"]),
+        isotope=built[name],
         activity_bq=record["activity_bq"],
         distance_m=record["distance_m"],
-        shielding=default_shielding(record["material"], record["thickness_cm"])
-        if record["material"] != "Bare"
-        else default_shielding("Bare"),
+        shielding=built[material, thickness],
         include_background=record["include_background"],
     )
 
@@ -368,7 +373,8 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         task = TaskKind(manifest["task"])
         cal = EnergyCalibration(**manifest["calibration"])
         kind = SpectrumKind(manifest["kind"])
-        configs = [_config_from_record(record) for record in manifest["sources"]]
+        built: dict = {}
+        configs = [_config_from_record(record, built) for record in manifest["sources"]]
         source_index = manifest["source_index"]
         if not all(type(i) is int and 0 <= i < len(configs) for i in source_index):
             raise ValueError("source_index entry outside the source list")
@@ -380,32 +386,21 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         reason = f"{type(err).__name__}: {err}"
         raise ValueError(f"{manifest_path}: malformed manifest: {reason}") from err
 
-    lines = [(n, line) for n, line in enumerate(data_path.read_text().splitlines(), 1) if line]
-    if len(lines) != n_items:
-        raise ValueError(f"{data_path}: {len(lines)} rows, manifest n_items is {n_items}")
-    counts = np.empty((len(lines), cal.n_channels))
-    label_idx = np.empty(len(lines), dtype=np.intp)
-    for item, (lineno, line) in enumerate(lines):
-        cells = line.split(",")
-        if len(cells) != cal.n_channels + 1:
-            raise ValueError(
-                f"{data_path}:{lineno}: {len(cells) - 1} counts, expected {cal.n_channels}"
-            )
-        try:
-            idx = int(cells[0])
-            counts[item] = [float(c) for c in cells[1:]]
-        except ValueError as err:
-            raise ValueError(f"{data_path}:{lineno}: {err}") from err
-        if not 0 <= idx < task.n_classes:
-            raise ValueError(
-                f"{data_path}:{lineno}: label {idx} outside [0, {task.n_classes}) "
-                f"for task {task.value}"
-            )
-        label_idx[item] = idx
+    _, _, rows, first_line = read_csv_table(data_path, cal.n_channels + 1)
+    if len(rows) != n_items:
+        raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
+    labels = rows[:, 0]
+    ok = (labels == np.floor(labels)) & (labels >= 0) & (labels < task.n_classes)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ValueError(
+            f"{data_path}:{csv_rows(data_path, first_line)[row][0]}: label {labels[row]:g} "
+            f"outside [0, {task.n_classes}) for task {task.value}"
+        )
     try:
         return LabeledDataset(
-            counts,
-            np.eye(task.n_classes)[label_idx],
+            rows[:, 1:],
+            np.eye(task.n_classes)[labels.astype(np.intp)],
             task,
             tuple(configs[i] for i in source_index),
             cal,

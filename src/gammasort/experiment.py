@@ -51,7 +51,7 @@ from .neuralnet import (
     save_model,
     softmax,
 )
-from .spectra import EnergyCalibration
+from .spectra import EnergyCalibration, _format_float, read_csv_table
 
 # The one run description.  Every key a run config may set is here, and each
 # leaf's value fixes the type it takes; a ``None`` leaf takes a string.
@@ -281,12 +281,12 @@ def evaluate(params: NetworkParams, ds: LabeledDataset) -> EvalResult:
     """Argmax predictions over a dataset: loss, accuracies, confusion matrix."""
     if ds.n_channels != params.n_channels:
         raise ValueError(
-            f"dataset has {ds.n_channels} channels, model expects {params.n_channels}"
+            f"shape mismatch: model {params.n_channels} channels, dataset {ds.n_channels}"
         )
     if ds.task.n_classes != params.n_classes:
         raise ValueError(
-            f"task {ds.task.value} has {ds.task.n_classes} classes, "
-            f"model emits {params.n_classes}"
+            f"task mismatch: model emits {params.n_classes} classes, "
+            f"dataset task {ds.task.value} has {ds.task.n_classes}"
         )
     logits = forward(params, ds.as_matrix())
     return _metrics_from_predictions(logits, ds.labels, params.n_classes)
@@ -388,13 +388,11 @@ def oversample_positives(
     return ds.subset(expanded)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+METRICS_COLUMNS = ("epoch", "train_loss", "test_loss", "overall_acc")
 
 
 def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
-    header = ["epoch", "train_loss", "test_loss", "overall_acc"]
-    header += [f"acc_{name}" for name in class_names]
+    header = list(METRICS_COLUMNS) + [f"acc_{name}" for name in class_names]
     lines = [",".join(header)]
     for i, epoch in enumerate(history.epochs):
         row = [
@@ -406,6 +404,19 @@ def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
         row += [_format_float(a) for a in history.per_class_accuracy[i]]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def read_metrics_csv(path: Path) -> dict[str, list[float]]:
+    """The columns of a ``metrics.csv`` by name, in header order."""
+    _, header, rows, _ = read_csv_table(path, header=True)
+    missing = [name for name in METRICS_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks the columns {missing}")
+    if not any(name.startswith("acc_") for name in header):
+        raise ValueError(f"{path}: header has no per-class 'acc_<class>' column")
+    if len(rows) == 0:
+        raise ValueError(f"{path}: no epoch rows")
+    return dict(zip(header, rows.T.tolist()))
 
 
 def write_confusion_csv(path: Path, confusion: np.ndarray, class_names) -> None:
@@ -426,6 +437,19 @@ def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> li
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
     return paths
+
+
+def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:
+    """(series name, channels, weights) of each ``weights_*.csv`` in ``run_dir``."""
+    series = []
+    for path in sorted(run_dir.glob("weights_*.csv")):
+        comments, _, rows, _ = read_csv_table(path, 2, header=True)
+        if len(rows) == 0:
+            raise ValueError(f"{path}: no weight rows")
+        head = comments[0] if comments else ""
+        name = head.split("=", 1)[1] if head.startswith("# series=") else path.stem
+        series.append((name, rows[:, 0].tolist(), rows[:, 1].tolist()))
+    return series
 
 
 def train_and_write(

@@ -8,6 +8,7 @@ Both share one immutable container type, distinguished by a ``kind`` flag.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -153,35 +154,71 @@ def write_spectrum_csv(spectrum: Spectrum, path: str | Path) -> None:
 
 def read_spectrum_csv(path: str | Path) -> Spectrum:
     """Parse a spectrum CSV written by :func:`write_spectrum_csv` (value-exact)."""
-    text = Path(path).read_text().splitlines()
-    header = None
-    rows = []
-    for lineno, line in enumerate(text, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header is None:
-                header = line
-            continue
-        if line == "channel,counts":
-            continue
-        try:
-            ch_s, count_s = line.split(",")
-            rows.append((int(ch_s), float(count_s)))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
-    if header is None:
+    comments, _, rows, _ = read_csv_table(path, 2, header=True)
+    if not comments:
         raise ValueError(f"{path}: missing '# e_min=... e_max=... dwell=... kind=...' header")
-    fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split())
     try:
-        cal = EnergyCalibration(float(fields["e_min"]), float(fields["e_max"]), len(rows))
-        dwell = float(fields["dwell"])
+        fields = dict(tok.split("=", 1) for tok in comments[0].lstrip("# ").split())
+        e_min, e_max, dwell = (float(fields[key]) for key in ("e_min", "e_max", "dwell"))
         kind = SpectrumKind(fields["kind"])
     except KeyError as err:
-        raise ValueError(f"{path}: header missing field {err}") from err
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}:1: header missing field {err}") from err
+    except ValueError as err:
+        raise ValueError(f"{path}:1: bad header: {err}") from err
+    rows = rows[np.argsort(rows[:, 0])]
+    if not np.array_equal(rows[:, 0], np.arange(len(rows))):
         raise ValueError(f"{path}: channel indices are not contiguous from 0")
-    counts = np.array([r[1] for r in rows])
-    return Spectrum(counts, cal, dwell, kind)
+    try:
+        return Spectrum(rows[:, 1], EnergyCalibration(e_min, e_max, len(rows)), dwell, kind)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def read_csv_table(path: str | Path, width: int | None = None, header: bool = False) -> tuple:
+    """Leading ``#`` comment lines, column names and float64 rows of a CSV file.
+
+    A line of column names follows the comments if ``header``; each row holds
+    ``width`` numbers (default: one per name), and empty lines are skipped.
+    Returns ``(comments, names, rows, first_line)``, the last being the file
+    line of the first row.  A malformed row raises ``ValueError("<path>:<line>: <cause>")``.
+    """
+    with open(path) as fh:
+        head = [fh.readline()]
+        while head[-1].startswith("#"):
+            head.append(fh.readline())
+    comments = [line.rstrip("\n") for line in head[:-1]]
+    names = head[-1].rstrip("\n").split(",") if header and head[-1] else []
+    width = len(names) if width is None else width
+    first_line = len(comments) + 1 + header
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1)
+    except ValueError as err:
+        raise _bad_row_error(path, first_line, width, err) from err
+    if rows.size == 0:
+        rows = np.empty((0, width))
+    if rows.shape[1] != width:
+        raise _bad_row_error(path, first_line, width)
+    return comments, names, rows, first_line
+
+
+def csv_rows(path: str | Path, first_line: int) -> list[tuple[int, str]]:
+    """(file line, text) of each row of a table that :func:`read_csv_table` read."""
+    lines = Path(path).read_text().split("\n")[first_line - 1 :]
+    return [(lineno, line) for lineno, line in enumerate(lines, first_line) if line]
+
+
+def _bad_row_error(path: str | Path, first_line: int, width: int, err=None) -> ValueError:
+    # np.loadtxt numbers rows inconsistently in its messages, so walk the rows
+    # again to name the first bad one; this runs only on malformed files.
+    for lineno, line in csv_rows(path, first_line):
+        cells = line.split(",")
+        if len(cells) != width:
+            return ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
+        for column, cell in enumerate(cells, 1):
+            try:
+                float(cell.replace("_", "x"))  # np.loadtxt takes no digit separators
+            except ValueError:
+                return ValueError(f"{path}:{lineno}: cell {column} is not a number: {cell!r}")
+    return ValueError(f"{path}: {err}")

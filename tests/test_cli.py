@@ -184,7 +184,18 @@ class TestEvalInputBoundary:
         self.edit_row(ds, 2, lambda line: line.rsplit(",", 1)[0])
         err = self.eval_error(capsys, model, ds)
         assert "data.csv:3:" in err
-        assert "255 counts, expected 256" in err
+        assert "256 cells, expected 257" in err
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1.5"])
+    def test_cell_that_is_not_a_count_or_label(self, files, capsys, cell):
+        model, ds = files
+        column = 0 if cell == "1.5" else 7
+        self.edit_row(ds, 4, lambda line: ",".join(
+            cell if i == column else c for i, c in enumerate(line.split(","))
+        ))
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv:5: " in err
+        assert ("label 1.5" if cell == "1.5" else f"cell 8 is not a number: {cell!r}") in err
 
     def test_row_count_differs_from_n_items(self, files, capsys):
         model, ds = files
@@ -381,6 +392,23 @@ class TestSampleManifest:
         assert err.count("\n") == 1
         assert f"{template.name}:{len(lines)}:" in err
 
+    @pytest.mark.parametrize("token, bad", [("kind=template", "kind=bogus"),
+                                            ("kind=template", "kind"),
+                                            ("e_min=0.0", "e_min=abc")])
+    def test_bad_template_header_names_the_file(self, templates, tmp_path, capsys, token, bad):
+        cfg, tpl = templates
+        template = sorted(tpl.glob("template_*.csv"))[1]
+        lines = template.read_text().splitlines()
+        assert token in lines[0]
+        lines[0] = lines[0].replace(token, bad)
+        template.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error:")
+        assert err.count("\n") == 1
+        assert f"{template.name}:1: " in err
+
     def test_manifest_is_a_list(self, templates, tmp_path, capsys):
         cfg, tpl = templates
         manifest = json.loads((tpl / "templates_manifest.json").read_text())
@@ -509,6 +537,49 @@ class TestReportInputBoundary:
         assert err.startswith("gammasort: error:")
         assert err.count("\n") == 1
         assert f"weights_A.csv{where}" in err
+
+
+    def test_bad_weights_file_leaves_no_partial_report(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
+        )
+        (run_dir / "weights_A.csv").write_text("# series=A\nchannel,weight\n0,1.0\n")
+        (run_dir / "weights_B.csv").write_text("# series=B\nchannel,weight\n0,1.0,3\n")
+        assert run("report", "--run", run_dir) == 2
+        assert "weights_B.csv:3: 3 cells, expected 2" in capsys.readouterr().err
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "metrics.csv", "weights_A.csv", "weights_B.csv"
+        ]
+        assert run("report", "--run", run_dir, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_file_in_one_arch_dir_leaves_no_report_in_any(self, tmp_path, capsys):
+        run_dir = tmp_path / "gauge"
+        for arch, row in (("linear", "0,1.0"), ("hidden_tanh", "0,x")):
+            (run_dir / arch).mkdir(parents=True)
+            (run_dir / arch / "metrics.csv").write_text(
+                "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
+            )
+            (run_dir / arch / "weights_A.csv").write_text(f"# series=A\nchannel,weight\n{row}\n")
+        assert run("report", "--run", run_dir) == 2
+        assert "weights_A.csv:3: cell 2 is not a number: 'x'" in capsys.readouterr().err
+        assert not list(run_dir.rglob("*.svg"))
+
+    @pytest.mark.parametrize("row, cause", [("1,0.5,0.5,0.2", "4 cells, expected 5"),
+                                            ("1,0.5,0.5,0.2,0.2,7", "6 cells, expected 5"),
+                                            ("1,0.5,oops,0.2,0.2", "cell 3 is not a number")])
+    def test_bad_metrics_row_names_the_line(self, tmp_path, capsys, row, cause):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            f"epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n{row}\n"
+        )
+        assert run("report", "--run", run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"metrics.csv:3: {cause}" in err
 
 
 class TestDivergence:

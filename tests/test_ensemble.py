@@ -1,8 +1,17 @@
+import json
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gammasort import seeding
+from gammasort import nucleardata, seeding
+from gammasort.cli import _read_templates_manifest
 from gammasort.ensemble import (
+    _config_record,
     LabeledDataset,
     TaskKind,
     build_dataset,
@@ -329,6 +338,110 @@ class TestDatasetRoundTrip:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "nope")
+
+
+def tiny_dataset(counts, grid):
+    """An IsotopeID template dataset of ``counts``; item ``i`` comes from ``grid[i % len(grid)]``."""
+    counts = np.asarray(counts, dtype=float)
+    provenance = [grid[i % len(grid)] for i in range(len(counts))]
+    task = TaskKind.ISOTOPE_ID
+    labels = np.stack([task.one_hot(config) for config in provenance])
+    cal = EnergyCalibration(0.0, 3000.0, counts.shape[1])
+    return LabeledDataset(
+        counts, labels, task, tuple(provenance), cal, 1.0, SpectrumKind.EXPECTED_TEMPLATE
+    )
+
+
+COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(COUNTS, min_size=width, max_size=width), min_size=1, max_size=6)
+))
+@example([[5e-324, 1.7976931348623157e308, 0.1]])
+@settings(max_examples=60, deadline=None)
+def test_dataset_round_trip_is_value_exact(small_grid, rows):
+    ds = tiny_dataset(rows, small_grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ds, tmp)
+        back = read_dataset(tmp)
+    assert back.counts.tobytes() == ds.counts.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    assert [_config_record(c) for c in back.provenance] == [_config_record(c) for c in ds.provenance]
+
+
+# No text starts with "#": that would turn the first row into a comment line.
+NOT_A_NUMBER = st.sampled_from(["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#"])
+
+
+@st.composite
+def corruptions(draw):
+    """(row, edit) for one data.csv line: a cell that is not a number, a dropped
+    cell, an extra cell, or a label that is not a class index."""
+    row = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["not_a_number", "drop", "extra", "label"]))
+    if kind == "not_a_number":
+        column, text = draw(st.integers(0, 4)), draw(NOT_A_NUMBER)
+        return row, lambda cells: cells[:column] + [text] + cells[column + 1 :]
+    if kind == "drop":
+        column = draw(st.integers(0, 4))
+        return row, lambda cells: cells[:column] + cells[column + 1 :]
+    if kind == "extra":
+        column, text = draw(st.integers(0, 5)), draw(st.sampled_from(["0", "1.5", "x"]))
+        return row, lambda cells: cells[:column] + [text] + cells[column:]
+    label = draw(st.one_of(st.integers(5, 10**6), st.integers(-(10**6), -1),
+                           st.sampled_from([0.5, 2.25, float("nan"), float("inf")])))
+    return row, lambda cells: [repr(label) if isinstance(label, float) else str(label)] + cells[1:]
+
+
+@given(corruptions())
+@settings(max_examples=80, deadline=None)
+def test_corrupt_data_row_names_its_line(small_grid, corruption):
+    row, edit = corruption
+    ds = tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ds, tmp)
+        data = Path(tmp) / "data.csv"
+        lines = data.read_text().splitlines()
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_dataset(tmp)
+    assert str(info.value).startswith(f"{data}:{row + 1}: ")
+
+
+class TestTableLoads:
+    """Reading a manifest builds each distinct isotope and shielding once."""
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        calls = []
+        for name in ("load_nuclide_lines", "load_attenuation_table"):
+            original = getattr(nucleardata, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(nucleardata, name, counted)
+        return calls
+
+    def test_reading_a_220_source_dataset(self, tmp_path, full_grid, loads):
+        ds = tiny_dataset(np.ones((len(full_grid), 2)), full_grid)
+        write_dataset(ds, tmp_path)
+        back = read_dataset(tmp_path)
+        assert len(loads) <= 8
+        assert [_config_record(c) for c in back.provenance] == [
+            _config_record(c) for c in full_grid
+        ]
+
+    def test_reading_a_220_source_templates_manifest(self, tmp_path, full_grid, loads):
+        entries = [{"path": f"t{i}.csv", **_config_record(c)} for i, c in enumerate(full_grid)]
+        manifest = tmp_path / "templates_manifest.json"
+        manifest.write_text(json.dumps({"templates": entries}))
+        _, sources = _read_templates_manifest(manifest)
+        assert len(loads) <= 8
+        assert [_config_record(c) for c in sources] == [_config_record(c) for c in full_grid]
 
 
 class TestSeeding:

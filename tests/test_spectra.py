@@ -1,14 +1,20 @@
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammasort.spectra import (
     EnergyCalibration,
     Spectrum,
     SpectrumKind,
+    csv_rows,
     default_calibration,
+    read_csv_table,
     read_spectrum_csv,
     rebin,
     total_counts,
@@ -203,7 +209,7 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError):
             read_spectrum_csv(path)
 
-    @pytest.mark.parametrize("row, cause", [("1,abc", "abc"), ("0,1.0,2", "too many values")])
+    @pytest.mark.parametrize("row, cause", [("1,abc", "abc"), ("0,1.0,2", "3 cells, expected 2")])
     def test_bad_row_names_file_and_line(self, tmp_path, row, cause):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -218,3 +224,101 @@ class TestSpectrumCsv:
         write_spectrum_csv(s, tmp_path / "a.csv")
         write_spectrum_csv(s, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("header, cause", [
+        ("e_min=0.0 e_max=30.0 dwell=1.0 kind=bogus", "'bogus' is not a valid SpectrumKind"),
+        ("e_min=0.0 e_max=30.0 junk dwell=1.0 kind=template", "bad header"),
+        ("e_min=abc e_max=30.0 dwell=1.0 kind=template", "could not convert string to float"),
+        ("e_min=0.0 e_max=30.0 dwell=1.0", "header missing field 'kind'"),
+    ])
+    def test_bad_header_names_the_file(self, tmp_path, header, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# {header}\nchannel,counts\n0,1.0\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:1: .*{cause}"):
+            read_spectrum_csv(path)
+
+    def test_rows_may_come_in_any_channel_order(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# e_min=0.0 e_max=30.0 dwell=1.0 kind=template\nchannel,counts\n"
+                        "2,5.0\n0,3.0\n1,4.0\n")
+        assert read_spectrum_csv(path).counts.tolist() == [3.0, 4.0, 5.0]
+
+    def test_channel_gap_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# e_min=0.0 e_max=30.0 dwell=1.0 kind=template\nchannel,counts\n"
+                        "0,3.0\n2,4.0\n")
+        with pytest.raises(ValueError, match=r"s\.csv: channel indices are not contiguous"):
+            read_spectrum_csv(path)
+
+    def test_negative_count_names_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# e_min=0.0 e_max=30.0 dwell=1.0 kind=template\nchannel,counts\n0,-1.0\n")
+        with pytest.raises(ValueError, match=r"s\.csv: counts must be non-negative"):
+            read_spectrum_csv(path)
+
+
+# Finite non-negative doubles, subnormals and the largest double included.
+COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
+
+
+@given(st.lists(COUNTS, min_size=1, max_size=40))
+@example([5e-324, 1.7976931348623157e308, 0.1, 0.0])
+@settings(max_examples=60, deadline=None)
+def test_spectrum_csv_round_trip_is_value_exact(counts):
+    s = make_spectrum(counts, e_min=0.1, e_max=2999.9, dwell=86400.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_spectrum_csv(s, path)
+        back = read_spectrum_csv(path)
+    assert back.counts.tobytes() == s.counts.tobytes()
+    assert (back.calibration, back.dwell_s, back.kind) == (s.calibration, s.dwell_s, s.kind)
+
+
+class TestCsvTable:
+    def test_returns_comments_names_rows_and_first_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# one\n# two\na,b,c\n1,2.5,3\n4,5,6e-3\n")
+        comments, names, rows, first_line = read_csv_table(path, header=True)
+        assert comments == ["# one", "# two"]
+        assert names == ["a", "b", "c"]
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[1.0, 2.5, 3.0], [4.0, 5.0, 0.006]]
+        assert first_line == 4
+
+    def test_without_header_every_line_is_a_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,2\n3,4\n")
+        comments, names, rows, first_line = read_csv_table(path, 2)
+        assert (comments, names, first_line) == ([], [], 1)
+        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text, header", [("", False), ("", True), ("# c\n", True),
+                                              ("# c\na,b\n", True)])
+    def test_no_rows_gives_an_empty_table(self, tmp_path, text, header):
+        # Warnings are errors in this suite: np.loadtxt's "no data" warning must not escape.
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert read_csv_table(path, 2, header=header)[2].shape == (0, 2)
+
+    @pytest.mark.parametrize("rows, line, cause", [
+        ("1,2\n3\n", 4, "1 cells, expected 2"),
+        ("1,2\n3,4,5\n", 4, "3 cells, expected 2"),
+        ("1,2,3\n4,5,6\n", 3, "3 cells, expected 2"),
+        ("1,2\n3,x\n", 4, "cell 2 is not a number: 'x'"),
+        ("1,\n", 3, "cell 2 is not a number: ''"),
+        ("1_0,2\n", 3, "cell 1 is not a number: '1_0'"),
+        ("1,2\n\n\n3,4\n  \n", 7, "1 cells, expected 2"),
+    ], ids=["short", "long", "all-wide", "letter", "empty-cell", "separator", "blank-lines"])
+    def test_bad_row_names_file_and_line(self, tmp_path, rows, line, cause):
+        path = tmp_path / "t.csv"
+        path.write_text("# c\na,b\n" + rows)
+        with pytest.raises(ValueError) as info:
+            read_csv_table(path, header=True)
+        assert str(info.value) == f"{path}:{line}: {cause}"
+
+    def test_empty_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# c\n1,2\n\n3,4\n\n")
+        _, _, rows, first_line = read_csv_table(path, 2)
+        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert csv_rows(path, first_line) == [(2, "1,2"), (4, "3,4")]
