@@ -348,12 +348,30 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
         manifest.update(extra)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    lines = [
-        ",".join([str(int(idx))] + [repr(c) for c in row.tolist()])
-        for idx, row in zip(ds.label_indices(), ds.counts)
-    ]
-    (out_dir / "data.csv").write_text("\n".join(lines) + "\n")
+    to_cells, format_cell = _cell_format(ds)
+    with open(out_dir / "data.csv", "w") as fh:
+        for label, row in zip(ds.label_indices().tolist(), ds.counts):
+            fh.write(f"{label}," + ",".join(map(format_cell, to_cells(row))) + "\n")
     return out_dir / "manifest.json"
+
+
+def _cell_format(ds: LabeledDataset) -> tuple:
+    """(row converter, cell formatter) that write every cell as ``repr`` of its float.
+
+    Integer counts (sampled realizations) are looked up in a table of the
+    strings ``repr(0.0)``, ``repr(1.0)``, ... up to the matrix maximum.  The
+    table is used only where it gives ``repr`` exactly: no ``-0.0`` cell, a
+    maximum below 1e16 (``repr`` switches to exponent form there), and no
+    more entries than the matrix has cells.  Any other matrix is formatted by
+    ``repr`` itself.
+    """
+    counts = ds.counts
+    if ds.kind is SpectrumKind.SAMPLED_REALIZATION and not np.signbit(counts).any():
+        top = counts.max()
+        if top < 1e16 and top < counts.size:
+            table = [repr(float(i)) for i in range(int(top) + 1)]
+            return (lambda row: row.astype(np.int64).tolist()), table.__getitem__
+    return (lambda row: row.tolist()), repr
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:
@@ -361,8 +379,9 @@ def read_dataset(path: str | Path) -> LabeledDataset:
 
     Malformed input raises ``ValueError`` naming the file, and the line for
     data rows: a missing or ill-typed manifest field, a source index outside
-    the source list, a row count other than ``n_items``, a row whose width is
-    not the channel count, or a label outside the task's classes.
+    the source list, a ``#`` comment line, a row count other than ``n_items``,
+    a row whose width is not the channel count, or a label outside the task's
+    classes.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
@@ -381,13 +400,23 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         if type(cal.n_channels) is not int:
             raise ValueError("calibration.n_channels must be an integer")
         n_items, dwell = manifest["n_items"], manifest["dwell_s"]
+        if type(n_items) is not int or n_items < 1:
+            raise ValueError("n_items must be a positive integer")
         data_path = manifest_path.parent / manifest["data_csv"]
     except (KeyError, TypeError, ValueError) as err:
         reason = f"{type(err).__name__}: {err}"
         raise ValueError(f"{manifest_path}: malformed manifest: {reason}") from err
 
-    _, _, rows, first_line = read_csv_table(data_path, cal.n_channels + 1)
-    if len(rows) != n_items:
+    # One row past n_items keeps an over-long file detectable.
+    comments, _, rows, first_line = read_csv_table(
+        data_path, cal.n_channels + 1, max_rows=n_items + 1
+    )
+    if comments:
+        raise ValueError(f"{data_path}:1: comment line {comments[0]!r}; data rows take none")
+    if len(rows) > n_items:
+        line = csv_rows(data_path, first_line)[n_items][0]
+        raise ValueError(f"{data_path}:{line}: more rows than the manifest's n_items of {n_items}")
+    if len(rows) < n_items:
         raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
     labels = rows[:, 0]
     ok = (labels == np.floor(labels)) & (labels >= 0) & (labels < task.n_classes)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
 from . import nucleardata
 from .spectra import (
@@ -248,6 +247,10 @@ def line_response(
         raise ValueError(f"line at {line_energy_kev} keV is outside calibration range")
     if expected_detections < 0:
         raise ValueError("expected detections must be non-negative")
+
+    # Imported here: scipy.special is most of ``import gammasort``, and only
+    # template synthesis needs it.  math.erf would not round the same.
+    from scipy.special import erf
 
     sigma = detector.fwhm_kev(line_energy_kev) * FWHM_TO_SIGMA
     edges = cal.bin_edges()

@@ -46,6 +46,12 @@ def _bind_flat(params: NetworkParams) -> None:
         raise ValueError("parameters must be finite")
 
 
+def _rebuild(params: NetworkParams) -> tuple:
+    # copy, deepcopy and pickle rebuild through the constructor, so a copy's
+    # fields are views of its own ``flat``, not arrays cut loose from it.
+    return type(params), tuple(getattr(params, f.name) for f in fields(params))
+
+
 @dataclass
 class LinearParams:
     """Weights (n_classes x n_channels) and bias (n_classes,), views into ``flat``."""
@@ -54,6 +60,7 @@ class LinearParams:
     bias: np.ndarray
 
     arch = ARCH_LINEAR
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         _bind_flat(self)
@@ -81,6 +88,7 @@ class HiddenTanhParams:
     b2: np.ndarray
 
     arch = ARCH_HIDDEN_TANH
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         _bind_flat(self)

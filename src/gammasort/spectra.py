@@ -76,8 +76,7 @@ class Spectrum:
 
     Counts are stored as float64 even for realizations so both kinds share
     one type; realizations are validated to be integer-valued.  The counts
-    array is copied and marked read-only, so instances are safe to share
-    between concurrent workers.
+    array is copied and marked read-only.
     """
 
     counts: np.ndarray
@@ -174,13 +173,17 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
         raise ValueError(f"{path}: {err}") from err
 
 
-def read_csv_table(path: str | Path, width: int | None = None, header: bool = False) -> tuple:
+def read_csv_table(
+    path: str | Path, width: int | None = None, header: bool = False, max_rows: int | None = None
+) -> tuple:
     """Leading ``#`` comment lines, column names and float64 rows of a CSV file.
 
     A line of column names follows the comments if ``header``; each row holds
     ``width`` numbers (default: one per name), and empty lines are skipped.
-    Returns ``(comments, names, rows, first_line)``, the last being the file
-    line of the first row.  A malformed row raises ``ValueError("<path>:<line>: <cause>")``.
+    At most ``max_rows`` rows are read, if given; a caller that knows the row
+    count saves ``np.loadtxt`` growing its buffer.  Returns ``(comments,
+    names, rows, first_line)``, the last being the file line of the first
+    row.  A malformed row raises ``ValueError("<path>:<line>: <cause>")``.
     """
     with open(path) as fh:
         head = [fh.readline()]
@@ -193,7 +196,12 @@ def read_csv_table(path: str | Path, width: int | None = None, header: bool = Fa
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1)
+            # An empty line does not count towards max_rows; numpy warns that it once did.
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            rows = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1,
+                max_rows=max_rows,
+            )
     except ValueError as err:
         raise _bad_row_error(path, first_line, width, err) from err
     if rows.size == 0:

@@ -205,6 +205,14 @@ class TestEvalInputBoundary:
         assert "data.csv" in err
         assert "n_items" in err
 
+    def test_many_extra_rows_name_the_first(self, files, capsys):
+        model, ds = files
+        lines = (ds / "data.csv").read_text().splitlines()
+        (ds / "data.csv").write_text("\n".join(lines * 40) + "\n")
+        err = self.eval_error(capsys, model, ds)
+        assert f"data.csv:{len(lines) + 1}: " in err
+        assert f"n_items of {len(lines)}" in err
+
     def test_missing_manifest_field(self, files, capsys):
         model, ds = files
         manifest = json.loads((ds / "manifest.json").read_text())

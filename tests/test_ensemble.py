@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gammasort import nucleardata, seeding
 from gammasort.cli import _read_templates_manifest
 from gammasort.ensemble import (
+    _cell_format,
     _config_record,
     LabeledDataset,
     TaskKind,
@@ -340,16 +342,64 @@ class TestDatasetRoundTrip:
             read_dataset(tmp_path / "nope")
 
 
-def tiny_dataset(counts, grid):
-    """An IsotopeID template dataset of ``counts``; item ``i`` comes from ``grid[i % len(grid)]``."""
+def tiny_dataset(counts, grid, kind=SpectrumKind.EXPECTED_TEMPLATE):
+    """An IsotopeID dataset of ``counts``; item ``i`` comes from ``grid[i % len(grid)]``."""
     counts = np.asarray(counts, dtype=float)
     provenance = [grid[i % len(grid)] for i in range(len(counts))]
     task = TaskKind.ISOTOPE_ID
     labels = np.stack([task.one_hot(config) for config in provenance])
     cal = EnergyCalibration(0.0, 3000.0, counts.shape[1])
-    return LabeledDataset(
-        counts, labels, task, tuple(provenance), cal, 1.0, SpectrumKind.EXPECTED_TEMPLATE
+    return LabeledDataset(counts, labels, task, tuple(provenance), cal, 1.0, kind)
+
+
+def repr_data_csv(ds):
+    """data.csv as the reference writer forms it: ``repr`` of every cell."""
+    return "".join(
+        f"{label}," + ",".join(repr(c) for c in row.tolist()) + "\n"
+        for label, row in zip(ds.label_indices().tolist(), ds.counts)
     )
+
+
+SAMPLED = SpectrumKind.SAMPLED_REALIZATION
+
+
+class TestWriterMatchesRepr:
+    """The lookup table writes exactly what ``repr`` writes, and is used only where it can."""
+
+    @pytest.mark.parametrize("counts, kind, by_table", [
+        ([[0.0, 3.0, 1.0], [2.0, 0.0, 0.0]], SAMPLED, True),
+        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], SAMPLED, True),  # maximum = last table entry
+        ([[-0.0, 1.0, 2.0], [3.0, 0.0, 1.0]], SAMPLED, False),
+        ([[0.0, 9999999999999998.0], [1.0, 2.0]], SAMPLED, False),
+        ([[0.0, 1e16], [1.0, 2.0]], SAMPLED, False),
+        ([[0.0, 1e12, 3.0]], SAMPLED, False),  # the table would outgrow the matrix
+        ([[0.0, 0.1, 2.5], [1e16, 5e-324, 3.0]], SpectrumKind.EXPECTED_TEMPLATE, False),
+        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], SpectrumKind.EXPECTED_TEMPLATE, False),
+    ])
+    def test_matches_repr_writer(self, tmp_path, small_grid, counts, kind, by_table):
+        ds = tiny_dataset(counts, small_grid, kind)
+        write_dataset(ds, tmp_path)
+        assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
+        assert (_cell_format(ds)[1] is not repr) == by_table
+
+    def test_sampled_dataset(self, tmp_path, small_grid):
+        ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 3, 10.0, seed=5, rebin_factor=4)
+        write_dataset(ds, tmp_path)
+        assert _cell_format(ds)[1] is not repr
+        assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(0, 40), min_size=width, max_size=width), min_size=1, max_size=8
+    )
+))
+@settings(max_examples=60, deadline=None)
+def test_integer_counts_write_as_repr(small_grid, rows):
+    ds = tiny_dataset(rows, small_grid, SAMPLED)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ds, tmp)
+        assert (Path(tmp) / "data.csv").read_text() == repr_data_csv(ds)
 
 
 COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
@@ -370,8 +420,9 @@ def test_dataset_round_trip_is_value_exact(small_grid, rows):
     assert [_config_record(c) for c in back.provenance] == [_config_record(c) for c in ds.provenance]
 
 
-# No text starts with "#": that would turn the first row into a comment line.
-NOT_A_NUMBER = st.sampled_from(["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#"])
+NOT_A_NUMBER = st.sampled_from(
+    ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#", "#", "#1", "# 0.0"]
+)
 
 
 @st.composite
@@ -408,6 +459,53 @@ def test_corrupt_data_row_names_its_line(small_grid, corruption):
         with pytest.raises(ValueError) as info:
             read_dataset(tmp)
     assert str(info.value).startswith(f"{data}:{row + 1}: ")
+
+
+class TestDataRows:
+    """data.csv holds exactly n_items rows and no comment lines."""
+
+    @pytest.fixture()
+    def written(self, tmp_path, small_grid):
+        write_dataset(tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid), tmp_path)
+        return tmp_path, tmp_path / "data.csv"
+
+    @pytest.mark.parametrize("extra", [1, 500])
+    def test_extra_rows_name_the_first(self, written, extra):
+        ds_dir, data = written
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines + lines[:1] * extra) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: .*n_items of 6"):
+            read_dataset(ds_dir)
+
+    def test_extra_row_after_an_empty_line(self, written):
+        ds_dir, data = written
+        data.write_text(data.read_text() + "\n" + "0,1.0,2.0,3.0,4.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:8: "):
+            read_dataset(ds_dir)
+
+    def test_extra_row_that_is_malformed(self, written):
+        ds_dir, data = written
+        data.write_text(data.read_text() + "0,1.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: "):
+            read_dataset(ds_dir)
+
+    @pytest.mark.parametrize("first", ["#", "# 0,1.0,2.0,3.0,4.0", "#0,1.0,2.0,3.0,4.0"])
+    def test_comment_line_is_rejected(self, written, first):
+        ds_dir, data = written
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join([first] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:1: .*comment"):
+            read_dataset(ds_dir)
+
+    @pytest.mark.parametrize("n_items", [0, -1, "6", 6.0, True])
+    def test_n_items_must_be_a_positive_integer(self, written, n_items):
+        ds_dir, _ = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["n_items"] = n_items
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: malformed manifest: .*n_items"):
+            read_dataset(ds_dir)
 
 
 class TestTableLoads:

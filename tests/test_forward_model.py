@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +245,14 @@ class TestDataDirOverride:
         with pytest.raises(FileNotFoundError) as err:
             isotope_by_name("Cesium")
         assert str(tmp_path) in str(err.value)
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only template synthesis needs scipy.special; eval, report and dataset
+    # sample/train processes do not pay for importing it.
+    code = "import sys, gammasort.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -291,6 +293,34 @@ class TestFlatParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             LinearParams(np.array([[1.0, np.nan]]), np.zeros(1))
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda params: pickle.loads(pickle.dumps(params)),
+}
+
+
+class TestParamsCopy:
+    """A copied parameter set keeps its fields as views of its own ``flat``."""
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    def test_adam_step_on_a_copy_moves_its_fields(self, arch, how):
+        params = init_params(arch, 6, 3, seed=4, width=5)
+        before = [a.copy() for a in field_arrays(params)]
+        dup = COPIES[how](params)
+        for f in dataclasses.fields(dup):
+            assert np.shares_memory(getattr(dup, f.name), dup.flat)
+        assert not np.shares_memory(dup.flat, params.flat)
+        grads = init_params(arch, 6, 3, seed=5, width=5)
+        adam_step(dup, grads, init_adam(dup))
+        main = dup.weights if arch == ARCH_LINEAR else dup.w1
+        assert np.array_equal(main.ravel(), dup.flat[: main.size])
+        assert not np.array_equal(main, before[0])
+        for a, b in zip(field_arrays(params), before):
+            assert np.array_equal(a, b)
 
 
 class TestAdam:

@@ -300,6 +300,13 @@ class TestCsvTable:
         path.write_text(text)
         assert read_csv_table(path, 2, header=header)[2].shape == (0, 2)
 
+    def test_max_rows_stops_after_that_many_rows(self, tmp_path):
+        # A bad row past max_rows is never parsed.  Empty lines do not count,
+        # and numpy's warning that they once did must not escape.
+        path = tmp_path / "t.csv"
+        path.write_text("1,2\n\n3,4\n5,x\n")
+        assert read_csv_table(path, 2, max_rows=2)[2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     @pytest.mark.parametrize("rows, line, cause", [
         ("1,2\n3\n", 4, "1 cells, expected 2"),
         ("1,2\n3,4,5\n", 4, "3 cells, expected 2"),
