@@ -13,6 +13,7 @@ from .spectra import (
     default_calibration,
     read_spectrum_csv,
     rebin,
+    rebin_counts,
     total_counts,
     write_spectrum_csv,
 )
@@ -30,6 +31,7 @@ from .forward_model import (
     default_shielding,
     isotope_by_name,
     line_response,
+    template_matrix,
 )
 from .ensemble import (
     LabeledDataset,

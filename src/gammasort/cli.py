@@ -40,9 +40,14 @@ from .experiment import (
     write_config,
     write_confusion_csv,
 )
-from .forward_model import TEMPLATE_DWELL_S, SourceConfig, build_template
+from .forward_model import (
+    TEMPLATE_DWELL_S,
+    SourceConfig,
+    build_template,  # noqa: F401  (bound: perfbench's selftest reads cli.build_template)
+    template_matrix,
+)
 from .neuralnet import load_model
-from .spectra import read_spectrum_csv, rebin, write_spectrum_csv
+from .spectra import Spectrum, SpectrumKind, read_spectrum_csv, rebin_counts, write_spectrum_csv
 
 
 def _config_overrides(args) -> dict:
@@ -81,14 +86,16 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     detector = detector_from_config(config)
     grid = grid_from_config(config)
-    background_cps = config["grid"]["background_cps"]
+    # Built in full before the first write, so a failing synth writes nothing.
+    counts = template_matrix(grid, detector, TEMPLATE_DWELL_S, config["grid"]["background_cps"])
     write_config(config, out_dir)
 
-    names = []
-    for index, source in enumerate(grid):
-        template = build_template(source, detector, TEMPLATE_DWELL_S, background_cps)
-        names.append(_template_name(index, source))
-        write_spectrum_csv(template, out_dir / names[-1])
+    names = [_template_name(index, source) for index, source in enumerate(grid)]
+    for name, row in zip(names, counts):
+        template = Spectrum(
+            row, detector.calibration, TEMPLATE_DWELL_S, SpectrumKind.EXPECTED_TEMPLATE
+        )
+        write_spectrum_csv(template, out_dir / name)
     manifest = {
         "dwell_s": TEMPLATE_DWELL_S,
         "n_templates": len(names),
@@ -125,6 +132,24 @@ def _read_templates_manifest(path: Path) -> tuple[list[str], list[SourceConfig]]
     return names, sources
 
 
+def _read_templates(paths: list[Path]) -> tuple[np.ndarray, Spectrum]:
+    """The template files' counts as one matrix, one row per file, and the first file.
+
+    Every file must be an expected-count template with the first file's
+    calibration and dwell; the first that is not is named in the error.
+    """
+    first = read_spectrum_csv(paths[0])
+    counts = np.empty((len(paths), first.n_channels))
+    for row, path in enumerate(paths):
+        template = read_spectrum_csv(path) if row else first
+        if template.kind is not SpectrumKind.EXPECTED_TEMPLATE:
+            raise ValueError(f"{path}: kind={template.kind.value}, templates need kind=template")
+        if (template.calibration, template.dwell_s) != (first.calibration, first.dwell_s):
+            raise ValueError(f"{path}: calibration or dwell differs from {paths[0]}")
+        counts[row] = template.counts
+    return counts, first
+
+
 def cmd_sample(args) -> int:
     config = load_config(args)
     templates_dir = args.templates or config["paths"]["templates"]
@@ -139,11 +164,9 @@ def cmd_sample(args) -> int:
     task = task_from_config(config)
     factor = rebin_factor(config)
     samples, seed = config["samples_per_config"], config["seed"]
-    templates = stack_templates(
-        [rebin(read_spectrum_csv(manifest_path.parent / name), factor) for name in names],
-        sources,
-        task,
-    )
+    counts, first = _read_templates([manifest_path.parent / name for name in names])
+    counts, cal = rebin_counts(counts, first.calibration, factor)
+    templates = stack_templates(counts, cal, first.dwell_s, sources, task)
     ds = sample_dataset(templates, samples, config["dwell_s"], seed)
     write_config(config, out_dir)
     write_dataset(ds, out_dir, extra={"seed": seed, "samples_per_config": samples})

@@ -23,11 +23,18 @@ from .forward_model import (
     DetectorModel,
     ShieldMaterial,
     SourceConfig,
-    build_template,
     default_shielding,
     isotope_by_name,
+    template_matrix,
 )
-from .spectra import EnergyCalibration, Spectrum, SpectrumKind, csv_rows, read_csv_table, rebin
+from .spectra import (
+    EnergyCalibration,
+    Spectrum,
+    SpectrumKind,
+    csv_rows,
+    read_csv_table,
+    rebin_counts,
+)
 
 ISOTOPE_NAMES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
 SHIELDING_NAMES = ("Bare", "Concrete", "Steel", "DepletedUranium")
@@ -192,19 +199,18 @@ def poisson_sample(template: Spectrum, target_dwell_s: float, seed: int) -> Spec
 
 
 def stack_templates(
-    templates: list[Spectrum], grid: list[SourceConfig], task: TaskKind
+    counts: np.ndarray,
+    calibration: EnergyCalibration,
+    dwell_s: float,
+    grid: list[SourceConfig],
+    task: TaskKind,
 ) -> LabeledDataset:
-    """Template dataset from one expected-count spectrum per grid cell."""
+    """Template dataset from the expected-count matrix of ``grid``, one row per cell."""
     if not grid:
         raise ValueError("source grid is empty")
-    first = templates[0]
-    if any((t.calibration, t.dwell_s, t.kind) != (first.calibration, first.dwell_s, first.kind)
-           for t in templates):
-        raise ValueError("all templates must share one calibration, dwell and kind")
     labels = np.stack([task.one_hot(config) for config in grid])
-    counts = np.stack([t.counts for t in templates])
     return LabeledDataset(
-        counts, labels, task, tuple(grid), first.calibration, first.dwell_s, first.kind
+        counts, labels, task, tuple(grid), calibration, dwell_s, SpectrumKind.EXPECTED_TEMPLATE
     )
 
 
@@ -271,11 +277,12 @@ def template_dataset(
     background_cps: float = DEFAULT_BACKGROUND_CPS,
 ) -> LabeledDataset:
     """Noise-free dataset: one rescaled expected-count template per grid cell."""
-    templates = [
-        rebin(build_template(config, detector, TEMPLATE_DWELL_S, background_cps), rebin_factor)
-        for config in grid
-    ]
-    return rescale(stack_templates(templates, grid, task), dwell_s)
+    counts, cal = rebin_counts(
+        template_matrix(grid, detector, TEMPLATE_DWELL_S, background_cps),
+        detector.calibration,
+        rebin_factor,
+    )
+    return rescale(stack_templates(counts, cal, TEMPLATE_DWELL_S, grid, task), dwell_s)
 
 
 def split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:

@@ -5,6 +5,9 @@ geometry, exponential shielding attenuation at each line energy, and a
 detector response of Gaussian photopeak plus flat Compton continuum.
 Templates are expected values; Poisson sampling to finite dwells lives in
 :mod:`gammasort.ensemble`.
+
+Every template comes from :func:`template_matrix`, one matrix per grid, so a
+grid that cannot be synthesised fails before ``gammasort synth`` writes a file.
 """
 
 from __future__ import annotations
@@ -244,7 +247,10 @@ def line_response(
     """
     cal = detector.calibration
     if not line_energy_kev < cal.e_max:
-        raise ValueError(f"line at {line_energy_kev} keV is outside calibration range")
+        raise ValueError(
+            f"line at {line_energy_kev} keV is outside calibration range "
+            f"[{cal.e_min}, {cal.e_max}] keV"
+        )
     if expected_detections < 0:
         raise ValueError("expected detections must be non-negative")
 
@@ -291,35 +297,66 @@ def build_template(
 ) -> Spectrum:
     """Expected-count spectrum for one source configuration at ``dwell_s``.
 
+    The one-row case of :func:`template_matrix`.
+    """
+    counts = template_matrix([config], detector, dwell_s, background_cps)[0]
+    return Spectrum(counts, detector.calibration, dwell_s, SpectrumKind.EXPECTED_TEMPLATE)
+
+
+def template_matrix(
+    grid: list[SourceConfig],
+    detector: DetectorModel,
+    dwell_s: float,
+    background_cps: float = DEFAULT_BACKGROUND_CPS,
+) -> np.ndarray:
+    """(n_cells, n_channels) expected counts of each grid cell at ``dwell_s``.
+
     Per line: activity * dwell * intensity * shield transmission * geometric
-    fraction * intrinsic efficiency, spread by :func:`line_response`.
-    Depleted-uranium shielding adds its own emission lines; background is
-    added only when the config asks for it.
+    fraction * intrinsic efficiency, times the line's :func:`line_response`
+    shape.  Depleted-uranium shielding adds its own emission lines; background
+    is added only to the cells that ask for it.  A line's shape depends only
+    on the detector and the line energy, so each distinct energy's shape is
+    computed once per call.  A line outside the calibration range raises
+    ``ValueError`` naming its isotope (or the DU shield) and the range.
     """
     if not dwell_s > 0:
         raise ValueError(f"dwell {dwell_s} must be positive")
-    cal = detector.calibration
-    geom = geometric_fraction(config.distance_m, detector.face_area_cm2)
-    counts = np.zeros(cal.n_channels)
+    shapes: dict[float, np.ndarray] = {}
 
-    for energy, intensity in config.isotope.lines:
-        expected = (
-            config.activity_bq
-            * dwell_s
-            * intensity
-            * attenuation_factor(config.shielding, energy)
-            * geom
-            * detector.intrinsic_efficiency
-        )
-        counts = counts + line_response(detector, energy, expected, dwell_s).counts
+    def shape(source: str, energy: float) -> np.ndarray:
+        if energy not in shapes:
+            try:
+                shapes[energy] = line_response(detector, energy, 1.0).counts
+            except ValueError as err:
+                raise ValueError(f"{source}: {err}") from err
+        return shapes[energy]
 
-    if config.shielding.material is ShieldMaterial.DEPLETED_URANIUM:
-        du_activity = DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm
-        for energy, intensity in DU_EMISSION_LINES:
-            expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
-            counts = counts + line_response(detector, energy, expected, dwell_s).counts
+    background = None
+    if any(config.include_background for config in grid):
+        background = background_template(detector, dwell_s, background_cps).counts
+    matrix = np.empty((len(grid), detector.calibration.n_channels))
+    for row, config in enumerate(grid):
+        geom = geometric_fraction(config.distance_m, detector.face_area_cm2)
+        counts = np.zeros(detector.calibration.n_channels)
 
-    if config.include_background:
-        counts = counts + background_template(detector, dwell_s, background_cps).counts
+        for energy, intensity in config.isotope.lines:
+            expected = (
+                config.activity_bq
+                * dwell_s
+                * intensity
+                * attenuation_factor(config.shielding, energy)
+                * geom
+                * detector.intrinsic_efficiency
+            )
+            counts = counts + expected * shape(config.isotope.name, energy)
 
-    return Spectrum(counts, cal, dwell_s, SpectrumKind.EXPECTED_TEMPLATE)
+        if config.shielding.material is ShieldMaterial.DEPLETED_URANIUM:
+            du_activity = DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm
+            for energy, intensity in DU_EMISSION_LINES:
+                expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
+                counts = counts + expected * shape(ShieldMaterial.DEPLETED_URANIUM.value, energy)
+
+        if config.include_background:
+            counts = counts + background
+        matrix[row] = counts
+    return matrix

@@ -113,24 +113,34 @@ def total_counts(spectrum: Spectrum) -> float:
 
 
 def rebin(spectrum: Spectrum, factor: int) -> Spectrum:
-    """Merge every ``factor`` adjacent channels by summation.
+    """Merge every ``factor`` adjacent channels by summation (see :func:`rebin_counts`)."""
+    counts, cal = rebin_counts(spectrum.counts, spectrum.calibration, factor)
+    return Spectrum(counts, cal, spectrum.dwell_s, spectrum.kind)
 
-    The energy range is unchanged; the channel count divides by ``factor``.
+
+def rebin_counts(
+    counts: np.ndarray, calibration: EnergyCalibration, factor: int
+) -> tuple[np.ndarray, EnergyCalibration]:
+    """Merge every ``factor`` adjacent channels along the last axis of ``counts``.
+
+    ``counts`` is one spectrum or a matrix with one spectrum per row, over
+    ``calibration``; returns the merged counts and their calibration.  The
+    energy range is unchanged; the channel count divides by ``factor``.
     Block sums are accumulated error-free and rounded once, so totals are
     conserved exactly whenever counts are integer-valued (realizations) and
     to within one rounding of the true sum otherwise.
     """
     if factor < 1:
         raise ValueError(f"rebin factor must be positive, got {factor}")
-    n = spectrum.calibration.n_channels
+    n = calibration.n_channels
     if n % factor != 0:
         raise ValueError(f"factor {factor} does not divide {n} channels")
     if factor == 1:
-        return spectrum
-    blocks = np.asarray(spectrum.counts).reshape(n // factor, factor)
-    merged = np.array([math.fsum(block) for block in blocks])
-    cal = EnergyCalibration(spectrum.calibration.e_min, spectrum.calibration.e_max, n // factor)
-    return Spectrum(merged, cal, spectrum.dwell_s, spectrum.kind)
+        return counts, calibration
+    counts = np.asarray(counts)
+    merged = np.array([math.fsum(block) for block in counts.reshape(-1, factor)])
+    cal = EnergyCalibration(calibration.e_min, calibration.e_max, n // factor)
+    return merged.reshape(counts.shape[:-1] + (n // factor,)), cal
 
 
 def _format_float(x: float) -> str:

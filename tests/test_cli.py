@@ -12,6 +12,7 @@ import pytest
 from gammasort import cli
 from gammasort.cli import main
 from gammasort.neuralnet import LinearParams, save_model
+from gammasort.spectra import Spectrum, SpectrumKind, read_spectrum_csv, write_spectrum_csv
 
 SMALL_GRID_CONFIG = {
     "grid": {
@@ -73,6 +74,18 @@ class TestSynth:
         cfg = write_config(tmp_path, {"grid": {"shieldings": ["Bare", "Adamantium"]}})
         assert run("synth", "--config", cfg, "--out", tmp_path / "x") == 2
         assert "Adamantium" in capsys.readouterr().err
+
+    def test_line_outside_calibration_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"detector": {"e_max": 1250.0},
+                                      "grid": {"isotopes": ["Cesium", "Cobalt"]}})
+        out = tmp_path / "tpl"
+        out.mkdir()
+        assert run("synth", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "gammasort: error: Cobalt: line at 1332.5 keV is outside calibration range "
+            "[0.0, 1250.0] keV\n"
+        )
+        assert list(out.iterdir()) == []
 
     def test_default_grid_yields_220_templates(self, tmp_path):
         # 5 isotopes x 11 distances x 4 shieldings
@@ -416,6 +429,33 @@ class TestSampleManifest:
         assert err.startswith("gammasort: error:")
         assert err.count("\n") == 1
         assert f"{template.name}:1: " in err
+
+    def mismatch_error(self, capsys, cfg, tpl, tmp_path):
+        capsys.readouterr()
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
+        assert not (tmp_path / "ds").exists()
+        return capsys.readouterr().err
+
+    def test_template_with_another_dwell_names_the_file(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        first, template = sorted(tpl.glob("template_*.csv"))[::5]
+        template.write_text(template.read_text().replace("dwell=86400.0", "dwell=3600.0", 1))
+        assert self.mismatch_error(capsys, cfg, tpl, tmp_path) == (
+            f"gammasort: error: {template}: calibration or dwell differs from {first}\n"
+        )
+
+    def test_sampled_spectrum_among_templates_names_the_file(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        template = sorted(tpl.glob("template_*.csv"))[5]
+        counts = read_spectrum_csv(template)
+        write_spectrum_csv(
+            Spectrum(np.floor(counts.counts), counts.calibration, counts.dwell_s,
+                     SpectrumKind.SAMPLED_REALIZATION),
+            template,
+        )
+        assert self.mismatch_error(capsys, cfg, tpl, tmp_path) == (
+            f"gammasort: error: {template}: kind=sample, templates need kind=template\n"
+        )
 
     def test_manifest_is_a_list(self, templates, tmp_path, capsys):
         cfg, tpl = templates

@@ -316,22 +316,26 @@ class TestRunScenario:
         assert lines[0] == "class,linear_acc,hidden_acc"
         assert len(lines) == 3
 
-    def test_templates_built_once_per_grid_cell(self, tmp_path, monkeypatch):
-        import gammasort.ensemble
+    def test_line_shapes_built_once_per_distinct_energy(self, tmp_path, monkeypatch):
+        import gammasort.forward_model as fm
 
         calls = []
-        original = gammasort.ensemble.build_template
+        original = fm.line_response
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(detector, energy, *args, **kwargs):
+            calls.append(energy)
+            return original(detector, energy, *args, **kwargs)
 
-        monkeypatch.setattr(gammasort.ensemble, "build_template", counting)
+        monkeypatch.setattr(fm, "line_response", counting)
         results = run_scenario(
             "isotope", tmp_path, train={"epochs": 1}, samples_per_config=2,
             grid={"distances_m": [10.0]},
         )
-        assert len(calls) == len(results["train_ds"]) == 20
+        grid = results["train_ds"].provenance
+        energies = {energy for config in grid for energy, _ in config.isotope.lines}
+        energies |= {energy for energy, _ in fm.DU_EMISSION_LINES}
+        assert sorted(calls) == sorted(energies)
+        assert len(grid) == 20
         assert len(results["test_ds"]) == 40
 
     def test_shielding_scenario_label_space(self, tmp_path):

@@ -5,8 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from gammasort.ensemble import TaskKind, standard_grid, template_dataset
 from gammasort.forward_model import (
+    DEFAULT_BACKGROUND_CPS,
+    DU_EMISSION_BQ_PER_CM,
     DU_EMISSION_LINES,
+    TEMPLATE_DWELL_S,
+    DetectorModel,
     ShieldMaterial,
     SourceConfig,
     attenuation_factor,
@@ -19,8 +24,9 @@ from gammasort.forward_model import (
     geometric_fraction,
     isotope_by_name,
     line_response,
+    template_matrix,
 )
-from gammasort.spectra import SpectrumKind, total_counts
+from gammasort.spectra import EnergyCalibration, SpectrumKind, total_counts
 
 DETECTOR = default_detector()
 ALL_ISOTOPES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
@@ -229,6 +235,85 @@ class TestBuildTemplate:
             area / (4.0 * math.pi * 1000.0**2), rel=1e-12
         )
         assert geometric_fraction(20.0, area) == geometric_fraction(10.0, area) / 4.0
+
+
+def reference_template(config, detector, dwell_s, background_cps=DEFAULT_BACKGROUND_CPS):
+    """One cell synthesised on its own, each line's response built anew: the
+    per-cell loop that :func:`template_matrix` must reproduce bit for bit."""
+    geom = geometric_fraction(config.distance_m, detector.face_area_cm2)
+    counts = np.zeros(detector.calibration.n_channels)
+    for energy, intensity in config.isotope.lines:
+        expected = (
+            config.activity_bq
+            * dwell_s
+            * intensity
+            * attenuation_factor(config.shielding, energy)
+            * geom
+            * detector.intrinsic_efficiency
+        )
+        counts = counts + line_response(detector, energy, expected, dwell_s).counts
+    if config.shielding.material is ShieldMaterial.DEPLETED_URANIUM:
+        du_activity = DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm
+        for energy, intensity in DU_EMISSION_LINES:
+            expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
+            counts = counts + line_response(detector, energy, expected, dwell_s).counts
+    if config.include_background:
+        counts = counts + background_template(detector, dwell_s, background_cps).counts
+    return counts
+
+
+def du_grid():
+    thick = default_shielding("DepletedUranium", 2.0)
+    return standard_grid(materials=("DepletedUranium", "Bare")) + [
+        SourceConfig(isotope_by_name(name), 3.0e7, 12.5, thick, include_background=True)
+        for name in ("Cobalt", "Iridium")
+    ]
+
+
+class TestTemplateMatrix:
+    @pytest.mark.parametrize(
+        "grid, detector",
+        [
+            (standard_grid(), DETECTOR),
+            (standard_grid(include_background=True), DETECTOR),
+            (du_grid(), DETECTOR),
+            (standard_grid(include_background=True), default_detector(512)),
+        ],
+        ids=["default", "background", "depleted_uranium", "512_channels"],
+    )
+    def test_bit_identical_to_the_per_cell_loop(self, grid, detector):
+        matrix = template_matrix(grid, detector, TEMPLATE_DWELL_S, 250.0)
+        reference = np.stack(
+            [reference_template(config, detector, TEMPLATE_DWELL_S, 250.0) for config in grid]
+        )
+        assert np.array_equal(matrix, reference)
+        one = build_template(grid[-1], detector, TEMPLATE_DWELL_S, 250.0)
+        assert np.array_equal(one.counts, reference[-1])
+
+    def test_template_dataset_rebins_the_per_cell_loop_exactly(self):
+        grid = standard_grid(include_background=True)
+        ds = template_dataset(grid, TaskKind.ISOTOPE_ID, DETECTOR, dwell_s=2.0, rebin_factor=4)
+        blocks = [reference_template(c, DETECTOR, TEMPLATE_DWELL_S).reshape(-1, 4) for c in grid]
+        reference = np.array([[math.fsum(b) for b in cell] for cell in blocks])
+        reference = reference * (2.0 / TEMPLATE_DWELL_S)
+        assert np.array_equal(ds.counts, reference)
+        assert ds.calibration == EnergyCalibration(0.0, 3000.0, 256)
+
+    @pytest.mark.parametrize(
+        "e_max, material, message",
+        [
+            (1250.0, "Bare", "Cobalt: line at 1332.5 keV is outside calibration range "
+                             "[0.0, 1250.0] keV"),
+            (900.0, "DepletedUranium", "DepletedUranium: line at 1001.0 keV is outside "
+                                       "calibration range [0.0, 900.0] keV"),
+        ],
+    )
+    def test_out_of_range_line_names_its_source_and_the_range(self, e_max, material, message):
+        detector = DetectorModel(EnergyCalibration(0.0, e_max, 256))
+        grid = standard_grid(isotopes=("Cesium", "Cobalt"), materials=(material,))
+        with pytest.raises(ValueError) as info:
+            template_matrix(grid, detector, 1.0)
+        assert str(info.value) == message
 
 
 class TestDataDirOverride:

@@ -8,6 +8,7 @@ benchmark without failing any other test.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -64,3 +65,22 @@ def test_flop_annotator_reads_the_parameter_fields(tracing, arch, width):
 
     params = init_params(arch, 256, 5, 0, 64)
     assert tracing._shapes(params, np.ones((32, 256))) == (32, 256, width, 5)
+
+
+def test_template_annotator_reads_the_build_template_arguments(tracing):
+    # Each traced build_template call is keyed by its bound arguments, as the
+    # tracer binds them; a renamed parameter would fail only traced passes.
+    from gammasort.forward_model import (
+        SourceConfig,
+        bare_shielding,
+        build_template,
+        default_detector,
+        isotope_by_name,
+    )
+
+    config = SourceConfig(isotope_by_name("Cesium"), 1.0e8, 10.0, bare_shielding())
+    bound = inspect.signature(build_template).bind(config, default_detector(), 86400.0)
+    bound.apply_defaults()
+    cell = tracing._template_cell(bound.arguments, None)["cell"]
+    assert cell.startswith("('Cesium', 100000000.0, 10.0, 'Bare', 0.0, False, ")
+    assert cell.endswith(", 86400.0, 300.0)")
