@@ -9,7 +9,6 @@ and seed: reruns produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import svgplot
 from .ensemble import (
+    SOURCE_RECORD,
     _config_from_record,
     _config_record,
     read_dataset,
@@ -46,32 +46,29 @@ from .forward_model import (
     build_template,  # noqa: F401  (bound: perfbench's selftest reads cli.build_template)
     template_matrix,
 )
+from .jsonfile import read_json, write_json
 from .neuralnet import load_model
 from .spectra import Spectrum, SpectrumKind, read_spectrum_csv, rebin_counts, write_spectrum_csv
 
 
-def _config_overrides(args) -> dict:
-    """The ``--config`` document with the ``--seed`` and ``--rebin`` flags applied over it."""
-    overrides: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise ValueError(f"config file not found: {path}")
-        try:
-            overrides = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ValueError(f"config is not valid JSON: {path}: {err}") from err
-        if not isinstance(overrides, dict):
-            raise ValueError(f"config must be a JSON object: {path}")
+def _config_overrides(args) -> tuple[dict, dict]:
+    """The ``--config`` document with the flags over it, and the run config it gives.
+
+    A key or type error names the config file, after the dotted key.
+    """
+    overrides = read_json(args.config, {}) if getattr(args, "config", None) else {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "rebin", None) is not None:
         overrides["rebin"] = args.rebin
-    return overrides
+    try:
+        return overrides, run_config(overrides)
+    except ValueError as err:  # the flags are typed by argparse: the file is at fault
+        raise ValueError(f"{err} (in {args.config})") from err
 
 
 def load_config(args) -> dict:
-    return run_config(_config_overrides(args))
+    return _config_overrides(args)[1]
 
 
 def _template_name(index: int, config: SourceConfig) -> str:
@@ -103,33 +100,23 @@ def cmd_synth(args) -> int:
             {"path": name, **_config_record(cfg)} for name, cfg in zip(names, grid)
         ],
     }
-    (out_dir / "templates_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "templates_manifest.json", manifest)
     print(f"wrote {len(names)} templates to {out_dir}")
     return 0
 
 
 def _read_templates_manifest(path: Path) -> tuple[list[str], list[SourceConfig]]:
     """Template file names and their source configs, as listed by ``synth``."""
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON: {err}") from err
-    entries = manifest.get("templates") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected an object with a non-empty 'templates' list")
-    names, sources, built = [], [], {}
+    entries = read_json(path, {"templates": [{"path": "", **SOURCE_RECORD}]})["templates"]
+    if not entries:
+        raise ValueError(f"{path}: templates: expected a non-empty list")
+    sources, built = [], {}
     for i, entry in enumerate(entries):
         try:
-            names.append(entry["path"])
-            if not isinstance(names[-1], str):
-                raise TypeError(f"'path' is not a string: {names[-1]!r}")
             sources.append(_config_from_record(entry, built))
-        except (KeyError, TypeError, ValueError) as err:
-            reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-            raise ValueError(f"{path}: templates[{i}]: {reason}") from err
-    return names, sources
+        except ValueError as err:
+            raise ValueError(f"{path}: templates[{i}]: {err}") from err
+    return [entry["path"] for entry in entries], sources
 
 
 def _read_templates(paths: list[Path]) -> tuple[np.ndarray, Spectrum]:
@@ -156,8 +143,6 @@ def cmd_sample(args) -> int:
     if templates_dir is None:
         raise ValueError("sample needs --templates or paths.templates in the config")
     manifest_path = Path(templates_dir) / "templates_manifest.json"
-    if not manifest_path.is_file():
-        raise ValueError(f"template manifest not found: {manifest_path} (run synth first)")
     names, sources = _read_templates_manifest(manifest_path)
 
     out_dir = Path(args.out)
@@ -175,8 +160,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = _config_overrides(args)
-    config = run_config(overrides)
+    overrides, config = _config_overrides(args)
     scenario = args.scenario or config["scenario"]
     if scenario:
         results = run_scenario(scenario, args.out, **overrides)
@@ -205,10 +189,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise ValueError(f"model file not found: {model_path}")
-    params, train_config = load_model(model_path)
+    params, _ = load_model(args.model)
     ds = read_dataset(args.dataset)
     result = evaluate(params, ds)  # checks the model against the dataset first
     summary = {
@@ -222,7 +203,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "eval.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_json(out_dir / "eval.json", summary)
         write_confusion_csv(out_dir / "confusion.csv", result.confusion, ds.task.class_names)
     print(f"accuracy={result.accuracy!r} cross_entropy={result.cross_entropy!r} n={len(ds)}")
     return 0

@@ -8,7 +8,6 @@ construction is reproducible and order-independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -27,6 +26,7 @@ from .forward_model import (
     isotope_by_name,
     template_matrix,
 )
+from .jsonfile import checked, read_json, write_json
 from .spectra import (
     EnergyCalibration,
     Spectrum,
@@ -297,6 +297,18 @@ def split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[Labeled
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 
+# One source record of a dataset or templates manifest, as a typed example.
+SOURCE_RECORD = {"isotope": "", "activity_bq": 0.0, "distance_m": 0.0, "material": "",
+                 "thickness_cm": 0.0, "include_background": False}
+
+# The keys :func:`read_dataset` reads from a dataset manifest.
+DATASET_MANIFEST = {
+    "task": "", "kind": "", "data_csv": "", "n_items": 0, "dwell_s": 0.0,
+    "calibration": {"e_min": 0.0, "e_max": 0.0, "n_channels": 0},
+    "sources": [SOURCE_RECORD], "source_index": [0],
+}
+
+
 def _config_record(config: SourceConfig) -> dict:
     return {
         "isotope": config.isotope.name,
@@ -353,7 +365,7 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
     }
     if extra:
         manifest.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
 
     to_cells, format_cell = _cell_format(ds)
     with open(out_dir / "data.csv", "w") as fh:
@@ -392,27 +404,24 @@ def read_dataset(path: str | Path) -> LabeledDataset:
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
+    manifest = read_json(manifest_path, {})
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = checked(manifest, DATASET_MANIFEST)
         task = TaskKind(manifest["task"])
-        cal = EnergyCalibration(**manifest["calibration"])
+        c = manifest["calibration"]
+        cal = EnergyCalibration(c["e_min"], c["e_max"], c["n_channels"])
         kind = SpectrumKind(manifest["kind"])
         built: dict = {}
         configs = [_config_from_record(record, built) for record in manifest["sources"]]
         source_index = manifest["source_index"]
-        if not all(type(i) is int and 0 <= i < len(configs) for i in source_index):
+        if not all(0 <= i < len(configs) for i in source_index):
             raise ValueError("source_index entry outside the source list")
-        if type(cal.n_channels) is not int:
-            raise ValueError("calibration.n_channels must be an integer")
         n_items, dwell = manifest["n_items"], manifest["dwell_s"]
-        if type(n_items) is not int or n_items < 1:
+        if n_items < 1:
             raise ValueError("n_items must be a positive integer")
-        data_path = manifest_path.parent / manifest["data_csv"]
-    except (KeyError, TypeError, ValueError) as err:
-        reason = f"{type(err).__name__}: {err}"
-        raise ValueError(f"{manifest_path}: malformed manifest: {reason}") from err
+    except ValueError as err:
+        raise ValueError(f"{manifest_path}: malformed manifest: {err}") from err
+    data_path = manifest_path.parent / manifest["data_csv"]
 
     # One row past n_items keeps an over-long file detectable.
     comments, _, rows, first_line = read_csv_table(
@@ -443,5 +452,5 @@ def read_dataset(path: str | Path) -> LabeledDataset:
             dwell,
             kind,
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ValueError(f"{data_path}: {err}") from err

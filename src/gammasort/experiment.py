@@ -10,7 +10,6 @@ with the linear and hidden-layer architectures side by side.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .forward_model import (
     DetectorModel,
     SourceConfig,
 )
+from .jsonfile import _deep_merge, checked, write_json
 from .neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
@@ -108,53 +108,17 @@ SCENARIO_PRESETS = {
 SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
 
 
-def _checked_leaf(path: str, default, value):
-    """``value`` if it has the type of ``default`` (ints pass as floats), else ``ValueError``."""
-    if value is None and (default is None or path in _NULLABLE):
-        return None
-    if isinstance(default, list):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{path}: expected list, got {value!r}")
-        return [_checked_leaf(f"{path}[{i}]", default[0], v) for i, v in enumerate(value)]
-    expected = str if default is None else type(default)
-    if expected is float and type(value) is int:
-        return float(value)
-    if (type(value) is bool and expected is not bool) or not isinstance(value, expected):
-        raise ValueError(f"{path}: expected {expected.__name__}, got {value!r}")
-    return value
-
-
-def _deep_merge(base: dict, override, defaults: dict = DEFAULT_CONFIG, path: str = "") -> dict:
-    """``override`` merged over ``base``, key by key, checked against ``defaults``.
-
-    A key ``defaults`` lacks, or a value of the wrong type, raises
-    ``ValueError`` naming its dotted path.
-    """
-    if not isinstance(override, dict):
-        raise ValueError(f"{path or 'config'}: expected object, got {override!r}")
-    merged = dict(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in defaults:
-            raise ValueError(f"{where}: unknown key; expected one of {sorted(defaults)}")
-        if isinstance(defaults[key], dict):
-            merged[key] = _deep_merge(base[key], value, defaults[key], where)
-        else:
-            merged[key] = _checked_leaf(where, defaults[key], value)
-    return merged
-
-
 def run_config(*overrides: dict) -> dict:
     """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     for override in overrides:
-        config = _deep_merge(config, override)
+        config = checked(_deep_merge(config, override), DEFAULT_CONFIG, nullable=_NULLABLE)
     return config
 
 
 def write_config(config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "config.json", config)
 
 
 def detector_from_config(config: dict) -> DetectorModel:

@@ -246,7 +246,7 @@ def line_response(
     well under 0.1% (only the truncated Gaussian tails are lost).
     """
     cal = detector.calibration
-    if not line_energy_kev < cal.e_max:
+    if not cal.e_min <= line_energy_kev < cal.e_max:
         raise ValueError(
             f"line at {line_energy_kev} keV is outside calibration range "
             f"[{cal.e_min}, {cal.e_max}] keV"

@@ -10,7 +10,6 @@ float64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
@@ -18,6 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import seeding
+from .jsonfile import checked, read_json, write_json
 
 ARCH_LINEAR = "linear"
 ARCH_HIDDEN_TANH = "hidden_tanh"
@@ -286,36 +286,32 @@ def adam_step(
 
 
 def save_model(path: str | Path, params: NetworkParams, train_config: dict | None = None) -> None:
-    """Write a model JSON; float values round-trip exactly (shortest repr)."""
+    """Write a model JSON, one array per parameter field; floats round-trip exactly."""
     doc: dict = {
         "arch": params.arch,
         "n_channels": params.n_channels,
         "n_classes": params.n_classes,
+        **{f.name: getattr(params, f.name).tolist() for f in fields(params)},
     }
-    if isinstance(params, LinearParams):
-        doc["weights"] = params.weights.tolist()
-        doc["bias"] = params.bias.tolist()
-    else:
+    if isinstance(params, HiddenTanhParams):
         doc["width"] = params.width
-        doc["w1"] = params.w1.tolist()
-        doc["b1"] = params.b1.tolist()
-        doc["w2"] = params.w2.tolist()
-        doc["b2"] = params.b2.tolist()
     if train_config is not None:
         doc["train_config"] = train_config
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
-    """Read a model JSON back; returns (params, train_config dict)."""
-    doc = json.loads(Path(path).read_text())
-    arch = doc.get("arch") if isinstance(doc, dict) else None
-    params_type = {ARCH_LINEAR: LinearParams, ARCH_HIDDEN_TANH: HiddenTanhParams}.get(str(arch))
+    """Read a model JSON back; returns (params, train_config dict).
+
+    The parameter constructor checks the arrays; any error names the file.
+    """
+    doc = read_json(path, {"arch": ""})
+    params_type = {ARCH_LINEAR: LinearParams, ARCH_HIDDEN_TANH: HiddenTanhParams}.get(doc["arch"])
     if params_type is None:
-        raise ValueError(f"unknown architecture {arch!r} (key 'arch') in {path}")
-    keys = [f.name for f in fields(params_type)]
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"model file {path} is missing key(s) {missing}")
-    params = params_type(*(np.array(doc[key]) for key in keys))
+        raise ValueError(f"{path}: arch: unknown architecture {doc['arch']!r}")
+    try:
+        arrays = checked(doc, {f.name: [] for f in fields(params_type)})
+        params = params_type(*(arrays[f.name] for f in fields(params_type)))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
     return params, doc.get("train_config", {})

@@ -1,13 +1,20 @@
 import argparse
+import contextlib
 import copy
+import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gammasort import cli
 from gammasort.cli import main
@@ -37,6 +44,16 @@ def write_config(tmp_path, extra=None, name="config.json"):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv, stdin=None):
+    """``gammasort *argv`` in a fresh interpreter, with ``stdin`` as its input."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "gammasort.cli", *map(str, argv)], input=stdin,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
 
 
 class TestSynth:
@@ -84,6 +101,18 @@ class TestSynth:
         assert capsys.readouterr().err == (
             "gammasort: error: Cobalt: line at 1332.5 keV is outside calibration range "
             "[0.0, 1250.0] keV\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_line_below_calibration_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"detector": {"e_min": 500.0},
+                                      "grid": {"isotopes": ["Barium"]}})
+        out = tmp_path / "tpl"
+        out.mkdir()
+        assert run("synth", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "gammasort: error: Barium: line at 81.0 keV is outside calibration range "
+            "[500.0, 3000.0] keV\n"
         )
         assert list(out.iterdir()) == []
 
@@ -344,6 +373,13 @@ class TestScenarioCommand:
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         assert run("synth", "--config", tmp_path / "absent.json", "--out", tmp_path / "o") == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_config_may_be_a_pipe(self, tmp_path):
+        out = tmp_path / "tpl"
+        proc = run_process("synth", "--config", "/dev/stdin", "--out", out,
+                           stdin=json.dumps(SMALL_GRID_CONFIG))
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("template_*.csv"))) == 8
 
 
 class TestSvgContent:
@@ -635,14 +671,137 @@ class TestDivergence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": {"epochs": 3, "learning_rate": 1e308}}))
         # A fresh interpreter, so that numpy's RuntimeWarnings would reach stderr.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-m", "gammasort.cli", "train", "--scenario", "isotope",
-             "--config", str(cfg), "--out", str(tmp_path / "r")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
-        )
+        proc = run_process("train", "--scenario", "isotope", "--config", cfg,
+                           "--out", tmp_path / "r")
         assert proc.returncode == 2
         assert proc.stderr == (
             "gammasort: error: linear: training diverged at epoch 1: non-finite parameters\n"
         )
+
+
+# A grid small enough that each fuzzed command runs in milliseconds.
+TINY_CONFIG = {
+    "detector": {"n_channels": 256},
+    "rebin": 256,
+    "grid": {"isotopes": ["Cesium", "Cobalt"], "distances_m": [10.0], "shieldings": ["Bare"]},
+    "samples_per_config": 2,
+    "seed": 3,
+}
+
+# The fields each reader checks, as dotted keys into its document.
+CHECKED_FIELDS = {
+    "model.json": ["arch", "weights", "bias"],
+    "manifest.json": [
+        "task", "kind", "data_csv", "n_items", "dwell_s", "calibration", "calibration.e_min",
+        "calibration.e_max", "calibration.n_channels", "sources", "sources[1]",
+        "sources[1].isotope", "sources[0].activity_bq", "sources[0].distance_m",
+        "sources[0].material", "sources[0].thickness_cm", "sources[0].include_background",
+        "source_index", "source_index[2]",
+    ],
+    "templates_manifest.json": [
+        "templates", "templates[0]", "templates[1].path", "templates[0].isotope",
+        "templates[0].activity_bq", "templates[0].distance_m", "templates[0].material",
+        "templates[1].thickness_cm", "templates[0].include_background",
+    ],
+    "config.json": [
+        "detector", "detector.n_channels", "rebin", "grid", "grid.isotopes", "grid.isotopes[1]",
+        "grid.distances_m", "grid.distances_m[0]", "samples_per_config", "seed",
+    ],
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def json_type(value) -> str:
+    types = {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+             dict: "object", type(None): "null"}
+    return types[type(value)]
+
+
+def replaced(doc, key, value):
+    """A copy of ``doc`` with the field at the dotted ``key`` set to ``value``, and the old value."""
+    doc = copy.deepcopy(doc)
+    *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", key)]
+    target = doc
+    for part in parents:
+        target = target[part]
+    old, target[last] = target[last], value
+    return doc, old
+
+
+class TestJsonReadersFuzz:
+    """A field of another JSON type in any document a command reads ends it with
+    exit 2 and one error line that names the file and the dotted key."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        assert run("synth", "--config", cfg, "--out", root / "tpl") == 0
+        assert run("sample", "--config", cfg, "--templates", root / "tpl", "--out", root / "ds") == 0
+        save_model(root / "model.json", LinearParams(np.zeros((5, 256)), np.zeros(5)))
+        return root
+
+    def command(self, inputs, name, work):
+        """Copy the inputs into ``work``, and the argv that reads ``work``'s copy of ``name``."""
+        shutil.copytree(inputs, work, dirs_exist_ok=True)
+        argv = {
+            "model.json": ["eval", "--model", work / "model.json", "--dataset", work / "ds"],
+            "manifest.json": ["eval", "--model", work / "model.json", "--dataset", work / "ds"],
+            "templates_manifest.json": ["sample", "--config", work / "config.json",
+                                        "--templates", work / "tpl", "--out", work / "out"],
+            "config.json": ["synth", "--config", work / "config.json", "--out", work / "out"],
+        }[name]
+        path = {"manifest.json": work / "ds", "templates_manifest.json": work / "tpl"}.get(name, work)
+        return argv, path / name
+
+    def error(self, argv) -> str:
+        with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv) == 2
+        return err.getvalue()
+
+    @given(field=st.sampled_from([(n, k) for n, keys in CHECKED_FIELDS.items() for k in keys]),
+           value=JSON_VALUES)
+    @example(field=("model.json", "weights"), value={"a": 1})
+    @example(field=("model.json", "bias"), value="abc")
+    @example(field=("manifest.json", "sources[0].distance_m"), value=True)
+    @example(field=("manifest.json", "sources[0].include_background"), value="yes")
+    @example(field=("manifest.json", "dwell_s"), value="abc")
+    @example(field=("templates_manifest.json", "templates[0].distance_m"), value=True)
+    @example(field=("templates_manifest.json", "templates[0].activity_bq"), value="abc")
+    @settings(max_examples=60, deadline=None)
+    def test_field_of_another_type(self, inputs, field, value):
+        name, key = field
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, path = self.command(inputs, name, Path(tmp))
+            doc, old = replaced(json.loads(path.read_text()), key, value)
+            assume(json_type(value) != json_type(old))
+            path.write_text(json.dumps(doc))
+            err = self.error(argv)
+        assert err.startswith("gammasort: error: ")
+        assert err.count("\n") == 1
+        assert str(path) in err
+        assert key in err
+
+    @pytest.mark.parametrize("name", sorted(CHECKED_FIELDS))
+    def test_file_that_is_not_json(self, inputs, name, tmp_path):
+        argv, path = self.command(inputs, name, tmp_path)
+        path.write_text("{'a': 1}")
+        err = self.error(argv)
+        assert err.startswith(f"gammasort: error: {path}: Expecting property name")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bias", [["abc"] * 5, [[0.0]] * 5, [{}] * 5, [None] * 5, [0.0] * 4])
+    def test_model_array_the_constructor_rejects(self, inputs, bias, tmp_path):
+        argv, path = self.command(inputs, "model.json", tmp_path)
+        doc, _ = replaced(json.loads(path.read_text()), "bias", bias)
+        path.write_text(json.dumps(doc))
+        err = self.error(argv)
+        assert err.startswith(f"gammasort: error: {path}: ")
+        assert err.count("\n") == 1

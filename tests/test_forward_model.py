@@ -122,6 +122,16 @@ class TestLineResponse:
         with pytest.raises(ValueError):
             line_response(DETECTOR, 3000.0, 1.0)
 
+    @pytest.mark.parametrize("energy", [81.0, 356.0])
+    def test_line_below_range_rejected(self, energy):
+        # Such a line's shape would be all zeros: the template would silently lack it.
+        detector = DetectorModel(EnergyCalibration(500.0, 3000.0, 256))
+        with pytest.raises(ValueError) as info:
+            line_response(detector, energy, 1000.0)
+        assert str(info.value) == (
+            f"line at {energy} keV is outside calibration range [500.0, 3000.0] keV"
+        )
+
     def test_continuum_extends_only_to_compton_edge(self):
         s = line_response(DETECTOR, 661.7, 1e6)
         cal = DETECTOR.calibration

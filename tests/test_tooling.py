@@ -3,9 +3,11 @@
 ``perfbench/tracing.py`` wraps module attributes with ``getattr`` when it
 installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
 and ``cli.build_template``.  A rename in ``src/`` would break the traced
-benchmark without failing any other test.
+benchmark without failing any other test.  The last guard keeps JSON reading
+and writing in the one module that checks it.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -84,3 +86,20 @@ def test_template_annotator_reads_the_build_template_arguments(tracing):
     cell = tracing._template_cell(bound.arguments, None)["cell"]
     assert cell.startswith("('Cesium', 100000000.0, 10.0, 'Bare', 0.0, False, ")
     assert cell.endswith(", 86400.0, 300.0)")
+
+
+def test_only_jsonfile_imports_json():
+    # Every JSON document goes through gammasort.jsonfile's one writer and one
+    # checked reader; a second ``import json`` would be a second, unchecked path.
+    importers = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gammasort").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "json" or name.startswith("json.") for name in names):
+                importers.append(path.name)
+    assert importers == ["jsonfile.py"]
