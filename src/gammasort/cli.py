@@ -16,12 +16,10 @@ import numpy as np
 
 from . import svgplot
 from .ensemble import (
-    SOURCE_RECORD,
-    _config_from_record,
-    _config_record,
     read_dataset,
     sample_dataset,
     stack_templates,
+    template_dataset,
     write_dataset,
 )
 from .experiment import (
@@ -42,13 +40,11 @@ from .experiment import (
 )
 from .forward_model import (
     TEMPLATE_DWELL_S,
-    SourceConfig,
     build_template,  # noqa: F401  (bound: perfbench's selftest reads cli.build_template)
-    template_matrix,
 )
 from .jsonfile import read_json, write_json
 from .neuralnet import load_model
-from .spectra import Spectrum, SpectrumKind, read_spectrum_csv, rebin_counts, write_spectrum_csv
+from .spectra import SpectrumKind, rebin_counts
 
 
 def _config_overrides(args) -> tuple[dict, dict]:
@@ -71,70 +67,18 @@ def load_config(args) -> dict:
     return _config_overrides(args)[1]
 
 
-def _template_name(index: int, config: SourceConfig) -> str:
-    return (
-        f"template_{index:03d}_{config.isotope.name}_"
-        f"{config.distance_m:g}m_{config.shielding.material.value}.csv"
-    )
-
-
 def cmd_synth(args) -> int:
     config = load_config(args)
     out_dir = Path(args.out)
-    detector = detector_from_config(config)
-    grid = grid_from_config(config)
     # Built in full before the first write, so a failing synth writes nothing.
-    counts = template_matrix(grid, detector, TEMPLATE_DWELL_S, config["grid"]["background_cps"])
+    templates = template_dataset(
+        grid_from_config(config), task_from_config(config), detector_from_config(config),
+        TEMPLATE_DWELL_S, background_cps=config["grid"]["background_cps"],
+    )
     write_config(config, out_dir)
-
-    names = [_template_name(index, source) for index, source in enumerate(grid)]
-    for name, row in zip(names, counts):
-        template = Spectrum(
-            row, detector.calibration, TEMPLATE_DWELL_S, SpectrumKind.EXPECTED_TEMPLATE
-        )
-        write_spectrum_csv(template, out_dir / name)
-    manifest = {
-        "dwell_s": TEMPLATE_DWELL_S,
-        "n_templates": len(names),
-        "templates": [
-            {"path": name, **_config_record(cfg)} for name, cfg in zip(names, grid)
-        ],
-    }
-    write_json(out_dir / "templates_manifest.json", manifest)
-    print(f"wrote {len(names)} templates to {out_dir}")
+    write_dataset(templates, out_dir)
+    print(f"wrote {len(templates)} templates to {out_dir}")
     return 0
-
-
-def _read_templates_manifest(path: Path) -> tuple[list[str], list[SourceConfig]]:
-    """Template file names and their source configs, as listed by ``synth``."""
-    entries = read_json(path, {"templates": [{"path": "", **SOURCE_RECORD}]})["templates"]
-    if not entries:
-        raise ValueError(f"{path}: templates: expected a non-empty list")
-    sources, built = [], {}
-    for i, entry in enumerate(entries):
-        try:
-            sources.append(_config_from_record(entry, built))
-        except ValueError as err:
-            raise ValueError(f"{path}: templates[{i}]: {err}") from err
-    return [entry["path"] for entry in entries], sources
-
-
-def _read_templates(paths: list[Path]) -> tuple[np.ndarray, Spectrum]:
-    """The template files' counts as one matrix, one row per file, and the first file.
-
-    Every file must be an expected-count template with the first file's
-    calibration and dwell; the first that is not is named in the error.
-    """
-    first = read_spectrum_csv(paths[0])
-    counts = np.empty((len(paths), first.n_channels))
-    for row, path in enumerate(paths):
-        template = read_spectrum_csv(path) if row else first
-        if template.kind is not SpectrumKind.EXPECTED_TEMPLATE:
-            raise ValueError(f"{path}: kind={template.kind.value}, templates need kind=template")
-        if (template.calibration, template.dwell_s) != (first.calibration, first.dwell_s):
-            raise ValueError(f"{path}: calibration or dwell differs from {paths[0]}")
-        counts[row] = template.counts
-    return counts, first
 
 
 def cmd_sample(args) -> int:
@@ -142,16 +86,22 @@ def cmd_sample(args) -> int:
     templates_dir = args.templates or config["paths"]["templates"]
     if templates_dir is None:
         raise ValueError("sample needs --templates or paths.templates in the config")
-    manifest_path = Path(templates_dir) / "templates_manifest.json"
-    names, sources = _read_templates_manifest(manifest_path)
+    task, factor = task_from_config(config), rebin_factor(config)
+    calibration = detector_from_config(config).calibration
+    manifest_path = Path(templates_dir) / "manifest.json"
+    stored = read_dataset(manifest_path)
+    if stored.kind is not SpectrumKind.EXPECTED_TEMPLATE:
+        raise ValueError(f"{manifest_path}: kind={stored.kind.value}, templates need kind=template")
+    if stored.calibration != calibration:
+        raise ValueError(
+            f"{manifest_path}: templates have calibration {stored.calibration}, "
+            f"the config's detector has {calibration}"
+        )
 
     out_dir = Path(args.out)
-    task = task_from_config(config)
-    factor = rebin_factor(config)
     samples, seed = config["samples_per_config"], config["seed"]
-    counts, first = _read_templates([manifest_path.parent / name for name in names])
-    counts, cal = rebin_counts(counts, first.calibration, factor)
-    templates = stack_templates(counts, cal, first.dwell_s, sources, task)
+    counts, cal = rebin_counts(stored.counts, calibration, factor)
+    templates = stack_templates(counts, cal, stored.dwell_s, list(stored.provenance), task)
     ds = sample_dataset(templates, samples, config["dwell_s"], seed)
     write_config(config, out_dir)
     write_dataset(ds, out_dir, extra={"seed": seed, "samples_per_config": samples})

@@ -297,15 +297,13 @@ def split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[Labeled
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 
-# One source record of a dataset or templates manifest, as a typed example.
-SOURCE_RECORD = {"isotope": "", "activity_bq": 0.0, "distance_m": 0.0, "material": "",
-                 "thickness_cm": 0.0, "include_background": False}
-
 # The keys :func:`read_dataset` reads from a dataset manifest.
 DATASET_MANIFEST = {
     "task": "", "kind": "", "data_csv": "", "n_items": 0, "dwell_s": 0.0,
     "calibration": {"e_min": 0.0, "e_max": 0.0, "n_channels": 0},
-    "sources": [SOURCE_RECORD], "source_index": [0],
+    "sources": [{"isotope": "", "activity_bq": 0.0, "distance_m": 0.0, "material": "",
+                 "thickness_cm": 0.0, "include_background": False}],
+    "source_index": [0],
 }
 
 

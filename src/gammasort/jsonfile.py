@@ -3,6 +3,8 @@
 A schema is a typed example: each key it names is required and takes the
 type of its value, and keys it lacks pass through unchecked.  Errors name the
 file and the dotted key: ``<path>: <dotted.key>: expected <type>, got <value>``.
+``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: the reader refuses them
+and the writer never emits them.
 A run config is merged over the defaults first (:func:`_deep_merge`), so
 there every key is optional and a key the defaults lack is an error.
 """
@@ -14,18 +16,22 @@ from pathlib import Path
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path: str | Path, schema: dict) -> dict:
     """The JSON object in ``path``, checked against ``schema``; errors name the file."""
     path = Path(path)
     try:
-        return checked(json.loads(path.read_text()), schema)
+        return checked(json.loads(path.read_text(), parse_constant=_not_json), schema)
     except FileNotFoundError:
         raise FileNotFoundError(f"{path}: not found") from None
     except ValueError as err:  # malformed JSON and UTF-8 too
         raise ValueError(f"{path}: {err}") from err
+
+
+def _not_json(token: str):
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def checked(doc, schema: dict, where: str = "", nullable=frozenset()) -> dict:

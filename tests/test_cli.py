@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,17 @@ from hypothesis import strategies as st
 
 from gammasort import cli
 from gammasort.cli import main
+from gammasort.ensemble import build_dataset, read_dataset, write_dataset
+from gammasort.experiment import (
+    detector_from_config,
+    grid_from_config,
+    rebin_factor,
+    run_config,
+    task_from_config,
+)
+from gammasort.jsonfile import write_json
 from gammasort.neuralnet import LinearParams, save_model
-from gammasort.spectra import Spectrum, SpectrumKind, read_spectrum_csv, write_spectrum_csv
+from gammasort.spectra import SpectrumKind
 
 SMALL_GRID_CONFIG = {
     "grid": {
@@ -56,16 +66,21 @@ def run_process(*argv, stdin=None):
     )
 
 
+def assert_templates(out, n):
+    """``out`` is a template dataset of ``n`` rows at the 86400 s dwell, and nothing else."""
+    templates = read_dataset(out)
+    assert len(templates) == n
+    assert templates.kind is SpectrumKind.EXPECTED_TEMPLATE
+    assert templates.dwell_s == 86400.0
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "data.csv", "manifest.json"]
+
+
 class TestSynth:
     def test_writes_one_template_per_grid_cell(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "tpl"
         assert run("synth", "--config", cfg, "--out", out) == 0
-        assert len(list(out.glob("template_*.csv"))) == 8
-        manifest = json.loads((out / "templates_manifest.json").read_text())
-        assert manifest["n_templates"] == 8
-        assert manifest["dwell_s"] == 86400.0
-        assert (out / "config.json").is_file()
+        assert_templates(out, 8)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -120,7 +135,7 @@ class TestSynth:
         # 5 isotopes x 11 distances x 4 shieldings
         out = tmp_path / "tpl"
         assert run("synth", "--out", out) == 0
-        assert len(list(out.glob("template_*.csv"))) == 220
+        assert_templates(out, 220)
 
 
 class TestSample:
@@ -160,6 +175,24 @@ class TestSample:
         run("sample", "--config", cfg, "--templates", tpl, "--out", ds, "--rebin", 256)
         first = (ds / "data.csv").read_text().splitlines()[0]
         assert len(first.split(",")) == 257  # label + 256 channels
+
+    def test_synth_then_sample_is_build_dataset(self, tmp_path):
+        overrides = {**SMALL_GRID_CONFIG, "task": "ShieldingID"}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(overrides))
+        tpl, ds = tmp_path / "tpl", tmp_path / "ds"
+        assert run("synth", "--config", cfg, "--out", tpl) == 0
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", ds) == 0
+        config = run_config(overrides)
+        samples, seed = config["samples_per_config"], config["seed"]
+        built = build_dataset(
+            grid_from_config(config), task_from_config(config), detector_from_config(config),
+            samples, config["dwell_s"], seed, rebin_factor(config),
+            config["grid"]["background_cps"],
+        )
+        write_dataset(built, tmp_path / "built", extra={"seed": seed, "samples_per_config": samples})
+        for name in ("data.csv", "manifest.json"):
+            assert (ds / name).read_bytes() == (tmp_path / "built" / name).read_bytes(), name
 
 
 class TestConfig:
@@ -379,7 +412,7 @@ class TestScenarioCommand:
         proc = run_process("synth", "--config", "/dev/stdin", "--out", out,
                            stdin=json.dumps(SMALL_GRID_CONFIG))
         assert proc.returncode == 0, proc.stderr
-        assert len(list(out.glob("template_*.csv"))) == 8
+        assert_templates(out, 8)
 
 
 class TestSvgContent:
@@ -401,7 +434,7 @@ class TestSvgContent:
 
 
 class TestSampleManifest:
-    """A malformed templates manifest ends ``sample`` with exit 2 and one error line."""
+    """Templates ``sample`` cannot use end it with exit 2 and one error line."""
 
     @pytest.fixture()
     def templates(self, tmp_path):
@@ -416,88 +449,63 @@ class TestSampleManifest:
         err = capsys.readouterr().err
         assert err.startswith("gammasort: error:")
         assert err.count("\n") == 1
-        assert "templates_manifest.json" in err
+        assert not (tmp_path / "ds").exists()
         return err
 
-    def test_entry_without_path(self, templates, tmp_path, capsys):
-        cfg, tpl = templates
-        manifest = json.loads((tpl / "templates_manifest.json").read_text())
-        del manifest["templates"][3]["path"]
-        (tpl / "templates_manifest.json").write_text(json.dumps(manifest))
-        err = self.sample_error(capsys, cfg, tpl, tmp_path)
-        assert "templates[3]" in err
-        assert "'path'" in err
+    def edit_manifest(self, tpl, edit):
+        manifest = json.loads((tpl / "manifest.json").read_text())
+        edit(manifest)
+        (tpl / "manifest.json").write_text(json.dumps(manifest))
 
-    def test_missing_templates_key(self, templates, tmp_path, capsys):
+    def test_source_without_a_field(self, templates, tmp_path, capsys):
         cfg, tpl = templates
-        manifest = json.loads((tpl / "templates_manifest.json").read_text())
-        del manifest["templates"]
-        (tpl / "templates_manifest.json").write_text(json.dumps(manifest))
-        assert "'templates'" in self.sample_error(capsys, cfg, tpl, tmp_path)
+        self.edit_manifest(tpl, lambda doc: doc["sources"][3].pop("distance_m"))
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert str(tpl / "manifest.json") in err
+        assert "sources[3]: missing key 'distance_m'" in err
+
+    def test_missing_sources_key(self, templates, tmp_path, capsys):
+        cfg, tpl = templates
+        self.edit_manifest(tpl, lambda doc: doc.pop("sources"))
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert str(tpl / "manifest.json") in err
+        assert "missing key 'sources'" in err
 
     @pytest.mark.parametrize("row", ["1,abc", "0,1.0,2"])
     def test_bad_template_row_names_the_file(self, templates, tmp_path, capsys, row):
         cfg, tpl = templates
-        template = sorted(tpl.glob("template_*.csv"))[2]
-        lines = template.read_text().splitlines()
+        lines = (tpl / "data.csv").read_text().splitlines()
         lines[-1] = row
-        template.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gammasort: error:")
-        assert err.count("\n") == 1
-        assert f"{template.name}:{len(lines)}:" in err
-
-    @pytest.mark.parametrize("token, bad", [("kind=template", "kind=bogus"),
-                                            ("kind=template", "kind"),
-                                            ("e_min=0.0", "e_min=abc")])
-    def test_bad_template_header_names_the_file(self, templates, tmp_path, capsys, token, bad):
-        cfg, tpl = templates
-        template = sorted(tpl.glob("template_*.csv"))[1]
-        lines = template.read_text().splitlines()
-        assert token in lines[0]
-        lines[0] = lines[0].replace(token, bad)
-        template.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gammasort: error:")
-        assert err.count("\n") == 1
-        assert f"{template.name}:1: " in err
-
-    def mismatch_error(self, capsys, cfg, tpl, tmp_path):
-        capsys.readouterr()
-        assert run("sample", "--config", cfg, "--templates", tpl, "--out", tmp_path / "ds") == 2
-        assert not (tmp_path / "ds").exists()
-        return capsys.readouterr().err
-
-    def test_template_with_another_dwell_names_the_file(self, templates, tmp_path, capsys):
-        cfg, tpl = templates
-        first, template = sorted(tpl.glob("template_*.csv"))[::5]
-        template.write_text(template.read_text().replace("dwell=86400.0", "dwell=3600.0", 1))
-        assert self.mismatch_error(capsys, cfg, tpl, tmp_path) == (
-            f"gammasort: error: {template}: calibration or dwell differs from {first}\n"
-        )
+        (tpl / "data.csv").write_text("\n".join(lines) + "\n")
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert f"{tpl / 'data.csv'}:{len(lines)}: " in err
 
     def test_sampled_spectrum_among_templates_names_the_file(self, templates, tmp_path, capsys):
         cfg, tpl = templates
-        template = sorted(tpl.glob("template_*.csv"))[5]
-        counts = read_spectrum_csv(template)
-        write_spectrum_csv(
-            Spectrum(np.floor(counts.counts), counts.calibration, counts.dwell_s,
-                     SpectrumKind.SAMPLED_REALIZATION),
-            template,
+        sampled = tmp_path / "sampled"
+        assert run("sample", "--config", cfg, "--templates", tpl, "--out", sampled) == 0
+        assert self.sample_error(capsys, cfg, sampled, tmp_path) == (
+            f"gammasort: error: {sampled / 'manifest.json'}: "
+            "kind=sample, templates need kind=template\n"
         )
-        assert self.mismatch_error(capsys, cfg, tpl, tmp_path) == (
-            f"gammasort: error: {template}: kind=sample, templates need kind=template\n"
+
+    def test_templates_of_another_calibration(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        tpl = tmp_path / "tpl"
+        synth_cfg = write_config(tmp_path, {"detector": {"n_channels": 512}}, name="synth.json")
+        assert run("synth", "--config", synth_cfg, "--out", tpl) == 0
+        assert self.sample_error(capsys, cfg, tpl, tmp_path) == (
+            f"gammasort: error: {tpl / 'manifest.json'}: templates have calibration "
+            "EnergyCalibration(e_min=0.0, e_max=3000.0, n_channels=512), the config's detector "
+            "has EnergyCalibration(e_min=0.0, e_max=3000.0, n_channels=1024)\n"
         )
 
     def test_manifest_is_a_list(self, templates, tmp_path, capsys):
         cfg, tpl = templates
-        manifest = json.loads((tpl / "templates_manifest.json").read_text())
-        (tpl / "templates_manifest.json").write_text(json.dumps(manifest["templates"]))
-        self.sample_error(capsys, cfg, tpl, tmp_path)
+        manifest = json.loads((tpl / "manifest.json").read_text())
+        (tpl / "manifest.json").write_text(json.dumps(manifest["sources"]))
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert f"{tpl / 'manifest.json'}: expected a JSON object, got list" in err
 
 
 class TestConfigChecks:
@@ -698,10 +706,12 @@ CHECKED_FIELDS = {
         "sources[0].material", "sources[0].thickness_cm", "sources[0].include_background",
         "source_index", "source_index[2]",
     ],
-    "templates_manifest.json": [
-        "templates", "templates[0]", "templates[1].path", "templates[0].isotope",
-        "templates[0].activity_bq", "templates[0].distance_m", "templates[0].material",
-        "templates[1].thickness_cm", "templates[0].include_background",
+    "tpl/manifest.json": [
+        "task", "kind", "data_csv", "n_items", "dwell_s", "calibration", "calibration.e_min",
+        "calibration.e_max", "calibration.n_channels", "sources", "sources[1]",
+        "sources[0].isotope", "sources[0].activity_bq", "sources[0].distance_m",
+        "sources[1].material", "sources[1].thickness_cm", "sources[0].include_background",
+        "source_index", "source_index[1]",
     ],
     "config.json": [
         "detector", "detector.n_channels", "rebin", "grid", "grid.isotopes", "grid.isotopes[1]",
@@ -754,12 +764,11 @@ class TestJsonReadersFuzz:
         argv = {
             "model.json": ["eval", "--model", work / "model.json", "--dataset", work / "ds"],
             "manifest.json": ["eval", "--model", work / "model.json", "--dataset", work / "ds"],
-            "templates_manifest.json": ["sample", "--config", work / "config.json",
-                                        "--templates", work / "tpl", "--out", work / "out"],
+            "tpl/manifest.json": ["sample", "--config", work / "config.json",
+                                  "--templates", work / "tpl", "--out", work / "out"],
             "config.json": ["synth", "--config", work / "config.json", "--out", work / "out"],
         }[name]
-        path = {"manifest.json": work / "ds", "templates_manifest.json": work / "tpl"}.get(name, work)
-        return argv, path / name
+        return argv, work / ("ds/manifest.json" if name == "manifest.json" else name)
 
     def error(self, argv) -> str:
         with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()):
@@ -773,8 +782,8 @@ class TestJsonReadersFuzz:
     @example(field=("manifest.json", "sources[0].distance_m"), value=True)
     @example(field=("manifest.json", "sources[0].include_background"), value="yes")
     @example(field=("manifest.json", "dwell_s"), value="abc")
-    @example(field=("templates_manifest.json", "templates[0].distance_m"), value=True)
-    @example(field=("templates_manifest.json", "templates[0].activity_bq"), value="abc")
+    @example(field=("tpl/manifest.json", "sources[0].distance_m"), value=True)
+    @example(field=("tpl/manifest.json", "sources[0].activity_bq"), value="abc")
     @settings(max_examples=60, deadline=None)
     def test_field_of_another_type(self, inputs, field, value):
         name, key = field
@@ -796,6 +805,26 @@ class TestJsonReadersFuzz:
         err = self.error(argv)
         assert err.startswith(f"gammasort: error: {path}: Expecting property name")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name, key", [("config.json", "grid.distances_m[0]"),
+                                           ("model.json", "bias[0]"),
+                                           ("manifest.json", "dwell_s")])
+    def test_non_json_number_is_refused(self, inputs, tmp_path, name, key, token):
+        argv, path = self.command(inputs, name, tmp_path)
+        doc, _ = replaced(json.loads(path.read_text()), key, "@token@")
+        path.write_text(json.dumps(doc).replace('"@token@"', token))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.error(argv)
+        assert err == f"gammasort: error: {path}: {token} is not a JSON number\n"
+        assert caught == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_writer_emits_no_non_json_number(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "doc.json", {"dwell_s": value})
+        assert not (tmp_path / "doc.json").exists()
 
     @pytest.mark.parametrize("bias", [["abc"] * 5, [[0.0]] * 5, [{}] * 5, [None] * 5, [0.0] * 4])
     def test_model_array_the_constructor_rejects(self, inputs, bias, tmp_path):

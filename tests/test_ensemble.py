@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gammasort import nucleardata, seeding
-from gammasort.cli import _read_templates_manifest
 from gammasort.ensemble import (
     _cell_format,
     _config_record,
@@ -532,14 +531,6 @@ class TestTableLoads:
         assert [_config_record(c) for c in back.provenance] == [
             _config_record(c) for c in full_grid
         ]
-
-    def test_reading_a_220_source_templates_manifest(self, tmp_path, full_grid, loads):
-        entries = [{"path": f"t{i}.csv", **_config_record(c)} for i, c in enumerate(full_grid)]
-        manifest = tmp_path / "templates_manifest.json"
-        manifest.write_text(json.dumps({"templates": entries}))
-        _, sources = _read_templates_manifest(manifest)
-        assert len(loads) <= 8
-        assert [_config_record(c) for c in sources] == [_config_record(c) for c in full_grid]
 
 
 class TestSeeding:

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps module attributes with ``getattr`` when it
 installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
 and ``cli.build_template``.  A rename in ``src/`` would break the traced
-benchmark without failing any other test.  The last guard keeps JSON reading
-and writing in the one module that checks it.
+benchmark without failing any other test.  The last guards keep JSON reading
+and writing in the one module that checks it, and keep unused imports out of
+the package.
 """
 
 import ast
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "gammasort"
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ def test_only_jsonfile_imports_json():
     # Every JSON document goes through gammasort.jsonfile's one writer and one
     # checked reader; a second ``import json`` would be a second, unchecked path.
     importers = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gammasort").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -103,3 +105,27 @@ def test_only_jsonfile_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.append(path.name)
     assert importers == ["jsonfile.py"]
+
+
+def test_no_unused_imports():
+    # No linter is installed, so this stands in for flake8's F401: a name a
+    # module imports and never reads is dead code that a refactor left behind.
+    # A name kept for readers outside the module says so with ``# noqa: F401``.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # the package's public names
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
