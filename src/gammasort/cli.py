@@ -63,6 +63,17 @@ def _config_overrides(args) -> tuple[dict, dict]:
         raise ValueError(f"{err} (in {args.config})") from err
 
 
+def _seed_flag(text: str) -> int:
+    """``--seed``'s argparse type; argparse names the flag in the error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def load_config(args) -> dict:
     return _config_overrides(args)[1]
 
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, out_required=True):
         p.add_argument("--config", help="JSON run config (merged over defaults)")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", type=_seed_flag, help="master seed override")
         p.add_argument("--rebin", type=int, choices=(1024, 256),
                        help="channel count after rebinning")
         p.add_argument("--out", required=out_required, help="output directory")

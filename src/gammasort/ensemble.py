@@ -228,18 +228,22 @@ def sample_dataset(
 
     Item ``si`` of template ``ci`` draws on the stream of
     ``derive_seed(seed, ci, si)``, exactly as :func:`poisson_sample` would,
-    so every item is independent of the others and of the build order.
+    so every item is independent of the others and of the build order.  The
+    stream keys of all items are computed at once by :func:`seeding.philox_keys`.
     """
     if templates.kind is not SpectrumKind.EXPECTED_TEMPLATE:
         raise ValueError("can only Poisson-sample expected-count templates")
     if samples_per_config < 1:
         raise ValueError("samples_per_config must be at least 1 (empty dataset rejected)")
+    if not dwell_s > 0:
+        raise ValueError(f"target dwell {dwell_s} must be positive")
     lam = templates.counts * (dwell_s / templates.dwell_s)
     rows = np.repeat(np.arange(len(templates)), samples_per_config)
+    sample_index = np.tile(np.arange(samples_per_config), len(templates))
+    keys = seeding.philox_keys(seed, rows, sample_index)
     counts = np.empty((rows.size, templates.n_channels))
-    for item, ci in enumerate(rows):
-        si = item % samples_per_config
-        counts[item] = seeding.rng(seeding.derive_seed(seed, int(ci), si)).poisson(lam[ci])
+    for item, (ci, generator) in enumerate(zip(rows, seeding.keyed_rngs(keys))):
+        counts[item] = generator.poisson(lam[ci])
     return LabeledDataset(
         counts,
         templates.labels[rows],

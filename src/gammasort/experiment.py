@@ -109,10 +109,19 @@ SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
 
 
 def run_config(*overrides: dict) -> dict:
-    """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn."""
+    """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn.
+
+    A negative seed or a dwell that is not positive is an error naming its key.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     for override in overrides:
         config = checked(_deep_merge(config, override), DEFAULT_CONFIG, nullable=_NULLABLE)
+    if config["seed"] < 0:
+        raise ValueError(f"seed: expected a non-negative integer, got {config['seed']}")
+    for key, dwell in (("dwell_s", config["dwell_s"]),
+                       ("train.train_dwell_s", config["train"]["train_dwell_s"])):
+        if not dwell > 0:
+            raise ValueError(f"{key}: expected a positive dwell, got {dwell}")
     return config
 
 

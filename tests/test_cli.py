@@ -562,6 +562,35 @@ class TestConfigChecks:
         err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("argv", [["sample"], ["scenario", "isotope"]])
+    def test_negative_seed_flag_names_the_flag(self, tmp_path, capsys, argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--seed", -1, "--out", tmp_path / "x")
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed: expected a non-negative integer, got '-1'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_in_config_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"seed": -3})
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", tmp_path / "x")
+        assert err == f"gammasort: error: seed: expected a non-negative integer, got -3 (in {cfg})\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, override", [
+        ("dwell_s", {"dwell_s": -2.0}),
+        ("dwell_s", {"dwell_s": 0.0}),
+        ("train.train_dwell_s", {"train": {"train_dwell_s": -1.0}}),
+        ("train.train_dwell_s", {"train": {"train_dwell_s": 0}}),
+    ])
+    def test_dwell_that_is_not_positive_names_the_key(self, tmp_path, capsys, key, override):
+        cfg = write_config(tmp_path, override)
+        out = tmp_path / "x"
+        err = self.config_error(capsys, "scenario", "isotope", "--config", cfg, "--out", out)
+        assert err.startswith(f"gammasort: error: {key}: expected a positive dwell, got ")
+        assert not out.exists()
+
     def test_int_for_float_and_null_batch_size_are_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"distances_m": [10, 15]},
                                       "train": {"batch_size": None, "learning_rate": 1}})

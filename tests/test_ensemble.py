@@ -163,11 +163,16 @@ class TestBuildDataset:
 
 
 class TestSampleDataset:
-    def test_rows_follow_the_per_item_seed_contract(self, small_grid):
+    @pytest.mark.parametrize(
+        "seed", [17, 2**128 - 1, 2**200 + 3], ids=["17", "2**128-1", "2**200+3"]
+    )
+    @pytest.mark.parametrize("n_channels", [256, 1024])
+    def test_rows_follow_the_per_item_seed_contract(self, small_grid, seed, n_channels):
+        factor = DETECTOR.calibration.n_channels // n_channels
         templates = template_dataset(
-            small_grid, TaskKind.ISOTOPE_ID, DETECTOR, TEMPLATE_DWELL_S, rebin_factor=4
+            small_grid, TaskKind.ISOTOPE_ID, DETECTOR, TEMPLATE_DWELL_S, rebin_factor=factor
         )
-        ds = sample_dataset(templates, 3, 2.0, seed=17)
+        ds = sample_dataset(templates, 3, 2.0, seed=seed)
         assert len(ds) == 3 * len(small_grid)
         for ci in range(len(small_grid)):
             template = Spectrum(
@@ -175,7 +180,7 @@ class TestSampleDataset:
                 SpectrumKind.EXPECTED_TEMPLATE,
             )
             for si in range(3):
-                expected = poisson_sample(template, 2.0, seeding.derive_seed(17, ci, si))
+                expected = poisson_sample(template, 2.0, seeding.derive_seed(seed, ci, si))
                 assert np.array_equal(ds.counts[3 * ci + si], expected.counts)
                 assert ds.provenance[3 * ci + si] is small_grid[ci]
         assert ds.dwell_s == 2.0
@@ -188,6 +193,20 @@ class TestSampleDataset:
         via = sample_dataset(templates, 2, 1.0, seed=4)
         assert np.array_equal(direct.as_matrix(), via.as_matrix())
         assert np.array_equal(direct.labels, via.labels)
+
+    @pytest.mark.parametrize("seed, dwell, match", [
+        (-1, 1.0, "seed must be a non-negative integer"),
+        (1, 0.0, "target dwell 0.0 must be positive"),
+        (1, -2.0, "target dwell -2.0 must be positive"),
+    ])
+    def test_rejects_a_negative_seed_and_a_dwell_that_is_not_positive(
+        self, small_grid, seed, dwell, match
+    ):
+        templates = template_dataset(
+            small_grid, TaskKind.ISOTOPE_ID, DETECTOR, TEMPLATE_DWELL_S, rebin_factor=4
+        )
+        with pytest.raises(ValueError, match=match):
+            sample_dataset(templates, 2, dwell, seed=seed)
 
     def test_rejects_realizations_as_templates(self, small_grid):
         ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 1, 1.0, seed=1, rebin_factor=4)
@@ -542,3 +561,29 @@ class TestSeeding:
         a = seeding.rng(5, 0).uniform(size=4)
         b = seeding.rng(5, 1).uniform(size=4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, seeding.derive_seed(42, 7001), 2**200 + 3,
+    ], ids=["0", "1", "2**32-1", "2**32", "2**64", "2**128-1", "derive_seed(42,7001)", "2**200+3"])
+    def test_philox_keys_are_the_per_item_stream_keys(self, seed):
+        pairs = [(0, 0), (219, 19), (5000, 0), (3, 2**32 - 1), (2**32 - 1, 7)]
+        keys = seeding.philox_keys(seed, [ci for ci, _ in pairs], [si for _, si in pairs])
+        assert keys.dtype == np.uint64 and keys.shape == (len(pairs), 2)
+        for key, (ci, si) in zip(keys, pairs):
+            expected = seeding.rng(seeding.derive_seed(seed, ci, si)).bit_generator.state
+            assert np.array_equal(key, expected["state"]["key"]), (ci, si)
+
+    def test_keyed_rngs_draw_the_per_item_streams(self):
+        keys = seeding.philox_keys(7, [0, 1, 0], [0, 0, 1])
+        draws = [g.uniform(size=5) for g in seeding.keyed_rngs(keys)]
+        for got, (ci, si) in zip(draws, [(0, 0), (1, 0), (0, 1)]):
+            assert np.array_equal(got, seeding.rng(seeding.derive_seed(7, ci, si)).uniform(size=5))
+
+    @pytest.mark.parametrize("seed, ci, si, match", [
+        (-3, [0], [0], "seed must be a non-negative integer, got -3"),
+        (1, [2**32], [0], "subkeys must be below 2..32"),
+        (1, [0, 1], [0], "not one length"),
+    ])
+    def test_philox_keys_refuses_what_has_no_per_item_stream(self, seed, ci, si, match):
+        with pytest.raises(ValueError, match=match):
+            seeding.philox_keys(seed, ci, si)

@@ -4,8 +4,8 @@
 installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
 and ``cli.build_template``.  A rename in ``src/`` would break the traced
 benchmark without failing any other test.  The last guards keep JSON reading
-and writing in the one module that checks it, and keep unused imports out of
-the package.
+and writing in the one module that checks it, keep random streams in
+``seeding``, and keep unused imports out of the package.
 """
 
 import ast
@@ -105,6 +105,26 @@ def test_only_jsonfile_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.append(path.name)
     assert importers == ["jsonfile.py"]
+
+
+def test_only_seeding_calls_numpy_random():
+    # Every random stream is keyed in gammasort.seeding, which also computes
+    # the Philox keys of whole datasets at once; a stream built elsewhere
+    # would escape the per-item seed contract.  Annotations are not calls.
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                names = [ast.unparse(node.func)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            callers += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.startswith(("np.random.", "numpy.random"))]
+    assert callers and all(c.startswith("seeding.py:") for c in callers), callers
 
 
 def test_no_unused_imports():
