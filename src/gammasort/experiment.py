@@ -10,6 +10,7 @@ with the linear and hidden-layer architectures side by side.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,17 +40,17 @@ from .jsonfile import _deep_merge, checked, write_json
 from .neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
+    PROB_FLOOR,
     AdamHyper,
     LinearParams,
     NetworkParams,
-    adam_step,
-    backward,
-    cross_entropy,
+    _adam_update,
+    _gradients_into,
+    _zeros_like,
     forward,
     init_adam,
     init_params,
     save_model,
-    softmax,
 )
 from .spectra import EnergyCalibration, _format_float, read_csv_table
 
@@ -97,6 +98,19 @@ DEFAULT_CONFIG: dict = {
 # Leaves that also take null; ``None`` means full-batch training.
 _NULLABLE = {"train.batch_size"}
 
+# The value ranges run_config checks, by dotted key: what the range is and a test.
+_RANGES = {
+    "seed": ("a non-negative integer", lambda v: v >= 0),
+    "dwell_s": ("a positive dwell", lambda v: v > 0),
+    "train.train_dwell_s": ("a positive dwell", lambda v: v > 0),
+    "train.learning_rate": ("a positive value", lambda v: v > 0),
+    "train.beta1": ("a value in [0, 1)", lambda v: 0 <= v < 1),
+    "train.beta2": ("a value in [0, 1)", lambda v: 0 <= v < 1),
+    "train.epsilon": ("a positive value", lambda v: v > 0),
+    "train.oversample_ratio": ("a non-negative value", lambda v: v >= 0),
+    "grid.background_cps": ("a non-negative value", lambda v: v >= 0),
+}
+
 # Canned scenarios, each merged over DEFAULT_CONFIG.  The gauge window
 # structure converges slowly; it gets a longer schedule and a hotter step size
 # than the single-peak-feature tasks.
@@ -111,17 +125,15 @@ SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
 def run_config(*overrides: dict) -> dict:
     """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn.
 
-    A negative seed or a dwell that is not positive is an error naming its key.
+    A value outside its range in ``_RANGES`` is an error naming its dotted key.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     for override in overrides:
         config = checked(_deep_merge(config, override), DEFAULT_CONFIG, nullable=_NULLABLE)
-    if config["seed"] < 0:
-        raise ValueError(f"seed: expected a non-negative integer, got {config['seed']}")
-    for key, dwell in (("dwell_s", config["dwell_s"]),
-                       ("train.train_dwell_s", config["train"]["train_dwell_s"])):
-        if not dwell > 0:
-            raise ValueError(f"{key}: expected a positive dwell, got {dwell}")
+    for key, (expected, ok) in _RANGES.items():
+        value = functools.reduce(dict.__getitem__, key.split("."), config)
+        if not ok(value):
+            raise ValueError(f"{key}: expected {expected}, got {value}")
     return config
 
 
@@ -236,13 +248,25 @@ class MetricsHistory:
         }
 
 
-def _metrics_from_predictions(logits, labels, n_classes: int) -> EvalResult:
-    probs = softmax(logits)
-    loss = cross_entropy(probs, labels)
+def _mean_loss(logits: np.ndarray, true: np.ndarray) -> float:
+    """``cross_entropy(softmax(logits), one_hot)`` bit for bit, from the true-class indices.
+
+    The true class's probability is picked instead of summed from a one-hot
+    product; adding the zeros of the other classes changes no bit.
+    """
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
+    expz = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    picked = expz[np.arange(len(true)), true] / np.sum(expz, axis=-1)
+    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
+
+
+def _metrics(logits: np.ndarray, true: np.ndarray, n_classes: int) -> EvalResult:
+    """Loss, accuracies and confusion of ``logits`` against the true-class indices."""
+    loss = _mean_loss(logits, true)
     predicted = np.argmax(logits, axis=-1)
-    true = np.argmax(labels, axis=-1)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true, predicted), 1)
+    confusion = np.bincount(true * n_classes + predicted, minlength=n_classes * n_classes)
+    confusion = confusion.reshape(n_classes, n_classes)
     row_totals = confusion.sum(axis=1)
     diag = np.diag(confusion).astype(np.float64)
     per_class = np.where(row_totals > 0, diag / np.maximum(row_totals, 1), 0.0)
@@ -261,8 +285,7 @@ def evaluate(params: NetworkParams, ds: LabeledDataset) -> EvalResult:
             f"task mismatch: model emits {params.n_classes} classes, "
             f"dataset task {ds.task.value} has {ds.task.n_classes}"
         )
-    logits = forward(params, ds.as_matrix())
-    return _metrics_from_predictions(logits, ds.labels, params.n_classes)
+    return _metrics(forward(params, ds.as_matrix()), ds.label_indices(), params.n_classes)
 
 
 def train(
@@ -276,7 +299,9 @@ def train(
     Deterministic per cfg.seed: initialization, every epoch's shuffle, and
     therefore the whole trajectory reproduce bit for bit.  ``initial`` supplies
     the starting parameters; they are copied, because Adam updates in place.
-    A step that leaves non-finite parameters, or logits that overflow, raises
+    Each step writes its gradients into one buffer allocated here, through
+    the kernel and the Adam update that ``backward`` and ``adam_step`` check
+    and wrap.  A step that leaves non-finite parameters, or logits that overflow, raises
     ``ValueError`` naming the architecture and the epoch.
     """
     if train_ds.task is not test_ds.task:
@@ -288,8 +313,9 @@ def train(
 
     x_train = train_ds.as_matrix()
     y_train = np.asarray(train_ds.labels)
+    true_train = train_ds.label_indices()
     x_test = test_ds.as_matrix()
-    y_test = np.asarray(test_ds.labels)
+    true_test = test_ds.label_indices()
     n = x_train.shape[0]
 
     if initial is None:
@@ -299,6 +325,7 @@ def train(
     else:
         params = replace(initial)  # the constructor copies into a new buffer
     state = init_adam(params, cfg.hyper)
+    grads = _zeros_like(params)  # every step writes its gradients here
 
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     history = MetricsHistory()
@@ -308,13 +335,12 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, batch):
                     idx = order[start : start + batch]
-                    _, grads = backward(params, x_train[idx], y_train[idx])
-                    params, state = adam_step(params, grads, state)
+                    _gradients_into(grads, params, x_train[idx], y_train[idx])
+                    _adam_update(params.flat, grads.flat, state)
                     if not np.isfinite(params.flat).all():
                         raise ValueError("non-finite parameters")
-                train_loss = cross_entropy(softmax(forward(params, x_train)), y_train)
-                test_logits = forward(params, x_test)
-                result = _metrics_from_predictions(test_logits, y_test, params.n_classes)
+                train_loss = _mean_loss(forward(params, x_train), true_train)
+                result = _metrics(forward(params, x_test), true_test, params.n_classes)
         except ValueError as err:  # the inputs were checked above: the trajectory failed
             raise ValueError(f"{params.arch}: training diverged at epoch {epoch}: {err}") from err
         history.append(epoch, train_loss, result)

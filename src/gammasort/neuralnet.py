@@ -203,6 +203,40 @@ def cross_entropy(probs: np.ndarray, one_hot: np.ndarray) -> float:
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
+def _zeros_like(params: NetworkParams) -> NetworkParams:
+    """A container of ``params``' type and shapes over a new zero buffer."""
+    return type(params)(*(np.zeros_like(getattr(params, f.name)) for f in fields(params)))
+
+
+def _gradients_into(
+    grads: NetworkParams, params: NetworkParams, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Write the gradients of the mean loss over the rows ``(x, y)`` into
+    ``grads``' fields, views of ``grads.flat``; return the probabilities.
+
+    Unchecked: ``x`` is a float64 ``(n, channels)`` batch, ``y`` its
+    ``(n, classes)`` one-hot labels and ``grads`` of ``params``' type.
+    Logits that overflow raise ``ValueError`` (from :func:`softmax`).
+    """
+    n = x.shape[0]
+    if isinstance(params, LinearParams):
+        probs = softmax(x @ params.weights.T + params.bias)
+        dlogits = (probs - y) / n
+        np.matmul(dlogits.T, x, out=grads.weights)
+        np.sum(dlogits, axis=0, out=grads.bias)
+        return probs
+
+    y1 = np.tanh(x @ params.w1.T + params.b1)
+    probs = softmax(y1 @ params.w2.T + params.b2)
+    dlogits = (probs - y) / n
+    np.matmul(dlogits.T, y1, out=grads.w2)
+    np.sum(dlogits, axis=0, out=grads.b2)
+    dz1 = (dlogits @ params.w2) * (1.0 - y1 * y1)
+    np.matmul(dz1.T, x, out=grads.w1)
+    np.sum(dz1, axis=0, out=grads.b1)
+    return probs
+
+
 def backward(params: NetworkParams, x: np.ndarray, one_hot: np.ndarray):
     """Loss and analytic gradients of mean softmax cross-entropy.
 
@@ -211,34 +245,17 @@ def backward(params: NetworkParams, x: np.ndarray, one_hot: np.ndarray):
     """
     x = _check_input(params, x)
     y = np.asarray(one_hot, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
+    if x.ndim == 1:
         x = x[None, :]
         y = y[None, :]
     if y.shape != (x.shape[0], params.n_classes):
         raise ValueError(f"labels shape {y.shape} does not match batch x classes")
-    n = x.shape[0]
-
-    if isinstance(params, LinearParams):
-        logits = x @ params.weights.T + params.bias
-        probs = softmax(logits)
-        loss = cross_entropy(probs, y)
-        dlogits = (probs - y) / n
-        grads = LinearParams(dlogits.T @ x, dlogits.sum(axis=0))
-        return loss, grads
-
-    z1 = x @ params.w1.T + params.b1
-    y1 = np.tanh(z1)
-    logits = y1 @ params.w2.T + params.b2
-    probs = softmax(logits)
+    grads = _zeros_like(params)
+    probs = _gradients_into(grads, params, x, y)
     loss = cross_entropy(probs, y)
-    dlogits = (probs - y) / n
-    dw2 = dlogits.T @ y1
-    db2 = dlogits.sum(axis=0)
-    dz1 = (dlogits @ params.w2) * (1.0 - y1 * y1)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return loss, HiddenTanhParams(dw1, db1, dw2, db2)
+    if not np.isfinite(grads.flat).all():
+        raise ValueError("parameters must be finite")
+    return loss, grads
 
 
 @dataclass
@@ -260,6 +277,33 @@ def init_adam(params: NetworkParams, hyper: AdamHyper | None = None) -> AdamStat
     )
 
 
+def _adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the flat ``theta`` and ``state`` in place; unchecked.
+
+    Each operation writes into one of two scratch buffers, so the update
+    allocates two arrays where the plain expressions would allocate nine.
+    The operations and their order are those of
+
+        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        theta -= lr * m_hat / (sqrt(v_hat) + epsilon)
+    """
+    h = state.hyper
+    state.t += 1
+    a, b = np.empty_like(g), np.empty_like(g)
+    state.m *= h.beta1
+    state.m += np.multiply(g, 1.0 - h.beta1, out=a)
+    state.v *= h.beta2
+    np.multiply(g, g, out=a)
+    state.v += np.multiply(a, 1.0 - h.beta2, out=a)
+    m_hat = np.divide(state.m, 1.0 - h.beta1**state.t, out=a)
+    denom = np.divide(state.v, 1.0 - h.beta2**state.t, out=b)
+    np.sqrt(denom, out=denom)
+    denom += h.epsilon
+    step = np.multiply(m_hat, h.learning_rate, out=m_hat)
+    step /= denom
+    theta -= step
+
+
 def adam_step(
     params: NetworkParams,
     grads: NetworkParams,
@@ -272,16 +316,7 @@ def adam_step(
         theta, g = getattr(params, f.name), getattr(grads, f.name)
         if theta.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {theta.shape}")
-    h = state.hyper
-    state.t += 1
-    g = grads.flat
-    state.m *= h.beta1
-    state.m += (1.0 - h.beta1) * g
-    state.v *= h.beta2
-    state.v += (1.0 - h.beta2) * (g * g)
-    m_hat = state.m / (1.0 - h.beta1**state.t)
-    v_hat = state.v / (1.0 - h.beta2**state.t)
-    params.flat -= h.learning_rate * m_hat / (np.sqrt(v_hat) + h.epsilon)
+    _adam_update(params.flat, grads.flat, state)
     return params, state
 
 

@@ -591,6 +591,29 @@ class TestConfigChecks:
         assert err.startswith(f"gammasort: error: {key}: expected a positive dwell, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, override, expected", [
+        ("train.learning_rate", {"train": {"learning_rate": -1e-3}}, "a positive value, got -0.001"),
+        ("train.learning_rate", {"train": {"learning_rate": 0.0}}, "a positive value, got 0.0"),
+        ("train.beta1", {"train": {"beta1": 1.0}}, "a value in [0, 1), got 1.0"),
+        ("train.beta2", {"train": {"beta2": -0.5}}, "a value in [0, 1), got -0.5"),
+        ("train.epsilon", {"train": {"epsilon": 0.0}}, "a positive value, got 0.0"),
+        ("train.oversample_ratio", {"train": {"oversample_ratio": -1.0}},
+         "a non-negative value, got -1.0"),
+        ("grid.background_cps", {"grid": {"background_cps": -5.0}},
+         "a non-negative value, got -5.0"),
+        ("grid.background_cps", {"grid": {"background_cps": -5.0, "include_background": True}},
+         "a non-negative value, got -5.0"),
+    ])
+    def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
+        # The small grid and one epoch, so that a run that is not refused ends soon.
+        override = {"grid": {**SMALL_GRID_CONFIG["grid"], **override.get("grid", {})},
+                    "train": {"epochs": 1, **override.get("train", {})}}
+        cfg = write_config(tmp_path, override)
+        out = tmp_path / "x"
+        err = self.config_error(capsys, "scenario", "gauge", "--config", cfg, "--out", out)
+        assert err == f"gammasort: error: {key}: expected {expected} (in {cfg})\n"
+        assert not out.exists()
+
     def test_int_for_float_and_null_batch_size_are_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"distances_m": [10, 15]},
                                       "train": {"batch_size": None, "learning_rate": 1}})

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gammasort import seeding
 from gammasort.ensemble import (
     LabeledDataset,
     TaskKind,
@@ -14,8 +15,11 @@ from gammasort.ensemble import (
 from gammasort.experiment import (
     DEFAULT_CONFIG,
     SCENARIO_PRESETS,
+    EvalResult,
     MetricsHistory,
     TrainConfig,
+    _mean_loss,
+    _metrics,
     evaluate,
     export_weight_features,
     oversample_positives,
@@ -29,9 +33,16 @@ from gammasort.forward_model import default_detector
 from gammasort.neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
+    PROB_FLOOR,
     AdamHyper,
     LinearParams,
+    adam_step,
+    backward,
+    cross_entropy,
+    forward,
+    init_adam,
     init_params,
+    softmax,
 )
 from gammasort.spectra import EnergyCalibration, SpectrumKind
 
@@ -63,6 +74,67 @@ def synthetic_dataset(task, labels_idx, n_channels=8):
         counts, labels, task, tuple(grid * len(labels_idx)), cal, 1.0,
         SpectrumKind.EXPECTED_TEMPLATE,
     )
+
+
+def reference_metrics(logits, one_hot, n_classes) -> EvalResult:
+    """Loss, accuracies and confusion by the plain formulas: softmax, one-hot product, add.at."""
+    loss = cross_entropy(softmax(logits), one_hot)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (np.argmax(one_hot, axis=-1), np.argmax(logits, axis=-1)), 1)
+    row_totals = confusion.sum(axis=1)
+    diag = np.diag(confusion).astype(np.float64)
+    per_class = np.where(row_totals > 0, diag / np.maximum(row_totals, 1), 0.0)
+    return EvalResult(loss, float(np.trace(confusion)) / float(confusion.sum()), per_class, confusion)
+
+
+def reference_train(train_ds, test_ds, cfg):
+    """``train`` rebuilt from the public backward and adam_step, one step at a time."""
+    x, y = train_ds.as_matrix(), train_ds.labels
+    n = len(x)
+    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    params = init_params(cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width)
+    state = init_adam(params, cfg.hyper)
+    history = MetricsHistory()
+    for epoch in range(1, cfg.epochs + 1):
+        order = seeding.rng(cfg.seed, 1, epoch).permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            _, grads = backward(params, x[idx], y[idx])
+            params, state = adam_step(params, grads, state)
+        train_loss = cross_entropy(softmax(forward(params, x)), y)
+        test = reference_metrics(forward(params, test_ds.as_matrix()), test_ds.labels,
+                                 params.n_classes)
+        history.append(epoch, train_loss, test)
+    return params, history
+
+
+class TestMetrics:
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_bit_identical_to_the_plain_formulas(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        logits = rng.normal(0.0, 8.0, size=(300, n_classes))
+        true = rng.integers(0, n_classes - 1, size=300)  # the last class has no items
+        logits[0] = 0.0
+        logits[0, (true[0] + 1) % n_classes] = 40.0  # true-class probability below the floor
+        assert softmax(logits)[0, true[0]] < PROB_FLOOR
+        one_hot = np.eye(n_classes)[true]
+        for i in range(len(true)):  # row by row, where a mean cannot hide a last bit
+            row = slice(i, i + 1)
+            assert _mean_loss(logits[row], true[row]) == cross_entropy(
+                softmax(logits[row]), one_hot[row]
+            )
+        got = _metrics(logits, true, n_classes)
+        want = reference_metrics(logits, one_hot, n_classes)
+        assert got.cross_entropy == want.cross_entropy
+        assert got.accuracy == want.accuracy
+        assert np.array_equal(got.per_class_accuracy, want.per_class_accuracy)
+        assert np.array_equal(got.confusion, want.confusion)
+        assert got.confusion.dtype == want.confusion.dtype
+        assert got.confusion[n_classes - 1].sum() == 0
+
+    def test_overflowing_logits_are_refused(self):
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            _metrics(np.array([[np.inf, 0.0]]), np.array([0]), 2)
 
 
 class TestEvaluate:
@@ -203,6 +275,26 @@ class TestTrain:
         )
         _, history = train(train_ds, test_ds, cfg)
         assert history.train_loss[-1] < history.train_loss[0]
+
+
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    @pytest.mark.parametrize("batch_size", [None, 4, 5])  # 12 items: full, even, short last
+    def test_steps_like_the_public_api(self, arch, batch_size):
+        train_ds, test_ds = small_datasets()
+        assert len(train_ds) == 12
+        cfg = TrainConfig(arch=arch, epochs=4, batch_size=batch_size, seed=9,
+                          hyper=AdamHyper(learning_rate=1e-2), width=6)
+        params, history = train(train_ds, test_ds, cfg)
+        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        assert np.array_equal(params.flat, ref_params.flat)
+        assert history.epochs == ref_history.epochs
+        assert history.train_loss == ref_history.train_loss
+        assert history.test_loss == ref_history.test_loss
+        assert history.test_accuracy == ref_history.test_accuracy
+        for got, want in zip(history.per_class_accuracy, ref_history.per_class_accuracy,
+                             strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(history.confusion, ref_history.confusion)
 
 
 class TestWeightFeatures:
