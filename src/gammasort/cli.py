@@ -44,7 +44,7 @@ from .forward_model import (
 )
 from .jsonfile import read_json, write_json
 from .neuralnet import load_model
-from .spectra import SpectrumKind, rebin_counts
+from .spectra import SpectrumKind, rebin_counts, write_csv_table
 
 
 def _config_overrides(args) -> tuple[dict, dict]:
@@ -191,8 +191,7 @@ def _report_one(out_dir: Path, columns: dict, series: list) -> None:
         y_label="accuracy",
     )
     final = [(name[4:], columns[name][-1]) for name in class_cols]
-    lines = ["class,accuracy"] + [f"{name},{repr(acc)}" for name, acc in final]
-    (out_dir / "per_class_accuracy.csv").write_text("\n".join(lines) + "\n")
+    write_csv_table(out_dir / "per_class_accuracy.csv", ("class", "accuracy"), final)
     svgplot.write_bar_svg(
         out_dir / "per_class_accuracy.svg",
         [name for name, _ in final],

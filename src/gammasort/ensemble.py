@@ -34,6 +34,7 @@ from .spectra import (
     csv_rows,
     read_csv_table,
     rebin_counts,
+    write_csv_table,
 )
 
 ISOTOPE_NAMES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
@@ -370,9 +371,9 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
     write_json(out_dir / "manifest.json", manifest)
 
     to_cells, format_cell = _cell_format(ds)
-    with open(out_dir / "data.csv", "w") as fh:
-        for label, row in zip(ds.label_indices().tolist(), ds.counts):
-            fh.write(f"{label}," + ",".join(map(format_cell, to_cells(row))) + "\n")
+    labels = ds.label_indices().tolist()
+    rows = ([str(k), *map(format_cell, to_cells(c))] for k, c in zip(labels, ds.counts))
+    write_csv_table(out_dir / "data.csv", (), rows)
     return out_dir / "manifest.json"
 
 

@@ -52,7 +52,7 @@ from .neuralnet import (
     init_params,
     save_model,
 )
-from .spectra import EnergyCalibration, _format_float, read_csv_table
+from .spectra import EnergyCalibration, read_csv_table, write_csv_table
 
 # The one run description.  Every key a run config may set is here, and each
 # leaf's value fixes the type it takes; a ``None`` leaf takes a string.
@@ -392,17 +392,9 @@ METRICS_COLUMNS = ("epoch", "train_loss", "test_loss", "overall_acc")
 
 def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
     header = list(METRICS_COLUMNS) + [f"acc_{name}" for name in class_names]
-    lines = [",".join(header)]
-    for i, epoch in enumerate(history.epochs):
-        row = [
-            str(epoch),
-            _format_float(history.train_loss[i]),
-            _format_float(history.test_loss[i]),
-            _format_float(history.test_accuracy[i]),
-        ]
-        row += [_format_float(a) for a in history.per_class_accuracy[i]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = zip(history.epochs, history.train_loss, history.test_loss, history.test_accuracy,
+                  history.per_class_accuracy)
+    write_csv_table(path, header, ([*scalars, *per_class] for *scalars, per_class in columns))
 
 
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
@@ -419,23 +411,16 @@ def read_metrics_csv(path: Path) -> dict[str, list[float]]:
 
 
 def write_confusion_csv(path: Path, confusion: np.ndarray, class_names) -> None:
-    lines = [",".join(["true\\predicted"] + list(class_names))]
-    for k, name in enumerate(class_names):
-        lines.append(",".join([name] + [str(int(c)) for c in confusion[k]]))
-    path.write_text("\n".join(lines) + "\n")
+    rows = [[name, *confusion[k]] for k, name in enumerate(class_names)]
+    write_csv_table(path, ["true\\predicted", *class_names], rows)
 
 
-def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> list[Path]:
+def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> None:
     series = export_weight_features(params, tuple(class_names))
-    paths = []
     for k, (name, weights) in enumerate(series):
         tag = f"class_{k}" if isinstance(params, LinearParams) else name
         path = out_dir / f"weights_{tag}.csv"
-        lines = [f"# series={name}", "channel,weight"]
-        lines += [f"{ch},{_format_float(w)}" for ch, w in enumerate(weights)]
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
+        write_csv_table(path, ("channel", "weight"), enumerate(weights), [f"series={name}"])
 
 
 def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:
@@ -532,11 +517,8 @@ def run_scenario(name: str, out_dir: str | Path, **overrides) -> dict:
     )
 
     if gauge:
-        lines = ["class,linear_acc,hidden_acc"]
-        linear_acc = results[ARCH_LINEAR]["history"].per_class_accuracy[-1]
-        hidden_acc = results[ARCH_HIDDEN_TANH]["history"].per_class_accuracy[-1]
-        for k, cname in enumerate(task.class_names):
-            lines.append(f"{cname},{_format_float(linear_acc[k])},{_format_float(hidden_acc[k])}")
-        (out_dir / "comparison.csv").write_text("\n".join(lines) + "\n")
+        final = (results[arch]["history"].per_class_accuracy[-1] for arch in archs)
+        header = ("class", "linear_acc", "hidden_acc")  # archs is (linear, hidden_tanh)
+        write_csv_table(out_dir / "comparison.csv", header, zip(task.class_names, *final))
 
     return results

@@ -3,8 +3,9 @@
 A schema is a typed example: each key it names is required and takes the
 type of its value, and keys it lacks pass through unchecked.  Errors name the
 file and the dotted key: ``<path>: <dotted.key>: expected <type>, got <value>``.
-``NaN``, ``Infinity`` and ``-Infinity`` are not JSON: the reader refuses them
-and the writer never emits them.
+``NaN``, ``Infinity``, ``-Infinity`` and numbers too large for a float
+(``1e999``) are not JSON numbers: the reader refuses them and the writer
+never emits them.
 A run config is merged over the defaults first (:func:`_deep_merge`), so
 there every key is optional and a key the defaults lack is an error.
 """
@@ -12,6 +13,7 @@ there every key is optional and a key the defaults lack is an error.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -23,7 +25,8 @@ def read_json(path: str | Path, schema: dict) -> dict:
     """The JSON object in ``path``, checked against ``schema``; errors name the file."""
     path = Path(path)
     try:
-        return checked(json.loads(path.read_text(), parse_constant=_not_json), schema)
+        doc = json.loads(path.read_text(), parse_float=_finite, parse_constant=_not_json)
+        return checked(doc, schema)
     except FileNotFoundError:
         raise FileNotFoundError(f"{path}: not found") from None
     except ValueError as err:  # malformed JSON and UTF-8 too
@@ -32,6 +35,13 @@ def read_json(path: str | Path, schema: dict) -> dict:
 
 def _not_json(token: str):
     raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        _not_json(token)
+    return value
 
 
 def checked(doc, schema: dict, where: str = "", nullable=frozenset()) -> dict:
@@ -67,7 +77,10 @@ def _checked_leaf(where: str, example, value, nullable=frozenset()):
         return [_checked_leaf(f"{where}[{i}]", example[0], v) for i, v in enumerate(value)]
     expected = str if example is None else type(example)
     if expected is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where}: expected float, got an integer too large for a float") from None
     if (type(value) is bool and expected is not bool) or not isinstance(value, expected):
         raise ValueError(f"{where}: expected {expected.__name__}, got {value!r}")
     return value

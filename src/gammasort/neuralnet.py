@@ -347,6 +347,6 @@ def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
     try:
         arrays = checked(doc, {f.name: [] for f in fields(params_type)})
         params = params_type(*(arrays[f.name] for f in fields(params_type)))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from err
     return params, doc.get("train_config", {})

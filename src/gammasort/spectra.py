@@ -143,22 +143,14 @@ def rebin_counts(
     return merged.reshape(counts.shape[:-1] + (n // factor,)), cal
 
 
-def _format_float(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly
-    return repr(float(x))
-
-
 def write_spectrum_csv(spectrum: Spectrum, path: str | Path) -> None:
     """Write the on-disk CSV form: one comment header line, then channel rows."""
     cal = spectrum.calibration
-    lines = [
-        f"# e_min={_format_float(cal.e_min)} e_max={_format_float(cal.e_max)} "
-        f"dwell={_format_float(spectrum.dwell_s)} kind={spectrum.kind.value}",
-        "channel,counts",
-    ]
-    for ch, c in enumerate(spectrum.counts):
-        lines.append(f"{ch},{_format_float(c)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    meta = (
+        f"e_min={float(cal.e_min)!r} e_max={float(cal.e_max)!r} "
+        f"dwell={float(spectrum.dwell_s)!r} kind={spectrum.kind.value}"
+    )
+    write_csv_table(path, ("channel", "counts"), enumerate(spectrum.counts), comments=(meta,))
 
 
 def read_spectrum_csv(path: str | Path) -> Spectrum:
@@ -183,6 +175,31 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
         raise ValueError(f"{path}: {err}") from err
 
 
+def write_csv_table(path: str | Path, header, rows, comments=()) -> None:
+    """Write a ``# `` line per comment, the ``header`` line if any, then a line per row.
+
+    Each row is a list or tuple of cells.  A cell is written as itself if a
+    string, as ``str(int(x))`` if an integer, else as ``repr(float(x))``, so
+    :func:`read_csv_table` reads it back exactly.
+    """
+    with open(path, "w") as fh:
+        fh.writelines(f"# {text}\n" for text in comments)
+        if header:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            try:  # a row of strings is joined without a Python call per cell
+                line = ",".join(row if isinstance(row[0], str) else map(_csv_cell, row))
+            except TypeError:  # a row that starts with a string but holds a number
+                line = ",".join(map(_csv_cell, row))
+            fh.write(line + "\n")
+
+
+def _csv_cell(cell) -> str:
+    if isinstance(cell, str):
+        return cell
+    return str(int(cell)) if isinstance(cell, (int, np.integer)) else repr(float(cell))
+
+
 def read_csv_table(
     path: str | Path, width: int | None = None, header: bool = False, max_rows: int | None = None
 ) -> tuple:
@@ -193,7 +210,8 @@ def read_csv_table(
     At most ``max_rows`` rows are read, if given; a caller that knows the row
     count saves ``np.loadtxt`` growing its buffer.  Returns ``(comments,
     names, rows, first_line)``, the last being the file line of the first
-    row.  A malformed row raises ``ValueError("<path>:<line>: <cause>")``.
+    row.  A malformed row, or a cell that is not a finite number, raises
+    ``ValueError("<path>:<line>: <cause>")``.
     """
     with open(path) as fh:
         head = [fh.readline()]
@@ -216,7 +234,7 @@ def read_csv_table(
         raise _bad_row_error(path, first_line, width, err) from err
     if rows.size == 0:
         rows = np.empty((0, width))
-    if rows.shape[1] != width:
+    if rows.shape[1] != width or not np.isfinite(rows).all():
         raise _bad_row_error(path, first_line, width)
     return comments, names, rows, first_line
 
@@ -236,7 +254,9 @@ def _bad_row_error(path: str | Path, first_line: int, width: int, err=None) -> V
             return ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
         for column, cell in enumerate(cells, 1):
             try:
-                float(cell.replace("_", "x"))  # np.loadtxt takes no digit separators
+                value = float(cell.replace("_", "x"))  # np.loadtxt takes no digit separators
             except ValueError:
                 return ValueError(f"{path}:{lineno}: cell {column} is not a number: {cell!r}")
+            if not math.isfinite(value):
+                return ValueError(f"{path}:{lineno}: cell {column} is not a finite number: {cell!r}")
     return ValueError(f"{path}: {err}")

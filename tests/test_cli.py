@@ -771,6 +771,10 @@ CHECKED_FIELDS = {
     ],
 }
 
+# A float field of each document: config, model and dataset manifest.
+NUMBER_FIELDS = [("config.json", "grid.distances_m[0]"), ("model.json", "bias[0]"),
+                 ("manifest.json", "dwell_s")]
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),
@@ -858,10 +862,8 @@ class TestJsonReadersFuzz:
         assert err.startswith(f"gammasort: error: {path}: Expecting property name")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("name, key", [("config.json", "grid.distances_m[0]"),
-                                           ("model.json", "bias[0]"),
-                                           ("manifest.json", "dwell_s")])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    @pytest.mark.parametrize("name, key", NUMBER_FIELDS)
     def test_non_json_number_is_refused(self, inputs, tmp_path, name, key, token):
         argv, path = self.command(inputs, name, tmp_path)
         doc, _ = replaced(json.loads(path.read_text()), key, "@token@")
@@ -871,6 +873,16 @@ class TestJsonReadersFuzz:
             err = self.error(argv)
         assert err == f"gammasort: error: {path}: {token} is not a JSON number\n"
         assert caught == []
+
+    @pytest.mark.parametrize("name, key", NUMBER_FIELDS)
+    def test_integer_too_large_for_a_float_is_refused(self, inputs, tmp_path, name, key):
+        argv, path = self.command(inputs, name, tmp_path)
+        doc, _ = replaced(json.loads(path.read_text()), key, 10**400)
+        path.write_text(json.dumps(doc))
+        err = self.error(argv)
+        assert err.startswith("gammasort: error: ")
+        assert err.count("\n") == 1
+        assert str(path) in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_writer_emits_no_non_json_number(self, tmp_path, value):
@@ -885,4 +897,73 @@ class TestJsonReadersFuzz:
         path.write_text(json.dumps(doc))
         err = self.error(argv)
         assert err.startswith(f"gammasort: error: {path}: ")
+        assert err.count("\n") == 1
+
+
+# The first data line of each CSV file a command reads; the lines before it
+# are ``#`` comments and the header.
+CSV_FIRST_ROW = {"ds/data.csv": 0, "run/metrics.csv": 1, "run/weights_class_1.csv": 2}
+
+# Corruptions of one cell (a non-number, a non-finite number) or of one row
+# (a dropped or an extra cell), as (kind, text).
+CSV_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(
+        ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "nan", "inf", "-inf", "1e999"])),
+    st.tuples(st.just("drop"), st.none()),
+    st.tuples(st.just("extra"), st.sampled_from(["0", "1.5", "x"])),
+)
+
+
+class TestCsvReadersFuzz:
+    """A corrupt cell or row in any CSV file a command reads ends it with exit 2,
+    one error line that names the file and line, and no output written."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("csv_inputs")
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps({
+            **TINY_CONFIG, "train": {"epochs": 4},
+            "paths": {"train_dataset": str(root / "ds"), "test_dataset": str(root / "ds")},
+        }))
+        assert run("synth", "--config", cfg, "--out", root / "tpl") == 0
+        assert run("sample", "--config", cfg, "--templates", root / "tpl", "--out", root / "ds") == 0
+        assert run("train", "--config", cfg, "--out", root / "run") == 0
+        return root
+
+    @given(name=st.sampled_from(sorted(CSV_FIRST_ROW)), row=st.integers(0, 3),
+           column=st.integers(0, 300), corruption=CSV_CORRUPTIONS)
+    @example(name="run/metrics.csv", row=0, column=1, corruption=("replace", "nan"))
+    @example(name="run/metrics.csv", row=3, column=1, corruption=("replace", "inf"))
+    @example(name="ds/data.csv", row=2, column=100, corruption=("replace", "-inf"))
+    @example(name="ds/data.csv", row=1, column=0, corruption=("drop", None))
+    @example(name="run/weights_class_1.csv", row=0, column=2, corruption=("extra", "0"))
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_cell_or_row(self, inputs, name, row, column, corruption):
+        kind, text = corruption
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for part in ("ds", "run"):
+                shutil.copytree(inputs / part, work / part)
+            path = work / name
+            lines = path.read_text().splitlines()
+            line = CSV_FIRST_ROW[name] + row
+            cells = lines[line].split(",")
+            if kind == "extra":
+                cells.insert(column % (len(cells) + 1), text)
+            elif kind == "drop":
+                del cells[column % len(cells)]
+            else:
+                cells[column % len(cells)] = text
+            lines[line] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+            out = work / "out"
+            argv = (["eval", "--model", work / "run" / "model.json", "--dataset", work / "ds"]
+                    if name == "ds/data.csv" else ["report", "--run", work / "run"])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run(*argv, "--out", out) == 2
+            assert not out.exists()
+        err = err.getvalue()
+        assert err.startswith(f"gammasort: error: {path}:{line + 1}: ")
         assert err.count("\n") == 1

@@ -439,7 +439,7 @@ def test_dataset_round_trip_is_value_exact(small_grid, rows):
 
 
 NOT_A_NUMBER = st.sampled_from(
-    ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#", "#", "#1", "# 0.0"]
+    ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#", "#", "#1", "# 0.0", "nan", "inf", "-inf"]
 )
 
 

@@ -18,6 +18,7 @@ from gammasort.spectra import (
     read_spectrum_csv,
     rebin,
     total_counts,
+    write_csv_table,
     write_spectrum_csv,
 )
 
@@ -315,7 +316,10 @@ class TestCsvTable:
         ("1,\n", 3, "cell 2 is not a number: ''"),
         ("1_0,2\n", 3, "cell 1 is not a number: '1_0'"),
         ("1,2\n\n\n3,4\n  \n", 7, "1 cells, expected 2"),
-    ], ids=["short", "long", "all-wide", "letter", "empty-cell", "separator", "blank-lines"])
+        ("1,2\n3,nan\n", 4, "cell 2 is not a finite number: 'nan'"),
+        ("1e999,2\n", 3, "cell 1 is not a finite number: '1e999'"),
+    ], ids=["short", "long", "all-wide", "letter", "empty-cell", "separator", "blank-lines",
+            "nan", "overflow"])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, line, cause):
         path = tmp_path / "t.csv"
         path.write_text("# c\na,b\n" + rows)
@@ -329,3 +333,30 @@ class TestCsvTable:
         _, _, rows, first_line = read_csv_table(path, 2)
         assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert csv_rows(path, first_line) == [(2, "1,2"), (4, "3,4")]
+
+
+# Every finite double (signed zeros, subnormals and the largest included), as a
+# Python float or np.float64, and integers a double holds exactly, as np.int64.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.one_of(FINITE, FINITE.map(np.float64), st.integers(-(2**53), 2**53).map(np.int64))
+
+
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=5)
+    ),
+    comment=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+)
+@example(rows=[[-0.0, 5e-324, 1.7976931348623157e308],
+               [np.float64(-0.0), np.float64(5e-324), np.int64(-7)]], comment="series=A")
+@settings(max_examples=60, deadline=None)
+def test_csv_table_round_trip_is_value_exact(rows, comment):
+    width = len(rows[0]) if rows else 2
+    names = [f"c{k}" for k in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv_table(path, names, rows, comments=(comment,))
+        comments, back_names, back, first_line = read_csv_table(path, header=True)
+    expected = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    assert back.tobytes() == expected.tobytes()
+    assert (comments, back_names, first_line) == ([f"# {comment}"], names, 3)

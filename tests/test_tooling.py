@@ -4,8 +4,9 @@
 installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
 and ``cli.build_template``.  A rename in ``src/`` would break the traced
 benchmark without failing any other test.  The last guards keep JSON reading
-and writing in the one module that checks it, keep random streams in
-``seeding``, and keep unused imports out of the package.
+and writing in the one module that checks it, keep file writes in the four
+writers, keep random streams in ``seeding``, and keep unused imports out of
+the package.
 """
 
 import ast
@@ -105,6 +106,44 @@ def test_only_jsonfile_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.append(path.name)
     assert importers == ["jsonfile.py"]
+
+
+# The functions that write files: one for JSON, one for CSV, two for SVG.
+WRITERS = ["jsonfile.py:write_json", "spectra.py:write_csv_table", "svgplot.py:write_bar_svg",
+           "svgplot.py:write_line_svg"]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` is ``write_text``, ``write_bytes`` or an ``open`` that may write.
+
+    The mode of ``open(file, mode)`` or ``Path.open(mode)`` writes if it holds
+    ``w``, ``a``, ``x`` or ``+``; a mode that is not a literal may write.
+    """
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode), but Path.open(mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[at : at + 1]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or any(flag in mode.value for flag in "wax+")
+        for mode in modes
+    )
+
+
+def test_only_the_writers_write_files():
+    # Each file format is written in one function, so how files are written
+    # (say, atomically) is decided in those four places and nowhere else.
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            writers |= {f"{path.name}:{owner}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and _writes_a_file(node)}
+    assert sorted(writers) == WRITERS
 
 
 def test_only_seeding_calls_numpy_random():
