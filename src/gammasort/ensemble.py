@@ -31,6 +31,7 @@ from .spectra import (
     EnergyCalibration,
     Spectrum,
     SpectrumKind,
+    checked_counts,
     csv_rows,
     read_csv_table,
     rebin_counts,
@@ -77,20 +78,14 @@ class TaskKind(Enum):
         )
         return 0 if is_gauge else 1
 
-    def one_hot(self, config: SourceConfig) -> np.ndarray:
-        label = np.zeros(self.n_classes)
-        label[self.class_index(config)] = 1.0
-        return label
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """An (n_items, n_channels) counts matrix with one-hot task labels.
+    """An (n_items, n_channels) counts matrix and each item's class index under ``task``.
 
     Calibration, dwell and spectrum kind are shared by every item; each item
-    keeps the source configuration it was drawn from as provenance.  The
-    matrix is validated once as a whole (finite, non-negative, and
-    integer-valued for sampled realizations), copied, and made read-only.
+    keeps the source configuration it was drawn from as provenance.  Counts
+    (checked by :func:`spectra.checked_counts`) and labels are read-only copies.
     """
 
     counts: np.ndarray
@@ -102,32 +97,15 @@ class LabeledDataset:
     kind: SpectrumKind
 
     def __post_init__(self):
-        # Validate the caller's matrix, then copy it: the checks' temporaries
-        # and the copy are never alive at the same time.
-        counts = np.asarray(self.counts, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.float64, copy=True)
-        n_channels = self.calibration.n_channels
-        if counts.ndim != 2 or counts.shape[0] == 0 or counts.shape[1] != n_channels:
-            raise ValueError(f"counts shape {counts.shape} is not (n_items >= 1, {n_channels})")
-        n = counts.shape[0]
-        if not (np.all(np.isfinite(counts)) and np.all(counts >= 0)):
-            raise ValueError("counts must be finite and non-negative")
-        if self.kind is SpectrumKind.SAMPLED_REALIZATION and np.any(counts != np.floor(counts)):
-            raise ValueError("sampled realizations must have integer-valued counts")
-        if not self.dwell_s > 0:
-            raise ValueError(f"dwell must be positive, got {self.dwell_s}")
-        if labels.shape != (n, self.task.n_classes):
-            raise ValueError(
-                f"labels shape {labels.shape} does not match "
-                f"{n} items x {self.task.n_classes} classes"
-            )
-        one_hot_ok = np.all((labels == 0.0) | (labels == 1.0)) and np.all(labels.sum(axis=1) == 1.0)
-        if not one_hot_ok:
-            raise ValueError("labels must be one-hot rows")
+        counts = checked_counts(self.counts, 2, self.n_channels, self.kind, self.dwell_s)
+        labels, n, k = np.asarray(self.labels), counts.shape[0], self.task.n_classes
+        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be {n} class indices, got {labels.dtype} {labels.shape}")
+        if labels.min() < 0 or labels.max() >= k:
+            raise ValueError(f"labels must be class indices in [0, {k})")
         if len(self.provenance) != n:
             raise ValueError("provenance must align with the counts rows")
-        counts = counts.copy()
-        counts.setflags(write=False)
+        labels = labels.astype(np.intp)
         labels.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "labels", labels)
@@ -143,9 +121,6 @@ class LabeledDataset:
     def as_matrix(self) -> np.ndarray:
         """(n_items, n_channels) float64 matrix of counts (read-only)."""
         return self.counts
-
-    def label_indices(self) -> np.ndarray:
-        return np.argmax(self.labels, axis=1)
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=np.intp)
@@ -209,7 +184,7 @@ def stack_templates(
     """Template dataset from the expected-count matrix of ``grid``, one row per cell."""
     if not grid:
         raise ValueError("source grid is empty")
-    labels = np.stack([task.one_hot(config) for config in grid])
+    labels = [task.class_index(config) for config in grid]
     return LabeledDataset(
         counts, labels, task, tuple(grid), calibration, dwell_s, SpectrumKind.EXPECTED_TEMPLATE
     )
@@ -371,7 +346,7 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
     write_json(out_dir / "manifest.json", manifest)
 
     to_cells, format_cell = _cell_format(ds)
-    labels = ds.label_indices().tolist()
+    labels = ds.labels.tolist()
     rows = ([str(k), *map(format_cell, to_cells(c))] for k, c in zip(labels, ds.counts))
     write_csv_table(out_dir / "data.csv", (), rows)
     return out_dir / "manifest.json"
@@ -448,7 +423,7 @@ def read_dataset(path: str | Path) -> LabeledDataset:
     try:
         return LabeledDataset(
             rows[:, 1:],
-            np.eye(task.n_classes)[labels.astype(np.intp)],
+            labels.astype(np.intp),
             task,
             tuple(configs[i] for i in source_index),
             cal,

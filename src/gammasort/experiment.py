@@ -102,6 +102,10 @@ _NULLABLE = {"train.batch_size"}
 _RANGES = {
     "seed": ("a non-negative integer", lambda v: v >= 0),
     "dwell_s": ("a positive dwell", lambda v: v > 0),
+    "samples_per_config": ("an integer of at least 1", lambda v: v >= 1),
+    "train.epochs": ("an integer of at least 1", lambda v: v >= 1),
+    "train.batch_size": ("an integer of at least 1, or null", lambda v: v is None or v >= 1),
+    "train.width": ("a positive integer", lambda v: v >= 1),
     "train.train_dwell_s": ("a positive dwell", lambda v: v > 0),
     "train.learning_rate": ("a positive value", lambda v: v > 0),
     "train.beta1": ("a value in [0, 1)", lambda v: 0 <= v < 1),
@@ -249,7 +253,7 @@ class MetricsHistory:
 
 
 def _mean_loss(logits: np.ndarray, true: np.ndarray) -> float:
-    """``cross_entropy(softmax(logits), one_hot)`` bit for bit, from the true-class indices.
+    """``cross_entropy`` of ``softmax(logits)`` against the one-hot rows of ``true``, bit for bit.
 
     The true class's probability is picked instead of summed from a one-hot
     product; adding the zeros of the other classes changes no bit.
@@ -285,7 +289,7 @@ def evaluate(params: NetworkParams, ds: LabeledDataset) -> EvalResult:
             f"task mismatch: model emits {params.n_classes} classes, "
             f"dataset task {ds.task.value} has {ds.task.n_classes}"
         )
-    return _metrics(forward(params, ds.as_matrix()), ds.label_indices(), params.n_classes)
+    return _metrics(forward(params, ds.as_matrix()), ds.labels, params.n_classes)
 
 
 def train(
@@ -311,11 +315,9 @@ def train(
     if train_ds.n_channels != test_ds.n_channels:
         raise ValueError("train and test datasets must share the input length")
 
-    x_train = train_ds.as_matrix()
-    y_train = np.asarray(train_ds.labels)
-    true_train = train_ds.label_indices()
-    x_test = test_ds.as_matrix()
-    true_test = test_ds.label_indices()
+    x_train, true_train = train_ds.as_matrix(), train_ds.labels
+    x_test, true_test = test_ds.as_matrix(), test_ds.labels
+    y_train = np.eye(train_ds.task.n_classes)[true_train]  # the one-hot rows the gradients take
     n = x_train.shape[0]
 
     if initial is None:
@@ -377,8 +379,7 @@ def oversample_positives(
     balancing the linear model collapses onto the majority class, which would
     mask the architecture comparison.  Replication counts are deterministic.
     """
-    indices = ds.label_indices()
-    positives = [i for i, k in enumerate(indices) if k == positive_class]
+    positives = np.flatnonzero(ds.labels == positive_class).tolist()
     negatives = len(ds) - len(positives)
     if not positives or negatives == 0:
         return ds

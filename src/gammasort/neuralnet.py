@@ -189,17 +189,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return expz / np.sum(expz, axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, one_hot: np.ndarray) -> float:
-    """-log probability of the true class; mean over a batch.
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """-log probability of the true class, given one-hot ``labels``; mean over a batch.
 
     The picked probability is floored at 1e-12 so a confidently wrong
     prediction yields a large finite loss instead of infinity.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    one_hot = np.asarray(one_hot, dtype=np.float64)
-    if probs.shape != one_hot.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs labels {one_hot.shape}")
-    picked = np.sum(probs * one_hot, axis=-1)
+    labels = np.asarray(labels, dtype=np.float64)
+    if probs.shape != labels.shape:
+        raise ValueError(f"shape mismatch: probs {probs.shape} vs labels {labels.shape}")
+    picked = np.sum(probs * labels, axis=-1)
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
@@ -237,14 +237,14 @@ def _gradients_into(
     return probs
 
 
-def backward(params: NetworkParams, x: np.ndarray, one_hot: np.ndarray):
+def backward(params: NetworkParams, x: np.ndarray, labels: np.ndarray):
     """Loss and analytic gradients of mean softmax cross-entropy.
 
-    Accepts a single (x, label) pair or batched rows; gradients are of the
-    mean loss, so batch and single-item conventions agree at n = 1.
+    Accepts a single (x, one-hot label) pair or batched rows; gradients are
+    of the mean loss, so batch and single-item conventions agree at n = 1.
     """
     x = _check_input(params, x)
-    y = np.asarray(one_hot, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
         y = y[None, :]
@@ -335,17 +335,25 @@ def save_model(path: str | Path, params: NetworkParams, train_config: dict | Non
     write_json(path, doc)
 
 
+# Each architecture's parameter type and the typed example of its model.json arrays.
+_MODEL_ARRAYS = {
+    ARCH_LINEAR: (LinearParams, {"weights": [[0.0]], "bias": [0.0]}),
+    ARCH_HIDDEN_TANH: (HiddenTanhParams, {"w1": [[0.0]], "b1": [0.0], "w2": [[0.0]], "b2": [0.0]}),
+}
+
+
 def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
     """Read a model JSON back; returns (params, train_config dict).
 
-    The parameter constructor checks the arrays; any error names the file.
+    Every array cell must be a float, else the error names its dotted key;
+    the parameter constructor then checks the shapes.  Any error names the file.
     """
     doc = read_json(path, {"arch": ""})
-    params_type = {ARCH_LINEAR: LinearParams, ARCH_HIDDEN_TANH: HiddenTanhParams}.get(doc["arch"])
-    if params_type is None:
+    if doc["arch"] not in _MODEL_ARRAYS:
         raise ValueError(f"{path}: arch: unknown architecture {doc['arch']!r}")
+    params_type, example = _MODEL_ARRAYS[doc["arch"]]
     try:
-        arrays = checked(doc, {f.name: [] for f in fields(params_type)})
+        arrays = checked(doc, example)
         params = params_type(*(arrays[f.name] for f in fields(params_type)))
     except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from err

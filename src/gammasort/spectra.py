@@ -85,26 +85,38 @@ class Spectrum:
     kind: SpectrumKind
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.float64, copy=True)
-        if counts.ndim != 1 or counts.shape[0] != self.calibration.n_channels:
-            raise ValueError(
-                f"counts length {counts.shape} does not match "
-                f"{self.calibration.n_channels} channels"
-            )
-        if not np.all(np.isfinite(counts)):
-            raise ValueError("counts must be finite")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-        if self.kind is SpectrumKind.SAMPLED_REALIZATION and np.any(counts != np.floor(counts)):
-            raise ValueError("sampled realizations must have integer-valued counts")
-        if not self.dwell_s > 0:
-            raise ValueError(f"dwell must be positive, got {self.dwell_s}")
-        counts.setflags(write=False)
+        counts = checked_counts(self.counts, 1, self.n_channels, self.kind, self.dwell_s)
         object.__setattr__(self, "counts", counts)
 
     @property
     def n_channels(self) -> int:
         return self.calibration.n_channels
+
+
+def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell_s: float):
+    """A read-only float64 copy of ``counts``, checked as counts of ``kind`` at ``dwell_s``.
+
+    ``counts`` must be non-empty with ``ndim`` axes, the last of ``n_channels``;
+    finite and non-negative; integer-valued for a sampled realization.  The
+    dwell must be positive.  Every check runs before the copy is made, so
+    the checks' temporaries and the copy are never alive at once.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != ndim or counts.size == 0 or counts.shape[-1] != n_channels:
+        raise ValueError(
+            f"counts shape {counts.shape} is not {ndim}-D, non-empty, over {n_channels} channels"
+        )
+    if not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
+    if (counts < 0).any():
+        raise ValueError("counts must be non-negative")
+    if kind is SpectrumKind.SAMPLED_REALIZATION and (counts != np.floor(counts)).any():
+        raise ValueError("sampled realizations must have integer-valued counts")
+    if not dwell_s > 0:
+        raise ValueError(f"dwell must be positive, got {dwell_s}")
+    counts = counts.copy()
+    counts.setflags(write=False)
+    return counts
 
 
 def total_counts(spectrum: Spectrum) -> float:

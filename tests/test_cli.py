@@ -603,10 +603,16 @@ class TestConfigChecks:
          "a non-negative value, got -5.0"),
         ("grid.background_cps", {"grid": {"background_cps": -5.0, "include_background": True}},
          "a non-negative value, got -5.0"),
+        ("train.width", {"train": {"width": 0}}, "a positive integer, got 0"),
+        ("train.epochs", {"train": {"epochs": 0}}, "an integer of at least 1, got 0"),
+        ("train.batch_size", {"train": {"batch_size": 0}},
+         "an integer of at least 1, or null, got 0"),
+        ("samples_per_config", {"samples_per_config": 0}, "an integer of at least 1, got 0"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.
-        override = {"grid": {**SMALL_GRID_CONFIG["grid"], **override.get("grid", {})},
+        override = {**override,
+                    "grid": {**SMALL_GRID_CONFIG["grid"], **override.get("grid", {})},
                     "train": {"epochs": 1, **override.get("train", {})}}
         cfg = write_config(tmp_path, override)
         out = tmp_path / "x"
@@ -750,7 +756,7 @@ TINY_CONFIG = {
 
 # The fields each reader checks, as dotted keys into its document.
 CHECKED_FIELDS = {
-    "model.json": ["arch", "weights", "bias"],
+    "model.json": ["arch", "weights", "bias", "weights[1][2]", "bias[0]"],
     "manifest.json": [
         "task", "kind", "data_csv", "n_items", "dwell_s", "calibration", "calibration.e_min",
         "calibration.e_max", "calibration.n_channels", "sources", "sources[1]",
@@ -835,6 +841,7 @@ class TestJsonReadersFuzz:
            value=JSON_VALUES)
     @example(field=("model.json", "weights"), value={"a": 1})
     @example(field=("model.json", "bias"), value="abc")
+    @example(field=("model.json", "weights[1][2]"), value=None)
     @example(field=("manifest.json", "sources[0].distance_m"), value=True)
     @example(field=("manifest.json", "sources[0].include_background"), value="yes")
     @example(field=("manifest.json", "dwell_s"), value="abc")
@@ -889,6 +896,16 @@ class TestJsonReadersFuzz:
         with pytest.raises(ValueError):
             write_json(tmp_path / "doc.json", {"dwell_s": value})
         assert not (tmp_path / "doc.json").exists()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("bias[0]", 10**400, "expected float, got an integer too large for a float"),
+        ("weights[1][2]", "x", "expected float, got 'x'"),
+    ], ids=["huge_int", "string"])
+    def test_model_array_cell_is_named(self, inputs, tmp_path, key, value, expected):
+        argv, path = self.command(inputs, "model.json", tmp_path)
+        doc, _ = replaced(json.loads(path.read_text()), key, value)
+        path.write_text(json.dumps(doc))
+        assert self.error(argv) == f"gammasort: error: {path}: {key}: {expected}\n"
 
     @pytest.mark.parametrize("bias", [["abc"] * 5, [[0.0]] * 5, [{}] * 5, [None] * 5, [0.0] * 4])
     def test_model_array_the_constructor_rejects(self, inputs, bias, tmp_path):

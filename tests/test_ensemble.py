@@ -72,9 +72,9 @@ class TestTaskKind:
         ]
         assert len(confusers) == 33  # 11 distances x 3 other shieldings
 
-    def test_one_hot_layout(self, full_grid):
-        label = TaskKind.ISOTOPE_ID.one_hot(full_grid[0])
-        assert label.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    def test_class_index_layout(self, full_grid):
+        assert TaskKind.ISOTOPE_ID.class_index(full_grid[0]) == 0
+        assert TaskKind.ISOTOPE_ID.n_classes == 5
 
 
 class TestPoissonSample:
@@ -141,14 +141,14 @@ class TestBuildDataset:
 
     def test_gauge_label_fraction(self, full_grid):
         ds = build_dataset(full_grid, TaskKind.GAUGE_BINARY, DETECTOR, 1, 1.0, seed=1, rebin_factor=4)
-        positives = int((ds.label_indices() == 0).sum())
+        positives = int((ds.labels == 0).sum())
         assert positives == 11
         assert len(ds) == 220
 
-    def test_every_label_is_one_hot(self, small_grid):
+    def test_every_label_is_a_class_index(self, small_grid):
         ds = build_dataset(small_grid, TaskKind.SHIELDING_ID, DETECTOR, 3, 1.0, seed=2, rebin_factor=4)
-        assert np.all(ds.labels.sum(axis=1) == 1.0)
-        assert np.all((ds.labels == 0.0) | (ds.labels == 1.0))
+        assert ds.labels.shape == (len(ds),) and ds.labels.dtype == np.intp
+        assert np.all((ds.labels >= 0) & (ds.labels < TaskKind.SHIELDING_ID.n_classes))
 
     def test_deterministic_per_seed(self, small_grid):
         a = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 2, 1.0, seed=9, rebin_factor=4)
@@ -220,10 +220,10 @@ class TestSampleDataset:
 
 
 class TestLabeledDataset:
-    def make(self, counts, kind=SpectrumKind.SAMPLED_REALIZATION, n_channels=4):
+    def make(self, counts, kind=SpectrumKind.SAMPLED_REALIZATION, n_channels=4, labels=None):
         counts = np.asarray(counts, dtype=float)
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
-        labels = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (len(counts), 1))
+        labels = np.zeros(len(counts), dtype=int) if labels is None else labels
         cal = EnergyCalibration(0.0, 3000.0, n_channels)
         return LabeledDataset(counts, labels, TaskKind.ISOTOPE_ID, tuple(grid * len(counts)), cal, 1.0, kind)
 
@@ -234,6 +234,8 @@ class TestLabeledDataset:
         assert ds.as_matrix()[0, 0] == 1.0
         with pytest.raises(ValueError):
             ds.as_matrix()[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 1
 
     @pytest.mark.parametrize(
         "counts",
@@ -248,6 +250,20 @@ class TestLabeledDataset:
     def test_whole_matrix_validation(self, counts):
         with pytest.raises(ValueError):
             self.make(counts)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.tile([1, 0, 0, 0, 0], (2, 1)),  # one-hot rows are not class indices
+            [0.0, 1.0],  # a float array
+            [0, 5],  # five classes: 5 is out of range
+            [-1, 0],
+            [0],  # one label for two items
+        ],
+    )
+    def test_labels_must_be_class_indices(self, labels):
+        with pytest.raises(ValueError, match="^labels must be "):
+            self.make(np.ones((2, 4)), labels=labels)
 
     def test_templates_may_hold_fractional_counts(self):
         assert len(self.make([[0.5, 1.5, 0.0, 2.0]], kind=SpectrumKind.EXPECTED_TEMPLATE)) == 1
@@ -264,7 +280,7 @@ class TestTemplateDataset:
 
     def test_isotope_labels_are_balanced(self, full_grid):
         ds = template_dataset(full_grid, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=4)
-        counts = np.bincount(ds.label_indices(), minlength=5)
+        counts = np.bincount(ds.labels, minlength=5)
         assert counts.tolist() == [44, 44, 44, 44, 44]
 
     def test_rescaled_to_training_dwell(self, small_grid):
@@ -279,7 +295,7 @@ class TestSplit:
         cal = EnergyCalibration(0.0, 3000.0, 8)
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
         counts = np.repeat(np.arange(n, dtype=float)[:, None], 8, axis=1)
-        labels = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (n, 1))
+        labels = np.zeros(n, dtype=int)
         return LabeledDataset(
             counts, labels, TaskKind.ISOTOPE_ID, tuple(grid * n), cal, 1.0,
             SpectrumKind.EXPECTED_TEMPLATE,
@@ -365,7 +381,7 @@ def tiny_dataset(counts, grid, kind=SpectrumKind.EXPECTED_TEMPLATE):
     counts = np.asarray(counts, dtype=float)
     provenance = [grid[i % len(grid)] for i in range(len(counts))]
     task = TaskKind.ISOTOPE_ID
-    labels = np.stack([task.one_hot(config) for config in provenance])
+    labels = [task.class_index(config) for config in provenance]
     cal = EnergyCalibration(0.0, 3000.0, counts.shape[1])
     return LabeledDataset(counts, labels, task, tuple(provenance), cal, 1.0, kind)
 
@@ -374,7 +390,7 @@ def repr_data_csv(ds):
     """data.csv as the reference writer forms it: ``repr`` of every cell."""
     return "".join(
         f"{label}," + ",".join(repr(c) for c in row.tolist()) + "\n"
-        for label, row in zip(ds.label_indices().tolist(), ds.counts)
+        for label, row in zip(ds.labels.tolist(), ds.counts)
     )
 
 

@@ -68,10 +68,8 @@ def synthetic_dataset(task, labels_idx, n_channels=8):
     grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
     rng = np.random.default_rng(0)
     counts = np.stack([rng.uniform(0, 5, n_channels) for _ in labels_idx])
-    labels = np.zeros((len(labels_idx), task.n_classes))
-    labels[np.arange(len(labels_idx)), labels_idx] = 1.0
     return LabeledDataset(
-        counts, labels, task, tuple(grid * len(labels_idx)), cal, 1.0,
+        counts, labels_idx, task, tuple(grid * len(labels_idx)), cal, 1.0,
         SpectrumKind.EXPECTED_TEMPLATE,
     )
 
@@ -89,7 +87,7 @@ def reference_metrics(logits, one_hot, n_classes) -> EvalResult:
 
 def reference_train(train_ds, test_ds, cfg):
     """``train`` rebuilt from the public backward and adam_step, one step at a time."""
-    x, y = train_ds.as_matrix(), train_ds.labels
+    x, y = train_ds.as_matrix(), np.eye(train_ds.task.n_classes)[train_ds.labels]
     n = len(x)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     params = init_params(cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width)
@@ -102,8 +100,8 @@ def reference_train(train_ds, test_ds, cfg):
             _, grads = backward(params, x[idx], y[idx])
             params, state = adam_step(params, grads, state)
         train_loss = cross_entropy(softmax(forward(params, x)), y)
-        test = reference_metrics(forward(params, test_ds.as_matrix()), test_ds.labels,
-                                 params.n_classes)
+        test = reference_metrics(forward(params, test_ds.as_matrix()),
+                                 np.eye(params.n_classes)[test_ds.labels], params.n_classes)
         history.append(epoch, train_loss, test)
     return params, history
 
@@ -144,7 +142,7 @@ class TestEvaluate:
         cal = EnergyCalibration(0.0, 3000.0, 5)
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
         ds = LabeledDataset(
-            10.0 * np.eye(5), np.eye(5), task, tuple(grid * 5), cal, 1.0,
+            10.0 * np.eye(5), np.arange(5), task, tuple(grid * 5), cal, 1.0,
             SpectrumKind.EXPECTED_TEMPLATE,
         )
         params = LinearParams(np.eye(5), np.zeros(5))
@@ -171,7 +169,7 @@ class TestEvaluate:
         params = init_params(ARCH_LINEAR, train_ds.n_channels, 5, seed=1)
         result = evaluate(params, test_ds)
         row_sums = result.confusion.sum(axis=1)
-        true_counts = np.bincount(test_ds.label_indices(), minlength=5)
+        true_counts = np.bincount(test_ds.labels, minlength=5)
         assert np.array_equal(row_sums, true_counts)
         assert result.accuracy == pytest.approx(
             np.trace(result.confusion) / result.confusion.sum()
@@ -323,7 +321,7 @@ class TestOversample:
         grid = standard_grid()
         ds = template_dataset(grid, TaskKind.GAUGE_BINARY, DETECTOR, rebin_factor=8)
         balanced = oversample_positives(ds, positive_class=0, ratio=0.25)
-        idx = balanced.label_indices()
+        idx = balanced.labels
         n_pos = int((idx == 0).sum())
         n_neg = int((idx == 1).sum())
         assert n_neg == 209

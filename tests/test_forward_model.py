@@ -4,12 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gammasort.ensemble import TaskKind, standard_grid, template_dataset
 from gammasort.forward_model import (
     DEFAULT_BACKGROUND_CPS,
     DU_EMISSION_BQ_PER_CM,
     DU_EMISSION_LINES,
+    FWHM_TO_SIGMA,
+    GAUSSIAN_TRUNCATION_SIGMA,
     TEMPLATE_DWELL_S,
     DetectorModel,
     ShieldMaterial,
@@ -66,10 +70,16 @@ class TestAttenuation:
         with pytest.raises(ValueError):
             attenuation_factor(steel, 3500.0)
 
-    def test_monotone_nonincreasing_in_thickness(self):
+    @given(
+        material=st.sampled_from(["Concrete", "Steel", "DepletedUranium"]),
+        energy=st.floats(10.0, 3000.0),  # the bundled tables' range
+        thicknesses=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=6).map(sorted),
+    )
+    @example(material="Concrete", energy=356.0, thicknesses=[0.0, 1.0, 2.0, 5.0, 10.0, 25.0])
+    def test_monotone_nonincreasing_in_thickness(self, material, energy, thicknesses):
         values = [
-            attenuation_factor(default_shielding("Concrete", thickness_cm=t), 356.0)
-            for t in (0.0, 1.0, 2.0, 5.0, 10.0, 25.0)
+            attenuation_factor(default_shielding(material, thickness_cm=t), energy)
+            for t in thicknesses
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -107,10 +117,23 @@ class TestLineResponse:
         s = line_response(DETECTOR, 661.7, 0.0)
         assert total_counts(s) == 0.0
 
-    def test_counts_conserved_within_tenth_percent(self):
-        for energy in (81.0, 356.0, 661.7, 1332.5):
-            s = line_response(DETECTOR, energy, 1e6)
-            assert total_counts(s) == pytest.approx(1e6, rel=1e-3)
+    @given(energy=st.floats(1.0, 2999.0), resolution=st.floats(0.03, 0.2))
+    @example(energy=81.0, resolution=0.075)
+    @example(energy=356.0, resolution=0.075)
+    @example(energy=661.7, resolution=0.075)
+    @example(energy=1332.5, resolution=0.075)
+    @settings(deadline=None)  # the first call imports scipy.special
+    def test_counts_conserved_within_tenth_percent(self, energy, resolution):
+        # Only the Gaussian tails beyond the +-6 sigma truncation may be lost,
+        # so the peak's truncated span must lie inside the calibration.  The
+        # resolutions keep the peak wider than a 2.9 keV channel: below about
+        # 0.02 the truncation, applied at channel centres, can drop a peak whole.
+        detector = DetectorModel(DETECTOR.calibration, resolution_fwhm_frac_662=resolution)
+        reach = GAUSSIAN_TRUNCATION_SIGMA * detector.fwhm_kev(energy) * FWHM_TO_SIGMA
+        cal = detector.calibration
+        assume(cal.e_min <= energy - reach and energy + reach <= cal.e_max)
+        s = line_response(detector, energy, 1e6)
+        assert total_counts(s) == pytest.approx(1e6, rel=1e-3)
 
     def test_photopeak_centroid_channel(self):
         # bin containing 661.7 keV on the default calibration
@@ -239,12 +262,16 @@ class TestBuildTemplate:
         # 1001 keV is beyond the cesium photopeak tail, so only DU populates it
         assert bare.counts[cal.channel_of_energy(1001.0)] == 0.0
 
-    def test_geometric_fraction_inverse_square(self):
+    @given(distance=st.floats(0.1, 1000.0), factor=st.floats(0.1, 10.0))
+    @example(distance=10.0, factor=2.0)
+    def test_geometric_fraction_inverse_square(self, distance, factor):
         area = 51.6128
-        assert geometric_fraction(10.0, area) == pytest.approx(
-            area / (4.0 * math.pi * 1000.0**2), rel=1e-12
-        )
-        assert geometric_fraction(20.0, area) == geometric_fraction(10.0, area) / 4.0
+        near = geometric_fraction(distance, area)
+        assert near == pytest.approx(area / (4.0 * math.pi * (100.0 * distance) ** 2), rel=1e-12)
+        far = geometric_fraction(distance * factor, area)
+        assert far == pytest.approx(near / factor**2, rel=1e-12)
+        if math.frexp(factor)[0] == 0.5:  # a power of two: no step rounds, so the law is exact
+            assert far == near / factor**2
 
 
 def reference_template(config, detector, dwell_s, background_cps=DEFAULT_BACKGROUND_CPS):

@@ -1,9 +1,10 @@
 """Guards for the benchmark tooling, which reaches into gammasort by name.
 
 ``perfbench/tracing.py`` wraps module attributes with ``getattr`` when it
-installs its spans, and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG``
-and ``cli.build_template``.  A rename in ``src/`` would break the traced
-benchmark without failing any other test.  The last guards keep JSON reading
+installs its spans, the benchmark scripts import names from ``gammasort``,
+and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG`` and
+``cli.build_template``.  A rename in ``src/`` would break the benchmark
+without failing any other test.  The last guards keep JSON reading
 and writing in the one module that checks it, keep file writes in the four
 writers, keep random streams in ``seeding``, and keep unused imports out of
 the package.
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "gammasort"
 
 
@@ -52,6 +54,19 @@ def test_every_traced_method_resolves(tracing):
             getattr(getattr(importlib.import_module(f"gammasort.{mod}"), cls, None), attr, None)
         )
     ]
+    assert not missing
+
+
+def test_every_name_perfbench_imports_resolves():
+    # The benchmark imports gammasort by name; a rename would break only the benchmark.
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gammasort"):
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)
+                            and importlib.util.find_spec(f"{node.module}.{alias.name}") is None]
     assert not missing
 
 
