@@ -345,30 +345,36 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
         manifest.update(extra)
     write_json(out_dir / "manifest.json", manifest)
 
-    to_cells, format_cell = _cell_format(ds)
-    labels = ds.labels.tolist()
-    rows = ([str(k), *map(format_cell, to_cells(c))] for k, c in zip(labels, ds.counts))
+    format_row = _row_format(ds)
+    rows = ([str(k), format_row(c)] for k, c in zip(ds.labels.tolist(), ds.counts))
     write_csv_table(out_dir / "data.csv", (), rows)
     return out_dir / "manifest.json"
 
 
-def _cell_format(ds: LabeledDataset) -> tuple:
-    """(row converter, cell formatter) that write every cell as ``repr`` of its float.
+def _row_format(ds: LabeledDataset):
+    """Formatter of one counts row: each cell as ``repr`` of its float, joined by commas.
 
-    Integer counts (sampled realizations) are looked up in a table of the
-    strings ``repr(0.0)``, ``repr(1.0)``, ... up to the matrix maximum.  The
-    table is used only where it gives ``repr`` exactly: no ``-0.0`` cell, a
-    maximum below 1e16 (``repr`` switches to exponent form there), and no
-    more entries than the matrix has cells.  Any other matrix is formatted by
-    ``repr`` itself.
+    Integer counts (sampled realizations) index a fixed-width byte table of
+    the strings ``repr(0.0) + ","``, ``repr(1.0) + ","``, ... up to the matrix
+    maximum with the whole row at once; the row's bytes, without the table's
+    NUL padding and the last comma, are the line.  The table is used only
+    where it gives ``repr`` exactly: no ``-0.0`` cell, a maximum below 1e16
+    (``repr`` switches to exponent form there), and no more entries than the
+    matrix has cells.  Any other matrix is formatted by :func:`_repr_row`.
     """
     counts = ds.counts
     if ds.kind is SpectrumKind.SAMPLED_REALIZATION and not np.signbit(counts).any():
         top = counts.max()
         if top < 1e16 and top < counts.size:
-            table = [repr(float(i)) for i in range(int(top) + 1)]
-            return (lambda row: row.astype(np.int64).tolist()), table.__getitem__
-    return (lambda row: row.tolist()), repr
+            table = np.array([repr(float(i)) + "," for i in range(int(top) + 1)], dtype=np.bytes_)
+            return lambda row: (
+                table[row.astype(np.intp)].tobytes().translate(None, b"\0")[:-1].decode()
+            )
+    return _repr_row
+
+
+def _repr_row(row: np.ndarray) -> str:
+    return ",".join(map(repr, row.tolist()))
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:

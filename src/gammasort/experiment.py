@@ -113,6 +113,13 @@ _RANGES = {
     "train.epsilon": ("a positive value", lambda v: v > 0),
     "train.oversample_ratio": ("a non-negative value", lambda v: v >= 0),
     "grid.background_cps": ("a non-negative value", lambda v: v >= 0),
+    "grid.activity_bq": ("a positive value", lambda v: v > 0),
+    "grid.distances_m": ("positive distances", lambda v: all(d > 0 for d in v)),
+    "detector.n_channels": ("an integer of at least 1", lambda v: v >= 1),
+    "detector.face_area_cm2": ("a positive value", lambda v: v > 0),
+    "detector.intrinsic_efficiency": ("a value in (0, 1]", lambda v: 0 < v <= 1),
+    "detector.resolution_fwhm_frac_662": ("a value in (0, 1]", lambda v: 0 < v <= 1),
+    "detector.compton_fraction": ("a value in (0, 1]", lambda v: 0 < v <= 1),
 }
 
 # Canned scenarios, each merged over DEFAULT_CONFIG.  The gauge window
@@ -252,6 +259,37 @@ class MetricsHistory:
         }
 
 
+# The class-axis reductions below walk the few class columns of an (n, k)
+# matrix and match numpy's ``max``/``sum``/``argmax`` over the last axis bit
+# for bit while k < 8: numpy sums fewer than 8 cells left to right from +0.0,
+# and 8 or more in 8 partial sums.  Every task has fewer than 8 classes.
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``np.max(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    return top
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
+    total = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        total += x[:, j]
+    return total
+
+
+def _row_argmax(x: np.ndarray) -> np.ndarray:
+    """``np.argmax(x, axis=-1)`` of an (n, k) matrix: each row's first maximum."""
+    top, index = x[:, 0].copy(), np.zeros(x.shape[0], dtype=np.intp)
+    for j in range(1, x.shape[1]):
+        np.copyto(index, j, where=x[:, j] > top)
+        np.maximum(top, x[:, j], out=top)
+    return index
+
+
 def _mean_loss(logits: np.ndarray, true: np.ndarray) -> float:
     """``cross_entropy`` of ``softmax(logits)`` against the one-hot rows of ``true``, bit for bit.
 
@@ -260,15 +298,15 @@ def _mean_loss(logits: np.ndarray, true: np.ndarray) -> float:
     """
     if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    expz = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    picked = expz[np.arange(len(true)), true] / np.sum(expz, axis=-1)
+    expz = np.exp(logits - _row_max(logits)[:, None])
+    picked = expz[np.arange(len(true)), true] / _row_sum(expz)
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 def _metrics(logits: np.ndarray, true: np.ndarray, n_classes: int) -> EvalResult:
     """Loss, accuracies and confusion of ``logits`` against the true-class indices."""
     loss = _mean_loss(logits, true)
-    predicted = np.argmax(logits, axis=-1)
+    predicted = _row_argmax(logits)
     confusion = np.bincount(true * n_classes + predicted, minlength=n_classes * n_classes)
     confusion = confusion.reshape(n_classes, n_classes)
     row_totals = confusion.sum(axis=1)
@@ -393,9 +431,10 @@ METRICS_COLUMNS = ("epoch", "train_loss", "test_loss", "overall_acc")
 
 def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
     header = list(METRICS_COLUMNS) + [f"acc_{name}" for name in class_names]
-    columns = zip(history.epochs, history.train_loss, history.test_loss, history.test_accuracy,
-                  history.per_class_accuracy)
-    write_csv_table(path, header, ([*scalars, *per_class] for *scalars, per_class in columns))
+    values = np.column_stack([history.train_loss, history.test_loss, history.test_accuracy,
+                              np.array(history.per_class_accuracy)])
+    rows = ([str(epoch), *map(repr, row)] for epoch, row in zip(history.epochs, values.tolist()))
+    write_csv_table(path, header, rows)
 
 
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
@@ -421,7 +460,8 @@ def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> No
     for k, (name, weights) in enumerate(series):
         tag = f"class_{k}" if isinstance(params, LinearParams) else name
         path = out_dir / f"weights_{tag}.csv"
-        write_csv_table(path, ("channel", "weight"), enumerate(weights), [f"series={name}"])
+        rows = ([str(channel), repr(w)] for channel, w in enumerate(weights.tolist()))
+        write_csv_table(path, ("channel", "weight"), rows, [f"series={name}"])
 
 
 def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:

@@ -608,6 +608,18 @@ class TestConfigChecks:
         ("train.batch_size", {"train": {"batch_size": 0}},
          "an integer of at least 1, or null, got 0"),
         ("samples_per_config", {"samples_per_config": 0}, "an integer of at least 1, got 0"),
+        ("detector.n_channels", {"detector": {"n_channels": 0}}, "an integer of at least 1, got 0"),
+        ("detector.face_area_cm2", {"detector": {"face_area_cm2": 0.0}},
+         "a positive value, got 0.0"),
+        ("detector.intrinsic_efficiency", {"detector": {"intrinsic_efficiency": 0.0}},
+         "a value in (0, 1], got 0.0"),
+        ("detector.resolution_fwhm_frac_662", {"detector": {"resolution_fwhm_frac_662": 1.5}},
+         "a value in (0, 1], got 1.5"),
+        ("detector.compton_fraction", {"detector": {"compton_fraction": 1.5}},
+         "a value in (0, 1], got 1.5"),
+        ("grid.activity_bq", {"grid": {"activity_bq": -1.0}}, "a positive value, got -1.0"),
+        ("grid.distances_m", {"grid": {"distances_m": [10.0, -1.0]}},
+         "positive distances, got [10.0, -1.0]"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.

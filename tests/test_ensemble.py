@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gammasort import nucleardata, seeding
 from gammasort.ensemble import (
-    _cell_format,
     _config_record,
+    _repr_row,
+    _row_format,
     LabeledDataset,
     TaskKind,
     build_dataset,
@@ -414,12 +415,12 @@ class TestWriterMatchesRepr:
         ds = tiny_dataset(counts, small_grid, kind)
         write_dataset(ds, tmp_path)
         assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
-        assert (_cell_format(ds)[1] is not repr) == by_table
+        assert (_row_format(ds) is not _repr_row) == by_table
 
     def test_sampled_dataset(self, tmp_path, small_grid):
         ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 3, 10.0, seed=5, rebin_factor=4)
         write_dataset(ds, tmp_path)
-        assert _cell_format(ds)[1] is not repr
+        assert _row_format(ds) is not _repr_row
         assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
 
 
@@ -428,6 +429,8 @@ class TestWriterMatchesRepr:
         st.lists(st.integers(0, 40), min_size=width, max_size=width), min_size=1, max_size=8
     )
 ))
+@example([[3], [0], [1], [0]])  # one channel: the cut comma is the row's only separator
+@example([[0, 10, 40, 1, 0]] * 9)  # entries of three widths share one NUL-padded table
 @settings(max_examples=60, deadline=None)
 def test_integer_counts_write_as_repr(small_grid, rows):
     ds = tiny_dataset(rows, small_grid, SAMPLED)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammasort import seeding
 from gammasort.ensemble import (
@@ -20,6 +22,9 @@ from gammasort.experiment import (
     TrainConfig,
     _mean_loss,
     _metrics,
+    _row_argmax,
+    _row_max,
+    _row_sum,
     evaluate,
     export_weight_features,
     oversample_positives,
@@ -133,6 +138,28 @@ class TestMetrics:
     def test_overflowing_logits_are_refused(self):
         with pytest.raises(ValueError, match="^logits must be finite$"):
             _metrics(np.array([[np.inf, 0.0]]), np.array([0]), 2)
+
+    def test_every_task_has_fewer_than_8_classes(self):
+        # The column-at-a-time class reductions match numpy's only below 8 columns.
+        assert max(t.n_classes for t in TaskKind) < 8
+
+
+# Ties, signed zeros and magnitudes near 1e300, whose sums still stay finite.
+CLASS_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(min_value=-1e301, max_value=1e301),
+)
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(CLASS_CELLS, min_size=k, max_size=k), min_size=1, max_size=40)
+))
+@settings(max_examples=200, deadline=None)
+def test_class_axis_reductions_match_numpy_bitwise(rows):
+    x = np.array(rows)
+    assert _row_max(x).tobytes() == np.max(x, axis=-1).tobytes()
+    assert _row_sum(x).tobytes() == np.sum(x, axis=-1).tobytes()
+    assert _row_argmax(x).tobytes() == np.argmax(x, axis=-1).tobytes()
 
 
 class TestEvaluate:
