@@ -27,6 +27,7 @@ from .forward_model import (
     template_matrix,
 )
 from .jsonfile import checked, read_json, write_json
+from .neuralnet import checked_labels
 from .spectra import (
     EnergyCalibration,
     Spectrum,
@@ -85,7 +86,8 @@ class LabeledDataset:
 
     Calibration, dwell and spectrum kind are shared by every item; each item
     keeps the source configuration it was drawn from as provenance.  Counts
-    (checked by :func:`spectra.checked_counts`) and labels are read-only copies.
+    (checked by :func:`spectra.checked_counts`) and labels (checked by
+    :func:`neuralnet.checked_labels`) are read-only copies.
     """
 
     counts: np.ndarray
@@ -98,14 +100,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         counts = checked_counts(self.counts, 2, self.n_channels, self.kind, self.dwell_s)
-        labels, n, k = np.asarray(self.labels), counts.shape[0], self.task.n_classes
-        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be {n} class indices, got {labels.dtype} {labels.shape}")
-        if labels.min() < 0 or labels.max() >= k:
-            raise ValueError(f"labels must be class indices in [0, {k})")
-        if len(self.provenance) != n:
+        labels = checked_labels(self.labels, counts.shape[0], self.task.n_classes)
+        if len(self.provenance) != len(labels):
             raise ValueError("provenance must align with the counts rows")
-        labels = labels.astype(np.intp)
         labels.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "labels", labels)

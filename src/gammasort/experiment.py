@@ -40,17 +40,19 @@ from .jsonfile import _deep_merge, checked, write_json
 from .neuralnet import (
     ARCH_HIDDEN_TANH,
     ARCH_LINEAR,
-    PROB_FLOOR,
     AdamHyper,
     LinearParams,
     NetworkParams,
     _adam_update,
     _gradients_into,
+    _row_argmax,
     _zeros_like,
+    cross_entropy,
     forward,
     init_adam,
     init_params,
     save_model,
+    softmax,
 )
 from .spectra import EnergyCalibration, read_csv_table, write_csv_table
 
@@ -98,28 +100,32 @@ DEFAULT_CONFIG: dict = {
 # Leaves that also take null; ``None`` means full-batch training.
 _NULLABLE = {"train.batch_size"}
 
-# The value ranges run_config checks, by dotted key: what the range is and a test.
+# The value ranges run_config checks, by dotted key: what the range is and a test
+# of the value and the whole config (a range may depend on another key).
 _RANGES = {
-    "seed": ("a non-negative integer", lambda v: v >= 0),
-    "dwell_s": ("a positive dwell", lambda v: v > 0),
-    "samples_per_config": ("an integer of at least 1", lambda v: v >= 1),
-    "train.epochs": ("an integer of at least 1", lambda v: v >= 1),
-    "train.batch_size": ("an integer of at least 1, or null", lambda v: v is None or v >= 1),
-    "train.width": ("a positive integer", lambda v: v >= 1),
-    "train.train_dwell_s": ("a positive dwell", lambda v: v > 0),
-    "train.learning_rate": ("a positive value", lambda v: v > 0),
-    "train.beta1": ("a value in [0, 1)", lambda v: 0 <= v < 1),
-    "train.beta2": ("a value in [0, 1)", lambda v: 0 <= v < 1),
-    "train.epsilon": ("a positive value", lambda v: v > 0),
-    "train.oversample_ratio": ("a non-negative value", lambda v: v >= 0),
-    "grid.background_cps": ("a non-negative value", lambda v: v >= 0),
-    "grid.activity_bq": ("a positive value", lambda v: v > 0),
-    "grid.distances_m": ("positive distances", lambda v: all(d > 0 for d in v)),
-    "detector.n_channels": ("an integer of at least 1", lambda v: v >= 1),
-    "detector.face_area_cm2": ("a positive value", lambda v: v > 0),
-    "detector.intrinsic_efficiency": ("a value in (0, 1]", lambda v: 0 < v <= 1),
-    "detector.resolution_fwhm_frac_662": ("a value in (0, 1]", lambda v: 0 < v <= 1),
-    "detector.compton_fraction": ("a value in (0, 1]", lambda v: 0 < v <= 1),
+    "seed": ("a non-negative integer", lambda v, _: v >= 0),
+    "dwell_s": ("a positive dwell", lambda v, _: v > 0),
+    "samples_per_config": ("an integer of at least 1", lambda v, _: v >= 1),
+    "train.epochs": ("an integer of at least 1", lambda v, _: v >= 1),
+    "train.batch_size": ("an integer of at least 1, or null", lambda v, _: v is None or v >= 1),
+    "train.width": ("a positive integer", lambda v, _: v >= 1),
+    "train.train_dwell_s": ("a positive dwell", lambda v, _: v > 0),
+    "train.learning_rate": ("a positive value", lambda v, _: v > 0),
+    "train.beta1": ("a value in [0, 1)", lambda v, _: 0 <= v < 1),
+    "train.beta2": ("a value in [0, 1)", lambda v, _: 0 <= v < 1),
+    "train.epsilon": ("a positive value", lambda v, _: v > 0),
+    "train.oversample_ratio": ("a non-negative value", lambda v, _: v >= 0),
+    "grid.background_cps": ("a non-negative value", lambda v, _: v >= 0),
+    "grid.activity_bq": ("a positive value", lambda v, _: v > 0),
+    "grid.distances_m": ("positive distances", lambda v, _: all(d > 0 for d in v)),
+    "detector.n_channels": ("an integer of at least 1", lambda v, _: v >= 1),
+    "detector.face_area_cm2": ("a positive value", lambda v, _: v > 0),
+    "detector.intrinsic_efficiency": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
+    "detector.resolution_fwhm_frac_662": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
+    "detector.compton_fraction": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
+    "detector.e_min": ("a value below detector.e_max", lambda v, c: v < c["detector"]["e_max"]),
+    "rebin": ("a positive divisor of detector.n_channels",  # checked after n_channels
+              lambda v, c: v >= 1 and c["detector"]["n_channels"] % v == 0),
 }
 
 # Canned scenarios, each merged over DEFAULT_CONFIG.  The gauge window
@@ -143,7 +149,7 @@ def run_config(*overrides: dict) -> dict:
         config = checked(_deep_merge(config, override), DEFAULT_CONFIG, nullable=_NULLABLE)
     for key, (expected, ok) in _RANGES.items():
         value = functools.reduce(dict.__getitem__, key.split("."), config)
-        if not ok(value):
+        if not ok(value, config):
             raise ValueError(f"{key}: expected {expected}, got {value}")
     return config
 
@@ -182,13 +188,8 @@ def grid_from_config(config: dict) -> list[SourceConfig]:
 
 
 def rebin_factor(config: dict) -> int:
-    n = config["detector"]["n_channels"]
-    target = config["rebin"]
-    if target < 1:
-        raise ValueError(f"rebin must be a positive integer channel count, got {target!r}")
-    if target > n or n % target != 0:
-        raise ValueError(f"rebin target {target} does not divide {n} channels")
-    return n // target
+    """Channels summed into one: ``run_config`` checked that ``rebin`` divides them."""
+    return config["detector"]["n_channels"] // config["rebin"]
 
 
 def task_from_config(config: dict) -> TaskKind:
@@ -259,53 +260,9 @@ class MetricsHistory:
         }
 
 
-# The class-axis reductions below walk the few class columns of an (n, k)
-# matrix and match numpy's ``max``/``sum``/``argmax`` over the last axis bit
-# for bit while k < 8: numpy sums fewer than 8 cells left to right from +0.0,
-# and 8 or more in 8 partial sums.  Every task has fewer than 8 classes.
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``np.max(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
-    top = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        np.maximum(top, x[:, j], out=top)
-    return top
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
-    total = np.zeros(x.shape[0])
-    for j in range(x.shape[1]):
-        total += x[:, j]
-    return total
-
-
-def _row_argmax(x: np.ndarray) -> np.ndarray:
-    """``np.argmax(x, axis=-1)`` of an (n, k) matrix: each row's first maximum."""
-    top, index = x[:, 0].copy(), np.zeros(x.shape[0], dtype=np.intp)
-    for j in range(1, x.shape[1]):
-        np.copyto(index, j, where=x[:, j] > top)
-        np.maximum(top, x[:, j], out=top)
-    return index
-
-
-def _mean_loss(logits: np.ndarray, true: np.ndarray) -> float:
-    """``cross_entropy`` of ``softmax(logits)`` against the one-hot rows of ``true``, bit for bit.
-
-    The true class's probability is picked instead of summed from a one-hot
-    product; adding the zeros of the other classes changes no bit.
-    """
-    if not np.isfinite(logits).all():
-        raise ValueError("logits must be finite")
-    expz = np.exp(logits - _row_max(logits)[:, None])
-    picked = expz[np.arange(len(true)), true] / _row_sum(expz)
-    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
-
-
 def _metrics(logits: np.ndarray, true: np.ndarray, n_classes: int) -> EvalResult:
     """Loss, accuracies and confusion of ``logits`` against the true-class indices."""
-    loss = _mean_loss(logits, true)
+    loss = cross_entropy(softmax(logits), true)
     predicted = _row_argmax(logits)
     confusion = np.bincount(true * n_classes + predicted, minlength=n_classes * n_classes)
     confusion = confusion.reshape(n_classes, n_classes)
@@ -355,7 +312,6 @@ def train(
 
     x_train, true_train = train_ds.as_matrix(), train_ds.labels
     x_test, true_test = test_ds.as_matrix(), test_ds.labels
-    y_train = np.eye(train_ds.task.n_classes)[true_train]  # the one-hot rows the gradients take
     n = x_train.shape[0]
 
     if initial is None:
@@ -375,11 +331,11 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, batch):
                     idx = order[start : start + batch]
-                    _gradients_into(grads, params, x_train[idx], y_train[idx])
+                    _gradients_into(grads, params, x_train[idx], true_train[idx])
                     _adam_update(params.flat, grads.flat, state)
                     if not np.isfinite(params.flat).all():
                         raise ValueError("non-finite parameters")
-                train_loss = _mean_loss(forward(params, x_train), true_train)
+                train_loss = cross_entropy(softmax(forward(params, x_train)), true_train)
                 result = _metrics(forward(params, x_test), true_test, params.n_classes)
         except ValueError as err:  # the inputs were checked above: the trajectory failed
             raise ValueError(f"{params.arch}: training diverged at epoch {epoch}: {err}") from err

@@ -2,10 +2,10 @@
 
 Implements exactly two models: a linear map (W x + b) and a single tanh
 hidden layer (W2 tanh(W1 x + b1) + b2).  Networks emit logits; softmax is
-fused into the cross-entropy loss for numerical stability, and prediction is
-argmax of the logits (equivalent to argmax of the softmax).  Gradients are
-analytic; the optimizer is standard Adam with bias correction.  All math is
-float64.
+max-shifted for numerical stability, and prediction is argmax of the logits
+(equivalent to argmax of the softmax).  Labels are class indices, checked by
+:func:`checked_labels`.  Gradients are analytic; the optimizer is standard
+Adam with bias correction.  All math is float64.
 """
 
 from __future__ import annotations
@@ -179,27 +179,73 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return forward_hidden(params, x)
 
 
+def checked_labels(labels, n: int, n_classes: int) -> np.ndarray:
+    """``labels`` as an intp copy, checked as ``n`` class indices in ``[0, n_classes)``."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be {n} class indices, got {labels.dtype} {labels.shape}")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must be class indices in [0, {n_classes})")
+    return labels.astype(np.intp)
+
+
+# The class-axis reductions below walk the few class columns of an (n, k)
+# matrix and match numpy's ``max``/``sum``/``argmax`` over the last axis bit
+# for bit while k < 8: numpy sums fewer than 8 cells left to right from +0.0,
+# and 8 or more in 8 partial sums.  Every task has fewer than 8 classes.
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``np.max(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
+    top = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j], out=top)
+    return top
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` of an (n, k) matrix, one column at a time."""
+    total = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        total += x[:, j]
+    return total
+
+
+def _row_argmax(x: np.ndarray) -> np.ndarray:
+    """``np.argmax(x, axis=-1)`` of an (n, k) matrix: each row's first maximum."""
+    top, index = x[:, 0].copy(), np.zeros(x.shape[0], dtype=np.intp)
+    for j in range(1, x.shape[1]):
+        np.copyto(index, j, where=x[:, j] > top)
+        np.maximum(top, x[:, j], out=top)
+    return index
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis."""
+    """Max-shifted softmax over the last axis of one logit vector or a batch."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / np.sum(expz, axis=-1, keepdims=True)
+    rows = logits.reshape(-1, logits.shape[-1])
+    expz = np.exp(rows - _row_max(rows)[:, None])
+    expz /= _row_sum(expz)[:, None]
+    return expz.reshape(logits.shape)
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """-log probability of the true class, given one-hot ``labels``; mean over a batch.
+def cross_entropy(probs: np.ndarray, labels) -> float:
+    """-log probability of the true class, given one vector and its class index
+    or an ``(n, classes)`` batch and ``n`` class indices; mean over a batch.
 
     The picked probability is floored at 1e-12 so a confidently wrong
     prediction yields a large finite loss instead of infinity.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs labels {labels.shape}")
-    picked = np.sum(probs * labels, axis=-1)
+    labels = np.asarray(labels)
+    if probs.ndim == 1:
+        probs, labels = probs[None, :], labels[None]
+    if probs.ndim != 2:
+        raise ValueError(f"probs must be one vector or a batch, got shape {probs.shape}")
+    labels = checked_labels(labels, probs.shape[0], probs.shape[1])
+    picked = probs[np.arange(len(labels)), labels]
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
@@ -209,50 +255,47 @@ def _zeros_like(params: NetworkParams) -> NetworkParams:
 
 
 def _gradients_into(
-    grads: NetworkParams, params: NetworkParams, x: np.ndarray, y: np.ndarray
+    grads: NetworkParams, params: NetworkParams, x: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Write the gradients of the mean loss over the rows ``(x, y)`` into
+    """Write the gradients of the mean loss over the rows ``(x, labels)`` into
     ``grads``' fields, views of ``grads.flat``; return the probabilities.
 
-    Unchecked: ``x`` is a float64 ``(n, channels)`` batch, ``y`` its
-    ``(n, classes)`` one-hot labels and ``grads`` of ``params``' type.
+    Unchecked: ``x`` is a float64 ``(n, channels)`` batch, ``labels`` its
+    ``n`` class indices and ``grads`` of ``params``' type.
     Logits that overflow raise ``ValueError`` (from :func:`softmax`).
     """
-    n = x.shape[0]
-    if isinstance(params, LinearParams):
-        probs = softmax(x @ params.weights.T + params.bias)
-        dlogits = (probs - y) / n
-        np.matmul(dlogits.T, x, out=grads.weights)
-        np.sum(dlogits, axis=0, out=grads.bias)
-        return probs
-
-    y1 = np.tanh(x @ params.w1.T + params.b1)
-    probs = softmax(y1 @ params.w2.T + params.b2)
-    dlogits = (probs - y) / n
-    np.matmul(dlogits.T, y1, out=grads.w2)
-    np.sum(dlogits, axis=0, out=grads.b2)
-    dz1 = (dlogits @ params.w2) * (1.0 - y1 * y1)
-    np.matmul(dz1.T, x, out=grads.w1)
-    np.sum(dz1, axis=0, out=grads.b1)
+    # The output layer is linear over ``y1``: the input, or the tanh hidden layer.
+    linear = isinstance(params, LinearParams)
+    y1 = x if linear else np.tanh(x @ params.w1.T + params.b1)
+    w_out, b_out = (params.weights, params.bias) if linear else (params.w2, params.b2)
+    probs = softmax(y1 @ w_out.T + b_out)
+    dlogits = probs.copy()  # (probs - one_hot) / n bit for bit, as p - 0.0 == p
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    np.matmul(dlogits.T, y1, out=grads.weights if linear else grads.w2)
+    np.sum(dlogits, axis=0, out=grads.bias if linear else grads.b2)
+    if not linear:
+        dz1 = (dlogits @ params.w2) * (1.0 - y1 * y1)
+        np.matmul(dz1.T, x, out=grads.w1)
+        np.sum(dz1, axis=0, out=grads.b1)
     return probs
 
 
-def backward(params: NetworkParams, x: np.ndarray, labels: np.ndarray):
+def backward(params: NetworkParams, x: np.ndarray, labels):
     """Loss and analytic gradients of mean softmax cross-entropy.
 
-    Accepts a single (x, one-hot label) pair or batched rows; gradients are
-    of the mean loss, so batch and single-item conventions agree at n = 1.
+    Accepts one input vector with one class index, or an ``(n, channels)``
+    batch with ``n`` class indices; gradients are of the mean loss, so batch
+    and single-item conventions agree at n = 1.
     """
     x = _check_input(params, x)
-    y = np.asarray(labels, dtype=np.float64)
+    labels = np.asarray(labels)
     if x.ndim == 1:
-        x = x[None, :]
-        y = y[None, :]
-    if y.shape != (x.shape[0], params.n_classes):
-        raise ValueError(f"labels shape {y.shape} does not match batch x classes")
+        x, labels = x[None, :], labels[None]
+    labels = checked_labels(labels, x.shape[0], params.n_classes)
     grads = _zeros_like(params)
-    probs = _gradients_into(grads, params, x, y)
-    loss = cross_entropy(probs, y)
+    probs = _gradients_into(grads, params, x, labels)
+    loss = cross_entropy(probs, labels)
     if not np.isfinite(grads.flat).all():
         raise ValueError("parameters must be finite")
     return loss, grads

@@ -620,6 +620,16 @@ class TestConfigChecks:
         ("grid.activity_bq", {"grid": {"activity_bq": -1.0}}, "a positive value, got -1.0"),
         ("grid.distances_m", {"grid": {"distances_m": [10.0, -1.0]}},
          "positive distances, got [10.0, -1.0]"),
+        ("detector.e_min", {"detector": {"e_min": 3000.0}},
+         "a value below detector.e_max, got 3000.0"),
+        ("detector.e_min", {"detector": {"e_min": 100.0, "e_max": 50.0}},
+         "a value below detector.e_max, got 100.0"),
+        ("rebin", {"rebin": 3}, "a positive divisor of detector.n_channels, got 3"),
+        ("rebin", {"rebin": 0}, "a positive divisor of detector.n_channels, got 0"),
+        ("rebin", {"rebin": -256}, "a positive divisor of detector.n_channels, got -256"),
+        ("rebin", {"rebin": 2048}, "a positive divisor of detector.n_channels, got 2048"),
+        ("rebin", {"detector": {"n_channels": 1000}},
+         "a positive divisor of detector.n_channels, got 256"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.
@@ -629,6 +639,21 @@ class TestConfigChecks:
         cfg = write_config(tmp_path, override)
         out = tmp_path / "x"
         err = self.config_error(capsys, "scenario", "gauge", "--config", cfg, "--out", out)
+        assert err == f"gammasort: error: {key}: expected {expected} (in {cfg})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, override, expected", [
+        ("rebin", {"rebin": 3}, "a positive divisor of detector.n_channels, got 3"),
+        ("rebin", {"rebin": 0}, "a positive divisor of detector.n_channels, got 0"),
+        ("detector.e_min", {"detector": {"e_min": 3000.0}},
+         "a value below detector.e_max, got 3000.0"),
+    ])
+    def test_synth_refuses_a_value_out_of_range_by_its_key(
+        self, tmp_path, capsys, key, override, expected
+    ):
+        cfg = write_config(tmp_path, override)
+        out = tmp_path / "tpl"
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", out)
         assert err == f"gammasort: error: {key}: expected {expected} (in {cfg})\n"
         assert not out.exists()
 

@@ -14,6 +14,9 @@ from gammasort.neuralnet import (
     AdamHyper,
     HiddenTanhParams,
     LinearParams,
+    _row_argmax,
+    _row_max,
+    _row_sum,
     adam_step,
     backward,
     cross_entropy,
@@ -180,41 +183,56 @@ class TestSoftmax:
         assert np.argmax(softmax(z)) == np.argmax(z)
 
 
+# Ties, signed zeros and magnitudes near 1e300, whose sums still stay finite.
+CLASS_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(min_value=-1e301, max_value=1e301),
+)
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(CLASS_CELLS, min_size=k, max_size=k), min_size=1, max_size=40)
+))
+@settings(max_examples=200, deadline=None)
+def test_class_axis_reductions_match_numpy_bitwise(rows):
+    x = np.array(rows)
+    assert _row_max(x).tobytes() == np.max(x, axis=-1).tobytes()
+    assert _row_sum(x).tobytes() == np.sum(x, axis=-1).tobytes()
+    assert _row_argmax(x).tobytes() == np.argmax(x, axis=-1).tobytes()
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero_loss(self):
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])) == 0.0
+        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
 
     def test_uniform_over_five_classes(self):
         probs = np.full(5, 0.2)
-        one_hot = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        assert cross_entropy(probs, one_hot) == pytest.approx(math.log(5.0), rel=1e-12)
+        assert cross_entropy(probs, 2) == pytest.approx(math.log(5.0), rel=1e-12)
 
     def test_two_class_oracle(self):
         probs = np.array([0.2689414213699951, 0.7310585786300049])
-        assert cross_entropy(probs, np.array([1.0, 0.0])) == pytest.approx(
-            1.3132616875182228, abs=1e-12
-        )
+        assert cross_entropy(probs, 0) == pytest.approx(1.3132616875182228, abs=1e-12)
 
     def test_batch_is_mean_over_items(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        labels = np.array([0, 1])
         expected = 0.5 * (-math.log(0.5) - math.log(0.75))
         assert cross_entropy(probs, labels) == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+            cross_entropy(np.array([0.5, 0.5]), np.array([0, 0]))
 
     def test_zero_probability_is_clamped(self):
-        loss = cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        loss = cross_entropy(np.array([0.0, 1.0]), 0)
         assert loss == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
 class TestBackward:
     def test_single_class_residual_is_zero(self):
-        # softmax over one logit is exactly 1, so probs equal the label
+        # softmax over one logit is exactly 1, the true class's probability
         p = LinearParams(np.array([[1.0, 2.0]]), np.array([0.5]))
-        loss, g = backward(p, np.array([3.0, 4.0]), np.array([1.0]))
+        loss, g = backward(p, np.array([3.0, 4.0]), 0)
         assert loss == 0.0
         assert np.all(g.weights == 0.0)
         assert np.all(g.bias == 0.0)
@@ -222,15 +240,14 @@ class TestBackward:
     def test_linear_bias_gradient_equals_residual(self):
         p = init_params(ARCH_LINEAR, 6, 3, seed=2)
         x = np.random.default_rng(3).uniform(0, 5, size=6)
-        y = np.array([0.0, 1.0, 0.0])
-        _, g = backward(p, x, y)
-        residual = softmax(forward(p, x)) - y
+        _, g = backward(p, x, 1)
+        residual = softmax(forward(p, x)) - np.array([0.0, 1.0, 0.0])
         assert np.allclose(g.bias, residual, atol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(ARCH_LINEAR, 6, 3, seed=2)
         with pytest.raises(ValueError):
-            backward(p, np.ones(6), np.array([1.0, 0.0]))
+            backward(p, np.ones(6), np.array([1, 0]))
 
     @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
     def test_matches_central_finite_differences(self, arch):
@@ -238,22 +255,72 @@ class TestBackward:
         for trial in range(5):
             params = init_params(arch, 10, 3, seed=trial, width=4)
             x = rng.uniform(0.0, 5.0, size=10)
-            y = np.zeros(3)
-            y[rng.integers(3)] = 1.0
+            y = int(rng.integers(3))
             numeric = numerical_gradients(params, x, y)
             analytic = analytic_gradients(params, x, y)
             for num, ana in zip(numeric, analytic):
                 scale = np.maximum(np.maximum(np.abs(num), np.abs(ana)), 1e-3)
                 assert np.all(np.abs(num - ana) / scale < 1e-5)
 
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    def test_matches_the_one_hot_formulas_bitwise(self, arch):
+        # Last-axis softmax and the residual (probs - one_hot) / n, as plain numpy.
+        rng = np.random.default_rng(12)
+        params = init_params(arch, 6, 5, seed=3, width=4)
+        x, labels = rng.uniform(0.0, 4.0, size=(32, 6)), rng.integers(0, 5, size=32)
+        linear = arch == ARCH_LINEAR
+        hidden = x if linear else np.tanh(x @ params.w1.T + params.b1)
+        w_out, b_out = (params.weights, params.bias) if linear else (params.w2, params.b2)
+        logits = hidden @ w_out.T + b_out
+        expz = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+        probs = expz / np.sum(expz, axis=-1, keepdims=True)
+        one_hot = np.eye(5)[labels]
+        dlogits = (probs - one_hot) / 32
+        want = [dlogits.T @ hidden, dlogits.sum(axis=0)]
+        if not linear:
+            dz1 = (dlogits @ params.w2) * (1.0 - hidden * hidden)
+            want = [dz1.T @ x, dz1.sum(axis=0), *want]
+        loss, g = backward(params, x, labels)
+        assert loss == float(np.mean(-np.log(np.maximum(np.sum(probs * one_hot, axis=-1), 1e-12))))
+        for got, expected in zip(field_arrays(g), want, strict=True):
+            assert got.tobytes() == expected.tobytes()
+
     def test_batch_gradient_is_mean_of_item_gradients(self):
         params = init_params(ARCH_LINEAR, 4, 2, seed=1)
         X = np.random.default_rng(4).uniform(0, 3, size=(3, 4))
-        Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        Y = np.array([0, 1, 0])
         _, g_batch = backward(params, X, Y)
         singles = [backward(params, x, y)[1] for x, y in zip(X, Y)]
         mean_w = np.mean([g.weights for g in singles], axis=0)
         assert np.allclose(g_batch.weights, mean_w, atol=1e-14)
+
+
+# Labels that are not one class index per item: (rows in the batch, or None
+# for one input vector, and the labels) for a 3-class model.
+BAD_LABELS = {
+    "one-hot matrix": (2, np.eye(3)[[0, 2]]),
+    "integer one-hot matrix": (2, np.eye(3, dtype=np.int64)[[0, 2]]),
+    "float labels": (2, np.array([0.0, 2.0])),
+    "index out of range": (2, np.array([0, 3])),
+    "negative index": (2, np.array([-1, 0])),
+    "more labels than rows": (2, np.array([0, 1, 2])),
+    "fewer labels than rows": (2, np.array([1])),
+    "one-hot row of one item": (None, np.array([0.0, 1.0, 0.0])),
+    "float label of one item": (None, 1.0),
+    "two labels for one item": (None, np.array([1, 2])),
+}
+
+
+@pytest.mark.parametrize("rows, labels", BAD_LABELS.values(), ids=BAD_LABELS)
+@pytest.mark.parametrize("entry", ["backward", "cross_entropy"])
+def test_bad_labels_are_refused(entry, rows, labels):
+    params = init_params(ARCH_LINEAR, 4, 3, seed=0)
+    x = np.ones(4 if rows is None else (rows, 4))
+    with pytest.raises(ValueError, match="^labels must be "):
+        if entry == "backward":
+            backward(params, x, labels)
+        else:
+            cross_entropy(softmax(forward(params, x)), labels)
 
 
 def field_arrays(params):
@@ -339,8 +406,7 @@ class TestAdam:
     def test_in_place_update_matches_out_of_place_recurrence(self, arch):
         rng = np.random.default_rng(21)
         X = rng.uniform(0.0, 4.0, size=(9, 6))
-        Y = np.zeros((9, 3))
-        Y[np.arange(9), rng.integers(0, 3, size=9)] = 1.0
+        Y = rng.integers(0, 3, size=9)
         hyper = AdamHyper(learning_rate=0.05)
         params = init_params(arch, 6, 3, seed=4, width=5)
         state = init_adam(params, hyper)
@@ -406,8 +472,7 @@ class TestAdam:
         rng = np.random.default_rng(8)
         X = rng.uniform(0, 4, size=(12, 6))
         X[:, 3] = 0.0
-        Y = np.zeros((12, 2))
-        Y[np.arange(12), rng.integers(0, 2, size=12)] = 1.0
+        Y = rng.integers(0, 2, size=12)
         params = init_params(ARCH_LINEAR, 6, 2, seed=9)
         frozen = params.weights[:, 3].copy()
         state = init_adam(params)

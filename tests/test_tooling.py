@@ -106,6 +106,19 @@ def test_template_annotator_reads_the_build_template_arguments(tracing):
     assert cell.endswith(", 86400.0, 300.0)")
 
 
+def test_backward_annotator_reads_the_backward_arguments(tracing):
+    # Each traced backward call counts its flops from its bound ``params`` and
+    # ``x``, as the tracer binds them; a renamed parameter would fail only traced passes.
+    from gammasort.neuralnet import backward, init_params
+
+    params = init_params("hidden_tanh", 256, 5, 0, 64)
+    x, labels = np.ones((32, 256)), np.arange(32) % 5
+    bound = inspect.signature(backward).bind(params, x, labels)
+    bound.apply_defaults()
+    flops = tracing._backward_flops(bound.arguments, backward(params, x, labels))["flops"]
+    assert flops == 4 * 32 * 256 * 64 + 6 * 32 * 64 * 5
+
+
 def test_only_jsonfile_imports_json():
     # Every JSON document goes through gammasort.jsonfile's one writer and one
     # checked reader; a second ``import json`` would be a second, unchecked path.
