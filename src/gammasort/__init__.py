@@ -39,7 +39,6 @@ from .ensemble import (
     build_dataset,
     poisson_sample,
     read_dataset,
-    split,
     standard_grid,
     template_dataset,
     write_dataset,
@@ -64,9 +63,7 @@ from .neuralnet import (
 from .experiment import (
     EvalResult,
     MetricsHistory,
-    TrainConfig,
     evaluate,
-    export_weight_features,
     oversample_positives,
     run_scenario,
     train,

@@ -262,18 +262,6 @@ def template_dataset(
     return rescale(stack_templates(counts, cal, TEMPLATE_DWELL_S, grid, task), dwell_s)
 
 
-def split(ds: LabeledDataset, train_fraction: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint shuffled partition with floor(n * fraction) items on the train side."""
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train fraction {train_fraction} outside (0, 1)")
-    n = len(ds)
-    n_train = int(np.floor(n * train_fraction + 1e-9))
-    if n_train == 0 or n_train == n:
-        raise ValueError(f"fraction {train_fraction} leaves an empty side for {n} items")
-    perm = seeding.rng(seed, 0).permutation(n)
-    return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
-
-
 # The keys :func:`read_dataset` reads from a dataset manifest.
 DATASET_MANIFEST = {
     "task": "", "kind": "", "data_csv": "", "n_items": 0, "dwell_s": 0.0,

@@ -123,7 +123,8 @@ _RANGES = {
     "detector.intrinsic_efficiency": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
     "detector.resolution_fwhm_frac_662": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
     "detector.compton_fraction": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
-    "detector.e_min": ("a value below detector.e_max", lambda v, c: v < c["detector"]["e_max"]),
+    "detector.e_min": ("a value in [0, detector.e_max)",
+                       lambda v, c: 0 <= v < c["detector"]["e_max"]),
     "rebin": ("a positive divisor of detector.n_channels",  # checked after n_channels
               lambda v, c: v >= 1 and c["detector"]["n_channels"] % v == 0),
 }
@@ -203,24 +204,6 @@ def task_from_config(config: dict) -> TaskKind:
 
 
 @dataclass
-class TrainConfig:
-    """Everything one training run depends on."""
-
-    arch: str = ARCH_LINEAR
-    epochs: int = 100
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
-    hyper: AdamHyper = field(default_factory=AdamHyper)
-    width: int = 64
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"minibatch size must be at least 1, got {self.batch_size}")
-
-
-@dataclass
 class EvalResult:
     """Metrics of one model on one dataset."""
 
@@ -290,18 +273,21 @@ def evaluate(params: NetworkParams, ds: LabeledDataset) -> EvalResult:
 def train(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
-    cfg: TrainConfig,
-    initial: NetworkParams | None = None,
+    initial: NetworkParams,
+    section: dict,
+    seed: int,
 ) -> tuple[NetworkParams, MetricsHistory]:
-    """Adam training with per-epoch shuffling and per-epoch metrics.
+    """Adam training from ``initial`` with per-epoch shuffling and per-epoch metrics.
 
-    Deterministic per cfg.seed: initialization, every epoch's shuffle, and
-    therefore the whole trajectory reproduce bit for bit.  ``initial`` supplies
-    the starting parameters; they are copied, because Adam updates in place.
-    Each step writes its gradients into one buffer allocated here, through
-    the kernel and the Adam update that ``backward`` and ``adam_step`` check
-    and wrap.  A step that leaves non-finite parameters, or logits that overflow, raises
-    ``ValueError`` naming the architecture and the epoch.
+    ``section`` is the ``train`` section of a config that :func:`run_config`
+    resolved: its ``epochs``, ``batch_size`` (``None`` is full batch) and Adam
+    values drive the run; the architecture and width are ``initial``'s.
+    Deterministic per ``seed``: every epoch's shuffle, and therefore the whole
+    trajectory, reproduces bit for bit.  ``initial`` is copied, because Adam
+    updates in place.  Each step writes its gradients into one buffer allocated
+    here, through the kernel and the Adam update that ``backward`` and
+    ``adam_step`` check and wrap.  A step that leaves non-finite parameters, or
+    logits that overflow, raises ``ValueError`` naming the architecture and the epoch.
     """
     if train_ds.task is not test_ds.task:
         raise ValueError(
@@ -309,24 +295,27 @@ def train(
         )
     if train_ds.n_channels != test_ds.n_channels:
         raise ValueError("train and test datasets must share the input length")
+    if (initial.n_channels, initial.n_classes) != (train_ds.n_channels, train_ds.task.n_classes):
+        raise ValueError(
+            f"shape mismatch: initial model {initial.n_channels} channels and "
+            f"{initial.n_classes} classes, dataset {train_ds.n_channels} and "
+            f"{train_ds.task.n_classes}"
+        )
 
     x_train, true_train = train_ds.as_matrix(), train_ds.labels
     x_test, true_test = test_ds.as_matrix(), test_ds.labels
     n = x_train.shape[0]
 
-    if initial is None:
-        params = init_params(
-            cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width
-        )
-    else:
-        params = replace(initial)  # the constructor copies into a new buffer
-    state = init_adam(params, cfg.hyper)
+    params = replace(initial)  # the constructor copies into a new buffer
+    hyper = AdamHyper(section["learning_rate"], section["beta1"], section["beta2"],
+                      section["epsilon"])
+    state = init_adam(params, hyper)
     grads = _zeros_like(params)  # every step writes its gradients here
 
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    batch = n if section["batch_size"] is None else min(section["batch_size"], n)
     history = MetricsHistory()
-    for epoch in range(1, cfg.epochs + 1):
-        order = seeding.rng(cfg.seed, 1, epoch).permutation(n)
+    for epoch in range(1, section["epochs"] + 1):
+        order = seeding.rng(seed, 1, epoch).permutation(n)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, batch):
@@ -341,25 +330,6 @@ def train(
             raise ValueError(f"{params.arch}: training diverged at epoch {epoch}: {err}") from err
         history.append(epoch, train_loss, result)
     return params, history
-
-
-def export_weight_features(
-    params: NetworkParams,
-    class_names: tuple[str, ...] | None = None,
-) -> list[tuple[str, np.ndarray]]:
-    """Per-class channel series from the weights, for plotting.
-
-    Linear models yield one series per output class.  Hidden-layer models
-    have no per-class input weights, so the first-layer rows are exported
-    instead, flagged by a ``hidden_unit_`` name prefix.
-    """
-    if isinstance(params, LinearParams):
-        if class_names is None:
-            class_names = tuple(f"class_{k}" for k in range(params.n_classes))
-        return [(class_names[k], params.weights[k].copy()) for k in range(params.n_classes)]
-    return [
-        (f"hidden_unit_{j:02d}", params.w1[j].copy()) for j in range(params.width)
-    ]
 
 
 def oversample_positives(
@@ -412,12 +382,23 @@ def write_confusion_csv(path: Path, confusion: np.ndarray, class_names) -> None:
 
 
 def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> None:
-    series = export_weight_features(params, tuple(class_names))
-    for k, (name, weights) in enumerate(series):
-        tag = f"class_{k}" if isinstance(params, LinearParams) else name
-        path = out_dir / f"weights_{tag}.csv"
+    """One ``weights_<tag>.csv`` per channel series of the weights, for plotting.
+
+    Linear models write one series per output class (tag ``class_<k>``,
+    series name the class name).  Hidden-layer models have no per-class input
+    weights, so they write the first-layer rows instead, tagged and named
+    ``hidden_unit_<j>``.
+    """
+    if isinstance(params, LinearParams):
+        named = zip(class_names, params.weights, strict=True)
+        series = [(f"class_{k}", name, w) for k, (name, w) in enumerate(named)]
+    else:
+        tags = [f"hidden_unit_{j:02d}" for j in range(params.width)]
+        series = [(tag, tag, w) for tag, w in zip(tags, params.w1)]
+    for tag, name, weights in series:
         rows = ([str(channel), repr(w)] for channel, w in enumerate(weights.tolist()))
-        write_csv_table(path, ("channel", "weight"), rows, [f"series={name}"])
+        write_csv_table(out_dir / f"weights_{tag}.csv", ("channel", "weight"), rows,
+                        [f"series={name}"])
 
 
 def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:
@@ -452,21 +433,17 @@ def train_and_write(
     archs = (config["arch"],) if archs is None else archs
     seed = config["seed"] if seed is None else seed
     t = config["train"]
-    hyper = AdamHyper(t["learning_rate"], t["beta1"], t["beta2"], t["epsilon"])
-    cfgs = [
-        TrainConfig(arch, t["epochs"], t["batch_size"], seed, hyper, t["width"]) for arch in archs
-    ]
     if train_ds.task is TaskKind.GAUGE_BINARY:
         train_ds = oversample_positives(train_ds, 0, t["oversample_ratio"])
     write_config(config, out_dir)
 
     class_names = train_ds.task.class_names
     results: dict = {"train_ds": train_ds, "test_ds": test_ds, "config": config}
-    for arch, cfg in zip(archs, cfgs):
+    for arch in archs:
         arch_dir = out_dir / arch if len(archs) > 1 else out_dir
         arch_dir.mkdir(parents=True, exist_ok=True)
         initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed, t["width"])
-        params, history = train(train_ds, test_ds, cfg, initial=initial)
+        params, history = train(train_ds, test_ds, initial, t, seed)
         train_doc = {"task": train_ds.task.value, **t, "arch": arch, "seed": seed}
         save_model(arch_dir / "model.json", params, train_doc)
         write_metrics_csv(arch_dir / "metrics.csv", history, class_names)

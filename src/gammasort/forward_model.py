@@ -42,6 +42,8 @@ DEFAULT_ACTIVITY_BQ = 1.15e8
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 GAUSSIAN_TRUNCATION_SIGMA = 6.0
+# Largest share of a line's counts that truncating its photopeak may lose.
+PHOTOPEAK_LOSS_LIMIT = 1e-3
 
 # Ambient background shape: exponential low-energy slope plus a flat shelf
 # that both cut off at the Tl-208 line energy.
@@ -236,14 +238,16 @@ def line_response(
     detector: DetectorModel,
     line_energy_kev: float,
     expected_detections: float,
-    dwell_s: float = 1.0,
-) -> Spectrum:
-    """Detector response to one gamma line carrying ``expected_detections`` counts.
+) -> np.ndarray:
+    """Expected counts per channel of one gamma line carrying ``expected_detections``.
 
     (1 - compton_fraction) of the counts form a Gaussian photopeak at the line
     energy (FWHM scaling as sqrt(E), truncated at +-6 sigma); the rest spread
     uniformly from zero up to the Compton edge.  Total counts are conserved to
-    well under 0.1% (only the truncated Gaussian tails are lost).
+    well under 0.1% (only the truncated Gaussian tails are lost).  The
+    truncation zeroes whole channels by their centre, so a photopeak narrower
+    than a channel can lose more; when it loses over 0.1% of the line's counts
+    inside the calibration, ``ValueError`` names the line.
     """
     cal = detector.calibration
     if not cal.e_min <= line_energy_kev < cal.e_max:
@@ -260,33 +264,40 @@ def line_response(
 
     sigma = detector.fwhm_kev(line_energy_kev) * FWHM_TO_SIGMA
     edges = cal.bin_edges()
-    z = (edges - line_energy_kev) / (sigma * math.sqrt(2.0))
-    peak = 0.5 * np.diff(erf(z))
+    with np.errstate(over="ignore"):  # a peak far narrower than a channel: erf(+-inf) is +-1
+        erf_z = erf((edges - line_energy_kev) / (sigma * math.sqrt(2.0)))
+    peak = 0.5 * np.diff(erf_z)
     centers = cal.bin_centers()
     peak[np.abs(centers - line_energy_kev) > GAUSSIAN_TRUNCATION_SIGMA * sigma] = 0.0
+    lost = (1.0 - detector.compton_fraction) * (0.5 * (erf_z[-1] - erf_z[0]) - peak.sum())
+    if not lost <= PHOTOPEAK_LOSS_LIMIT:
+        raise ValueError(
+            f"line at {line_energy_kev} keV: its photopeak (sigma {sigma:.3g} keV) is "
+            f"narrower than a {cal.channel_width:.3g} keV channel, and {lost:.2%} of "
+            f"its counts would be lost"
+        )
 
     edge_kev = compton_edge(line_energy_kev)
     overlap = np.clip(np.minimum(edges[1:], edge_kev) - np.maximum(edges[:-1], 0.0), 0.0, None)
     continuum = overlap / edge_kev
 
     shape = (1.0 - detector.compton_fraction) * peak + detector.compton_fraction * continuum
-    return Spectrum(expected_detections * shape, cal, dwell_s, SpectrumKind.EXPECTED_TEMPLATE)
+    return expected_detections * shape
 
 
 def background_template(
     detector: DetectorModel,
     dwell_s: float,
     rate_cps: float = DEFAULT_BACKGROUND_CPS,
-) -> Spectrum:
-    """Deterministic ambient-background expectation, scaled to ``rate_cps``."""
+) -> np.ndarray:
+    """Deterministic ambient-background expected counts per channel, scaled to ``rate_cps``."""
     if not dwell_s > 0:
         raise ValueError(f"dwell {dwell_s} must be positive")
-    cal = detector.calibration
-    centers = cal.bin_centers()
+    centers = detector.calibration.bin_centers()
     shape = np.exp(-centers / BACKGROUND_SLOPE_KEV) + BACKGROUND_FLAT_LEVEL
     shape[centers > BACKGROUND_MAX_KEV] = 0.0
     shape /= math.fsum(shape)
-    return Spectrum(rate_cps * dwell_s * shape, cal, dwell_s, SpectrumKind.EXPECTED_TEMPLATE)
+    return rate_cps * dwell_s * shape
 
 
 def build_template(
@@ -326,14 +337,14 @@ def template_matrix(
     def shape(source: str, energy: float) -> np.ndarray:
         if energy not in shapes:
             try:
-                shapes[energy] = line_response(detector, energy, 1.0).counts
+                shapes[energy] = line_response(detector, energy, 1.0)
             except ValueError as err:
                 raise ValueError(f"{source}: {err}") from err
         return shapes[energy]
 
     background = None
     if any(config.include_background for config in grid):
-        background = background_template(detector, dwell_s, background_cps).counts
+        background = background_template(detector, dwell_s, background_cps)
     matrix = np.empty((len(grid), detector.calibration.n_channels))
     for row, config in enumerate(grid):
         geom = geometric_fraction(config.distance_m, detector.face_area_cm2)

@@ -621,15 +621,17 @@ class TestConfigChecks:
         ("grid.distances_m", {"grid": {"distances_m": [10.0, -1.0]}},
          "positive distances, got [10.0, -1.0]"),
         ("detector.e_min", {"detector": {"e_min": 3000.0}},
-         "a value below detector.e_max, got 3000.0"),
+         "a value in [0, detector.e_max), got 3000.0"),
         ("detector.e_min", {"detector": {"e_min": 100.0, "e_max": 50.0}},
-         "a value below detector.e_max, got 100.0"),
+         "a value in [0, detector.e_max), got 100.0"),
         ("rebin", {"rebin": 3}, "a positive divisor of detector.n_channels, got 3"),
         ("rebin", {"rebin": 0}, "a positive divisor of detector.n_channels, got 0"),
         ("rebin", {"rebin": -256}, "a positive divisor of detector.n_channels, got -256"),
         ("rebin", {"rebin": 2048}, "a positive divisor of detector.n_channels, got 2048"),
         ("rebin", {"detector": {"n_channels": 1000}},
          "a positive divisor of detector.n_channels, got 256"),
+        ("detector.e_min", {"detector": {"e_min": -500.0}},
+         "a value in [0, detector.e_max), got -500.0"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.
@@ -646,7 +648,9 @@ class TestConfigChecks:
         ("rebin", {"rebin": 3}, "a positive divisor of detector.n_channels, got 3"),
         ("rebin", {"rebin": 0}, "a positive divisor of detector.n_channels, got 0"),
         ("detector.e_min", {"detector": {"e_min": 3000.0}},
-         "a value below detector.e_max, got 3000.0"),
+         "a value in [0, detector.e_max), got 3000.0"),
+        ("detector.e_min", {"detector": {"e_min": -500.0}},
+         "a value in [0, detector.e_max), got -500.0"),
     ])
     def test_synth_refuses_a_value_out_of_range_by_its_key(
         self, tmp_path, capsys, key, override, expected
@@ -655,6 +659,20 @@ class TestConfigChecks:
         out = tmp_path / "tpl"
         err = self.config_error(capsys, "synth", "--config", cfg, "--out", out)
         assert err == f"gammasort: error: {key}: expected {expected} (in {cfg})\n"
+        assert not out.exists()
+
+    def test_synth_refuses_a_photopeak_narrower_than_a_channel(self, tmp_path, capsys):
+        # The default grid: its depleted-uranium shield emits at 766.4 keV.
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({"detector": {"n_channels": 64,
+                                                "resolution_fwhm_frac_662": 0.02},
+                                   "rebin": 64}))
+        out = tmp_path / "tpl"
+        err = self.config_error(capsys, "synth", "--config", cfg, "--out", out)
+        assert err == (
+            "gammasort: error: DepletedUranium: line at 766.4 keV: its photopeak (sigma 6.05 keV)"
+            " is narrower than a 46.9 keV channel, and 0.20% of its counts would be lost\n"
+        )
         assert not out.exists()
 
     def test_int_for_float_and_null_batch_size_are_accepted(self, tmp_path):

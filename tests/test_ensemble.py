@@ -21,7 +21,6 @@ from gammasort.ensemble import (
     read_dataset,
     rescale,
     sample_dataset,
-    split,
     standard_grid,
     template_dataset,
     write_dataset,
@@ -289,47 +288,6 @@ class TestTemplateDataset:
         five = template_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, dwell_s=5.0)
         assert np.allclose(five.as_matrix(), 5.0 * one.as_matrix(), rtol=1e-12)
         assert one.dwell_s == 1.0
-
-
-class TestSplit:
-    def make_dataset(self, n):
-        cal = EnergyCalibration(0.0, 3000.0, 8)
-        grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
-        counts = np.repeat(np.arange(n, dtype=float)[:, None], 8, axis=1)
-        labels = np.zeros(n, dtype=int)
-        return LabeledDataset(
-            counts, labels, TaskKind.ISOTOPE_ID, tuple(grid * n), cal, 1.0,
-            SpectrumKind.EXPECTED_TEMPLATE,
-        )
-
-    def test_eighty_twenty(self):
-        train, test = split(self.make_dataset(100), 0.8, seed=1)
-        assert (len(train), len(test)) == (80, 20)
-
-    def test_partition_preserves_multiset(self):
-        ds = self.make_dataset(30)
-        train, test = split(ds, 0.7, seed=5)
-        combined = sorted(
-            np.concatenate([train.as_matrix()[:, 0], test.as_matrix()[:, 0]]).tolist()
-        )
-        assert combined == [float(i) for i in range(30)]
-
-    def test_same_seed_same_partition(self):
-        ds = self.make_dataset(25)
-        a_train, _ = split(ds, 0.6, seed=3)
-        b_train, _ = split(ds, 0.6, seed=3)
-        assert np.array_equal(a_train.as_matrix(), b_train.as_matrix())
-
-    def test_empty_side_rejected(self):
-        # floor sizing can only empty the train side; fractions at or beyond
-        # the endpoints are rejected outright
-        ds = self.make_dataset(3)
-        with pytest.raises(ValueError):
-            split(ds, 0.01, seed=1)
-        with pytest.raises(ValueError):
-            split(ds, 1.0, seed=1)
-        with pytest.raises(ValueError):
-            split(ds, 0.0, seed=1)
 
 
 class TestDatasetRoundTrip:

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,16 +20,16 @@ from gammasort.experiment import (
     SCENARIO_PRESETS,
     EvalResult,
     MetricsHistory,
-    TrainConfig,
     _metrics,
     evaluate,
-    export_weight_features,
     oversample_positives,
+    read_weight_series,
     run_config,
     run_scenario,
     train,
     write_confusion_csv,
     write_metrics_csv,
+    write_weight_series,
 )
 from gammasort.forward_model import default_detector
 from gammasort.neuralnet import (
@@ -94,17 +95,28 @@ def reference_metrics(logits, one_hot, n_classes) -> EvalResult:
     return EvalResult(loss, float(np.trace(confusion)) / float(confusion.sum()), per_class, confusion)
 
 
-def reference_train(train_ds, test_ds, cfg):
+def train_section(**values) -> dict:
+    """The resolved ``train`` section of DEFAULT_CONFIG with ``values`` merged over it."""
+    return run_config({"train": values})["train"]
+
+
+def initial_params(arch, ds, seed, width=64):
+    return init_params(arch, ds.n_channels, ds.task.n_classes, seed, width)
+
+
+def reference_train(train_ds, test_ds, initial, section, seed):
     """``train`` rebuilt from the public backward and adam_step, one step at a time."""
     x, labels = train_ds.as_matrix(), train_ds.labels
     y = np.eye(train_ds.task.n_classes)[labels]
     n = len(x)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
-    params = init_params(cfg.arch, train_ds.n_channels, train_ds.task.n_classes, cfg.seed, cfg.width)
-    state = init_adam(params, cfg.hyper)
+    batch = n if section["batch_size"] is None else min(section["batch_size"], n)
+    params = replace(initial)
+    hyper = AdamHyper(section["learning_rate"], section["beta1"], section["beta2"],
+                      section["epsilon"])
+    state = init_adam(params, hyper)
     history = MetricsHistory()
-    for epoch in range(1, cfg.epochs + 1):
-        order = seeding.rng(cfg.seed, 1, epoch).permutation(n)
+    for epoch in range(1, section["epochs"] + 1):
+        order = seeding.rng(seed, 1, epoch).permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             _, grads = backward(params, x[idx], labels[idx])
@@ -227,32 +239,32 @@ class TestTrain:
     def test_task_mismatch_rejected(self):
         train_ds, _ = small_datasets(TaskKind.ISOTOPE_ID)
         _, other_test = small_datasets(TaskKind.SHIELDING_ID)
-        cfg = TrainConfig(epochs=1)
+        initial = initial_params(ARCH_LINEAR, train_ds, 0)
         with pytest.raises(ValueError):
-            train(train_ds, other_test, cfg)
+            train(train_ds, other_test, initial, train_section(epochs=1), 0)
 
-    def test_invalid_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+    def test_initial_shape_mismatch_rejected(self):
+        train_ds, test_ds = small_datasets()
+        for n_channels, n_classes in ((train_ds.n_channels + 1, 5), (train_ds.n_channels, 4)):
+            initial = init_params(ARCH_LINEAR, n_channels, n_classes, 0)
+            with pytest.raises(ValueError) as info:
+                train(train_ds, test_ds, initial, train_section(epochs=1), 0)
+            assert str(info.value).startswith("shape mismatch: initial model ")
 
     def test_single_item_memorization(self):
         # one template, trained on itself: loss collapses
         grid = standard_grid(isotopes=("Cesium",), distances_m=(10.0,), materials=("Bare",))
         ds = template_dataset(grid, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=8)
-        cfg = TrainConfig(
-            arch=ARCH_LINEAR, epochs=500, seed=4,
-            hyper=AdamHyper(learning_rate=1e-2),
-        )
-        _, history = train(ds, ds, cfg)
+        section = train_section(epochs=500, batch_size=None, learning_rate=1e-2)
+        _, history = train(ds, ds, initial_params(ARCH_LINEAR, ds, 4), section, 4)
         assert history.train_loss[-1] < 1e-3
 
     def test_bit_reproducible_per_seed(self):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(epochs=5, batch_size=8, seed=11)
-        p1, h1 = train(train_ds, test_ds, cfg)
-        p2, h2 = train(train_ds, test_ds, cfg)
+        section = train_section(epochs=5, batch_size=8)
+        initial = initial_params(ARCH_LINEAR, train_ds, 11)
+        p1, h1 = train(train_ds, test_ds, initial, section, 11)
+        p2, h2 = train(train_ds, test_ds, initial, section, 11)
         assert np.array_equal(p1.weights, p2.weights)
         assert np.array_equal(p1.bias, p2.bias)
         assert h1.train_loss == h2.train_loss
@@ -260,8 +272,8 @@ class TestTrain:
 
     def test_metrics_recorded_every_epoch(self):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(epochs=7, seed=0)
-        _, history = train(train_ds, test_ds, cfg)
+        section = train_section(epochs=7, batch_size=None)
+        _, history = train(train_ds, test_ds, initial_params(ARCH_LINEAR, train_ds, 0), section, 0)
         assert history.epochs == list(range(1, 8))
         assert len(history.train_loss) == 7
         assert history.confusion is not None
@@ -270,8 +282,7 @@ class TestTrain:
         train_ds, test_ds = small_datasets()
         init = init_params(ARCH_LINEAR, train_ds.n_channels, 5, seed=55)
         frozen = init.weights.copy()
-        cfg = TrainConfig(epochs=2, seed=0)
-        params, _ = train(train_ds, test_ds, cfg, initial=init)
+        params, _ = train(train_ds, test_ds, init, train_section(epochs=2, batch_size=None), 0)
         # caller's copy untouched, trained params differ
         assert np.array_equal(init.weights, frozen)
         assert not np.array_equal(params.weights, frozen)
@@ -286,22 +297,19 @@ class TestTrain:
     )
     def test_divergence_names_arch_and_epoch(self, arch, learning_rate, cause):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(
-            arch=arch, epochs=3, hyper=AdamHyper(learning_rate=learning_rate), width=4
-        )
+        section = train_section(epochs=3, batch_size=None, learning_rate=learning_rate)
+        initial = initial_params(arch, train_ds, 0, width=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
-                train(train_ds, test_ds, cfg)
+                train(train_ds, test_ds, initial, section, 0)
         assert str(info.value) == f"{arch}: training diverged at epoch 1: {cause}"
 
     def test_hidden_arch_trains(self):
         train_ds, test_ds = small_datasets()
-        cfg = TrainConfig(
-            arch=ARCH_HIDDEN_TANH, epochs=10, seed=1,
-            hyper=AdamHyper(learning_rate=1e-2), width=16,
-        )
-        _, history = train(train_ds, test_ds, cfg)
+        section = train_section(epochs=10, batch_size=None, learning_rate=1e-2)
+        initial = initial_params(ARCH_HIDDEN_TANH, train_ds, 1, width=16)
+        _, history = train(train_ds, test_ds, initial, section, 1)
         assert history.train_loss[-1] < history.train_loss[0]
 
 
@@ -310,10 +318,10 @@ class TestTrain:
     def test_steps_like_the_public_api(self, arch, batch_size):
         train_ds, test_ds = small_datasets()
         assert len(train_ds) == 12
-        cfg = TrainConfig(arch=arch, epochs=4, batch_size=batch_size, seed=9,
-                          hyper=AdamHyper(learning_rate=1e-2), width=6)
-        params, history = train(train_ds, test_ds, cfg)
-        ref_params, ref_history = reference_train(train_ds, test_ds, cfg)
+        section = train_section(epochs=4, batch_size=batch_size, learning_rate=1e-2, width=6)
+        initial = initial_params(arch, train_ds, 9, width=6)
+        params, history = train(train_ds, test_ds, initial, section, 9)
+        ref_params, ref_history = reference_train(train_ds, test_ds, initial, section, 9)
         assert np.array_equal(params.flat, ref_params.flat)
         assert history.epochs == ref_history.epochs
         assert history.train_loss == ref_history.train_loss
@@ -326,24 +334,38 @@ class TestTrain:
 
 
 class TestWeightFeatures:
-    def test_linear_export_shape(self):
+    def test_linear_export_shape(self, tmp_path):
         params = init_params(ARCH_LINEAR, 32, 5, seed=0)
-        series = export_weight_features(params, TaskKind.ISOTOPE_ID.class_names)
+        write_weight_series(tmp_path, params, TaskKind.ISOTOPE_ID.class_names)
+        series = read_weight_series(tmp_path)
         assert len(series) == 5
-        assert all(w.shape == (32,) for _, w in series)
-        assert [name for name, _ in series] == list(TaskKind.ISOTOPE_ID.class_names)
+        assert all(channels == list(range(32)) and len(w) == 32 for _, channels, w in series)
+        assert [name for name, _, _ in series] == list(TaskKind.ISOTOPE_ID.class_names)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"weights_class_{k}.csv" for k in range(5)
+        ]
 
-    def test_untrained_export_equals_initialization(self):
+    def test_untrained_export_equals_initialization(self, tmp_path):
         params = init_params(ARCH_LINEAR, 16, 3, seed=77)
         again = init_params(ARCH_LINEAR, 16, 3, seed=77)
-        for k, (_, w) in enumerate(export_weight_features(params)):
+        write_weight_series(tmp_path, params, ("a", "b", "c"))
+        for k, (_, _, w) in enumerate(read_weight_series(tmp_path)):
             assert np.array_equal(w, again.weights[k])
 
-    def test_hidden_export_is_flagged(self):
+    def test_hidden_export_is_flagged(self, tmp_path):
         params = init_params(ARCH_HIDDEN_TANH, 16, 3, seed=0, width=4)
-        series = export_weight_features(params)
+        write_weight_series(tmp_path, params, ("a", "b", "c"))
+        series = read_weight_series(tmp_path)
         assert len(series) == 4
-        assert all(name.startswith("hidden_unit_") for name, _ in series)
+        assert all(name.startswith("hidden_unit_") for name, _, _ in series)
+        for j, (name, _, w) in enumerate(series):
+            assert (tmp_path / f"weights_{name}.csv").is_file()
+            assert np.array_equal(w, params.w1[j])
+
+    def test_class_names_must_match_the_classes(self, tmp_path):
+        params = init_params(ARCH_LINEAR, 16, 3, seed=0)
+        with pytest.raises(ValueError):
+            write_weight_series(tmp_path, params, ("a", "b"))
 
 
 class TestOversample:

@@ -114,32 +114,53 @@ class TestComptonEdge:
 
 class TestLineResponse:
     def test_zero_detections_gives_zero_spectrum(self):
-        s = line_response(DETECTOR, 661.7, 0.0)
-        assert total_counts(s) == 0.0
+        counts = line_response(DETECTOR, 661.7, 0.0)
+        assert math.fsum(counts) == 0.0
 
-    @given(energy=st.floats(1.0, 2999.0), resolution=st.floats(0.03, 0.2))
-    @example(energy=81.0, resolution=0.075)
-    @example(energy=356.0, resolution=0.075)
-    @example(energy=661.7, resolution=0.075)
-    @example(energy=1332.5, resolution=0.075)
+    @given(
+        energy=st.floats(1.0, 2999.0),
+        resolution=st.floats(0.0, 1.0, exclude_min=True),
+        n_channels=st.sampled_from([8, 16, 64, 256, 1024]),
+    )
+    @example(energy=81.0, resolution=0.075, n_channels=1024)
+    @example(energy=356.0, resolution=0.075, n_channels=1024)
+    @example(energy=661.7, resolution=0.075, n_channels=1024)
+    @example(energy=1332.5, resolution=0.075, n_channels=1024)
+    @example(energy=136.0, resolution=0.02, n_channels=64)  # refused: the whole photopeak
+    @example(energy=383.8, resolution=0.075, n_channels=16)  # refused: part of it
+    @example(energy=661.7, resolution=0.005, n_channels=1024)
     @settings(deadline=None)  # the first call imports scipy.special
-    def test_counts_conserved_within_tenth_percent(self, energy, resolution):
+    def test_counts_conserved_within_tenth_percent(self, energy, resolution, n_channels):
         # Only the Gaussian tails beyond the +-6 sigma truncation may be lost,
         # so the peak's truncated span must lie inside the calibration.  The
-        # resolutions keep the peak wider than a 2.9 keV channel: below about
-        # 0.02 the truncation, applied at channel centres, can drop a peak whole.
-        detector = DetectorModel(DETECTOR.calibration, resolution_fwhm_frac_662=resolution)
-        reach = GAUSSIAN_TRUNCATION_SIGMA * detector.fwhm_kev(energy) * FWHM_TO_SIGMA
-        cal = detector.calibration
+        # truncation zeroes channels by their centre, so a peak narrower than
+        # a channel can lose more; then the line is refused, and only then.
+        cal = EnergyCalibration(0.0, 3000.0, n_channels)
+        detector = DetectorModel(cal, resolution_fwhm_frac_662=resolution)
+        sigma = detector.fwhm_kev(energy) * FWHM_TO_SIGMA
+        reach = GAUSSIAN_TRUNCATION_SIGMA * sigma
         assume(cal.e_min <= energy - reach and energy + reach <= cal.e_max)
-        s = line_response(detector, energy, 1e6)
-        assert total_counts(s) == pytest.approx(1e6, rel=1e-3)
+        try:
+            counts = line_response(detector, energy, 1e6)
+        except ValueError as err:
+            assert str(err).startswith(f"line at {energy} keV: its photopeak ")
+            # The photopeak mass of the channels whose centre lies beyond 6 sigma.
+            edges = cal.bin_edges()
+            with np.errstate(over="ignore"):
+                z = (edges - energy) / (sigma * math.sqrt(2.0))
+            lost = math.fsum(
+                0.5 * (math.erf(z[i + 1]) - math.erf(z[i]))
+                for i in range(n_channels)
+                if abs((edges[i] + edges[i + 1]) / 2.0 - energy) > reach
+            )
+            assert (1.0 - detector.compton_fraction) * lost > 1e-3 - 1e-9
+        else:
+            assert math.fsum(counts) == pytest.approx(1e6, rel=1e-3)
 
     def test_photopeak_centroid_channel(self):
         # bin containing 661.7 keV on the default calibration
-        s = line_response(DETECTOR, 661.7, 1e6)
-        peak_region = s.counts.copy()
-        assert int(np.argmax(peak_region)) == 225
+        counts = line_response(DETECTOR, 661.7, 1e6)
+        assert int(np.argmax(counts)) == 225
 
     def test_line_above_range_rejected(self):
         with pytest.raises(ValueError):
@@ -156,36 +177,36 @@ class TestLineResponse:
         )
 
     def test_continuum_extends_only_to_compton_edge(self):
-        s = line_response(DETECTOR, 661.7, 1e6)
+        counts = line_response(DETECTOR, 661.7, 1e6)
         cal = DETECTOR.calibration
         edge_channel = cal.channel_of_energy(compton_edge(661.7))
         sigma = DETECTOR.fwhm_kev(661.7) / 2.3548
         below_peak = cal.channel_of_energy(661.7 - 6.5 * sigma)
-        gap = s.counts[edge_channel + 2 : below_peak]
+        gap = counts[edge_channel + 2 : below_peak]
         assert np.all(gap == 0.0)
 
     def test_scales_linearly_with_detections(self):
         one = line_response(DETECTOR, 400.7, 1000.0)
         two = line_response(DETECTOR, 400.7, 2000.0)
-        assert np.array_equal(two.counts, 2.0 * one.counts)
+        assert np.array_equal(two, 2.0 * one)
 
 
 class TestBackgroundTemplate:
     def test_total_matches_configured_rate(self):
         bg = background_template(DETECTOR, 1.0)
-        assert total_counts(bg) == pytest.approx(300.0, rel=1e-3)
+        assert math.fsum(bg) == pytest.approx(300.0, rel=1e-3)
 
     def test_scales_linearly_with_dwell(self):
         one = background_template(DETECTOR, 1.0)
         ten = background_template(DETECTOR, 10.0)
-        assert np.allclose(ten.counts, 10.0 * one.counts, rtol=1e-12)
+        assert np.allclose(ten, 10.0 * one, rtol=1e-12)
 
     def test_cuts_off_above_thallium_line(self):
         bg = background_template(DETECTOR, 1.0)
         cal = DETECTOR.calibration
         first_dead = cal.channel_of_energy(2614.0) + 1
-        assert np.all(bg.counts[first_dead:] == 0.0)
-        assert bg.counts[0] > 0.0
+        assert np.all(bg[first_dead:] == 0.0)
+        assert bg[0] > 0.0
 
     def test_rate_irrelevant_when_background_disabled(self):
         config = cs_config(background=False)
@@ -288,14 +309,14 @@ def reference_template(config, detector, dwell_s, background_cps=DEFAULT_BACKGRO
             * geom
             * detector.intrinsic_efficiency
         )
-        counts = counts + line_response(detector, energy, expected, dwell_s).counts
+        counts = counts + line_response(detector, energy, expected)
     if config.shielding.material is ShieldMaterial.DEPLETED_URANIUM:
         du_activity = DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm
         for energy, intensity in DU_EMISSION_LINES:
             expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
-            counts = counts + line_response(detector, energy, expected, dwell_s).counts
+            counts = counts + line_response(detector, energy, expected)
     if config.include_background:
-        counts = counts + background_template(detector, dwell_s, background_cps).counts
+        counts = counts + background_template(detector, dwell_s, background_cps)
     return counts
 
 
