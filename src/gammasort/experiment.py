@@ -402,9 +402,13 @@ def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> No
 
 
 def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:
-    """(series name, channels, weights) of each ``weights_*.csv`` in ``run_dir``."""
+    """(series name, channels, weights) of each ``weights_*.csv`` in ``run_dir``.
+
+    The files come in the order of the number after the last ``_`` in their
+    names, so ``hidden_unit_100`` follows ``hidden_unit_99``.
+    """
     series = []
-    for path in sorted(run_dir.glob("weights_*.csv")):
+    for path in sorted(run_dir.glob("weights_*.csv"), key=_series_order):
         comments, _, rows, _ = read_csv_table(path, 2, header=True)
         if len(rows) == 0:
             raise ValueError(f"{path}: no weight rows")
@@ -412,6 +416,11 @@ def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float
         name = head.split("=", 1)[1] if head.startswith("# series=") else path.stem
         series.append((name, rows[:, 0].tolist(), rows[:, 1].tolist()))
     return series
+
+
+def _series_order(path: Path) -> tuple:
+    prefix, _, number = path.stem.rpartition("_")
+    return prefix, len(number), number  # digit strings of one length sort as integers
 
 
 def train_and_write(

@@ -12,8 +12,11 @@ from gammasort.ensemble import (
     LabeledDataset,
     TaskKind,
     build_dataset,
+    read_dataset,
+    sample_dataset,
     standard_grid,
     template_dataset,
+    write_dataset,
 )
 from gammasort.experiment import (
     DEFAULT_CONFIG,
@@ -23,6 +26,7 @@ from gammasort.experiment import (
     _metrics,
     evaluate,
     oversample_positives,
+    read_metrics_csv,
     read_weight_series,
     run_config,
     run_scenario,
@@ -362,6 +366,14 @@ class TestWeightFeatures:
             assert (tmp_path / f"weights_{name}.csv").is_file()
             assert np.array_equal(w, params.w1[j])
 
+    def test_hidden_units_past_99_come_back_in_unit_order(self, tmp_path):
+        params = init_params(ARCH_HIDDEN_TANH, 4, 2, seed=0, width=101)
+        write_weight_series(tmp_path, params, ("a", "b"))
+        series = read_weight_series(tmp_path)
+        assert [name for name, _, _ in series] == [f"hidden_unit_{j:02d}" for j in range(101)]
+        for j, (_, _, w) in enumerate(series):
+            assert np.array_equal(w, params.w1[j])
+
     def test_class_names_must_match_the_classes(self, tmp_path):
         params = init_params(ARCH_LINEAR, 16, 3, seed=0)
         with pytest.raises(ValueError):
@@ -383,6 +395,45 @@ class TestOversample:
     def test_noop_when_balanced(self):
         ds = synthetic_dataset(TaskKind.GAUGE_BINARY, [0, 1, 0, 1])
         assert len(oversample_positives(ds, 0, 0.25)) == len(ds)  # copies = max(1, ...)
+
+
+class TestCsvParsePath:
+    """Sampled data.csv files are read without np.loadtxt; other tables still go to it.
+
+    A fast path that silently fell back would keep every other test green.
+    """
+
+    class LoadtxtCalled(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_loadtxt(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.LoadtxtCalled
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+
+    @pytest.fixture()
+    def templates(self):
+        return template_dataset(SMALL_GRID, TaskKind.ISOTOPE_ID, DETECTOR, rebin_factor=4)
+
+    def test_sampled_dataset_reads_without_loadtxt(self, tmp_path, templates):
+        ds = sample_dataset(templates, 3, 1.0, seed=5)
+        back = read_dataset(write_dataset(ds, tmp_path))
+        assert back.counts.tobytes() == ds.counts.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
+    def test_template_dataset_goes_to_loadtxt(self, tmp_path, templates):
+        write_dataset(templates, tmp_path)
+        with pytest.raises(self.LoadtxtCalled):
+            read_dataset(tmp_path)
+
+    def test_metrics_csv_goes_to_loadtxt(self, tmp_path):
+        history = MetricsHistory()
+        history.append(1, 0.5, EvalResult(0.4, 0.75, np.array([0.5, 1.0]), np.eye(2)))
+        write_metrics_csv(tmp_path / "metrics.csv", history, ("A", "B"))
+        with pytest.raises(self.LoadtxtCalled):
+            read_metrics_csv(tmp_path / "metrics.csv")
 
 
 class TestCsvWriters:

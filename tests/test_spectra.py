@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gammasort import spectra
 from gammasort.spectra import (
     EnergyCalibration,
     Spectrum,
@@ -360,3 +361,115 @@ def test_csv_table_round_trip_is_value_exact(rows, comment):
     expected = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     assert back.tobytes() == expected.tobytes()
     assert (comments, back_names, first_line) == ([f"# {comment}"], names, 3)
+
+
+def loadtxt_rows(path, first_line, max_rows=None):
+    """The rows of a table as one ``np.loadtxt`` call reads them."""
+    return np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1,
+                      max_rows=max_rows)
+
+
+# A count cell as write_dataset writes one (an integer-valued float) or as an integer.
+COUNT = st.one_of(st.integers(0, 30), st.integers(0, 10**15 - 1))
+COUNT_CELL = st.one_of(COUNT, COUNT.map(float))
+
+
+@given(
+    table=st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.tuples(st.integers(0, 9), st.lists(COUNT_CELL, min_size=width, max_size=width)),
+        min_size=1, max_size=110,
+    )),
+    comments=st.integers(0, 2),
+    header=st.booleans(),
+    max_rows=st.sampled_from([None, -1, 0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_tables_read_as_loadtxt_reads_them(table, comments, header, max_rows):
+    # max_rows is drawn relative to the row count: one below it, at it or above it.
+    width = 1 + len(table[0][1])
+    max_rows = None if max_rows is None else max(1, len(table) + max_rows)
+    names = ["label"] + [f"c{k}" for k in range(width - 1)] if header else ()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        rows = ([label, *cells] for label, cells in table)
+        write_csv_table(path, names, rows, comments=[f"note {k}" for k in range(comments)])
+        _, _, back, first_line = read_csv_table(path, width, header=header, max_rows=max_rows)
+        assert spectra._read_count_rows(path, first_line - 1, width, max_rows) is not None
+        expected = loadtxt_rows(path, first_line, max_rows)
+    assert back.shape == expected.shape
+    assert back.tobytes() == expected.tobytes()
+
+
+def count_lines(at, cell=None):
+    """70 rows of three integer cells, the middle one of row ``at`` replaced by ``cell``."""
+    lines = [f"{i % 5},{7 * i}.0,{3 * i}" for i in range(70)]
+    if cell is not None:
+        lines[at] = f"{at % 5},{cell},{3 * at}"
+    return lines
+
+
+def joined(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def with_line(at, edit):
+    lines = count_lines(at)
+    lines[at : at + 1] = edit(lines[at])
+    return joined(lines)
+
+
+# Each text leaves the integer parse, which must then give np.loadtxt's rows or
+# the error the reader gave before it had an integer parse.
+NEAR_MISSES = {
+    **{f"cell {cell!r}": lambda at, cell=cell: joined(count_lines(at, cell)) for cell in
+       ["1.", ".0", "1.00", "1.0.0", "-0.0", "+1.0", "1e3", " 1.0", "1234567890123456"]},
+    "trailing comma": lambda at: with_line(at, lambda line: [line + ","]),
+    "crlf endings": lambda at: joined(count_lines(at), "\r\n"),
+    "blank line": lambda at: with_line(at, lambda line: ["", line]),
+    "no final newline": lambda at: joined(count_lines(at))[:-1],
+    "short row": lambda at: with_line(at, lambda line: [line.rsplit(",", 1)[0]]),
+    "cell moved to the next row": lambda at: with_line(
+        at, lambda line: [line.rsplit(",", 1)[0], f"{line.rsplit(',', 1)[1]},{line}"]
+    ),
+}
+
+
+def read_outcome(path, max_rows=None):
+    """read_csv_table's rows (shape and bytes), or the message of its ValueError."""
+    try:
+        rows = read_csv_table(path, 3, header=True, max_rows=max_rows)[2]
+    except ValueError as err:
+        return str(err)
+    return rows.shape, rows.tobytes()
+
+
+def assert_reads_as_loadtxt_did(path, monkeypatch, max_rows=None, integer_parse=False):
+    """The table reads as it did before the integer parse existed: same rows or same error."""
+    assert (spectra._read_count_rows(path, 2, 3, max_rows) is not None) == integer_parse
+    got = read_outcome(path, max_rows)
+    monkeypatch.setattr(spectra, "_read_count_rows", lambda *args: None)
+    assert got == read_outcome(path, max_rows)
+    return got
+
+
+@pytest.mark.parametrize("at", [0, 59], ids=["first block", "second block"])
+@pytest.mark.parametrize("text", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+def test_near_misses_leave_the_integer_parse(tmp_path, monkeypatch, text, at):
+    path = tmp_path / "data.csv"
+    path.write_text("# c\na,b,c\n" + text(at))
+    assert_reads_as_loadtxt_did(path, monkeypatch)
+
+
+def test_a_lone_carriage_return_in_the_comments_leaves_the_integer_parse(tmp_path, monkeypatch):
+    # Text mode reads "\r" as a line end, so the rows start a line later than
+    # counting "\n" bytes says.
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"# c\rd\na,b,c\n" + joined(count_lines(0)).encode())
+    assert_reads_as_loadtxt_did(path, monkeypatch)
+
+
+def test_a_bad_row_past_max_rows_is_not_parsed(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("# c\na,b,c\n" + joined(count_lines(65, "x")))
+    got = assert_reads_as_loadtxt_did(path, monkeypatch, max_rows=60, integer_parse=True)
+    assert got[0] == (60, 3)
