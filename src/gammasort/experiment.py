@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import copy
 import functools
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -423,6 +427,94 @@ def _series_order(path: Path) -> tuple:
     return prefix, len(number), number  # digit strings of one length sort as integers
 
 
+def _fork_train(
+    train_ds: LabeledDataset,
+    test_ds: LabeledDataset,
+    initial: NetworkParams,
+    section: dict,
+    seed: int,
+) -> tuple[int, BinaryIO]:
+    """Start ``train`` in a forked child: its pid, and the pipe it answers through.
+
+    The child inherits every argument, so nothing is pickled on the way in.  It
+    pickles back ``(params, history)``, or the exception ``train`` raised, and
+    leaves through ``os._exit``: it runs no exit handler and never flushes a
+    buffer it shares with the parent, such as stdout's unwritten text.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1  # a child that fails past here answers nothing
+        try:
+            os.close(read_fd)
+            try:
+                outcome = train(train_ds, test_ds, initial, section, seed)
+            except Exception as err:
+                outcome = err
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _child_outcome(arch: str, pid: int, pipe: BinaryIO):
+    """What the child training ``arch`` sent back, once it has exited and been reaped."""
+    with pipe:
+        answer = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return ValueError(f"{arch}: the training process {how} without a result")
+    return pickle.loads(answer)
+
+
+def _train_each(
+    archs: tuple[str, ...],
+    train_ds: LabeledDataset,
+    test_ds: LabeledDataset,
+    section: dict,
+    seed: int,
+) -> list:
+    """Each architecture's ``(initial, params, history)``, or the exception its run raised.
+
+    Every architecture but the last trains in a forked child process while the
+    last trains here, so two architectures take about the time of the slower
+    one on two CPUs.  A child runs the same ``train`` on the same bytes, so its
+    results equal those of training in turn bit for bit.  One architecture
+    starts no process.  No child outlives the call: on an interrupt each child
+    not yet reaped is killed and reaped.
+    """
+    outcomes: list = []
+    children = []  # (index, initial, pid, pipe) of each child not yet reaped
+    try:
+        for k, arch in enumerate(archs):
+            try:
+                initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed,
+                                      section["width"])
+                if k < len(archs) - 1:
+                    children.append((k, initial, *_fork_train(train_ds, test_ds, initial,
+                                                              section, seed)))
+                    outcomes.append(None)  # filled in when the child is reaped
+                else:
+                    outcomes.append((initial, *train(train_ds, test_ds, initial, section, seed)))
+            except Exception as err:
+                outcomes.append(err)
+        while children:
+            k, initial, pid, pipe = children[0]
+            answer = _child_outcome(archs[k], pid, pipe)
+            del children[0]
+            outcomes[k] = answer if isinstance(answer, Exception) else (initial, *answer)
+    finally:
+        for _, _, pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return outcomes
+
+
 def train_and_write(
     config: dict,
     train_ds: LabeledDataset,
@@ -436,7 +528,11 @@ def train_and_write(
     ``config.json`` goes in ``out_dir``; each architecture's model, metrics,
     confusion and weight files go there too, or in ``out_dir/<arch>`` when
     there are several.  Gauge positives are oversampled first.  ``archs`` and
-    ``seed`` default to the config's ``arch`` and ``seed``.
+    ``seed`` default to the config's ``arch`` and ``seed``.  Several
+    architectures train side by side (:func:`_train_each`), but only this
+    process writes files, in architecture order, as training them in turn
+    would: the first architecture whose training failed raises its error,
+    after the files of those before it and its own empty directory.
     """
     out_dir = Path(out_dir)
     archs = (config["arch"],) if archs is None else archs
@@ -448,11 +544,12 @@ def train_and_write(
 
     class_names = train_ds.task.class_names
     results: dict = {"train_ds": train_ds, "test_ds": test_ds, "config": config}
-    for arch in archs:
+    for arch, outcome in zip(archs, _train_each(archs, train_ds, test_ds, t, seed)):
         arch_dir = out_dir / arch if len(archs) > 1 else out_dir
         arch_dir.mkdir(parents=True, exist_ok=True)
-        initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed, t["width"])
-        params, history = train(train_ds, test_ds, initial, t, seed)
+        if isinstance(outcome, Exception):
+            raise outcome
+        initial, params, history = outcome
         train_doc = {"task": train_ds.task.value, **t, "arch": arch, "seed": seed}
         save_model(arch_dir / "model.json", params, train_doc)
         write_metrics_csv(arch_dir / "metrics.csv", history, class_names)

@@ -799,6 +799,40 @@ class TestDivergence:
             "gammasort: error: linear: training diverged at epoch 1: non-finite parameters\n"
         )
 
+    def test_gauge_reports_the_first_architecture(self, tmp_path):
+        # Both architectures diverge, side by side; the first in order reports,
+        # and the run directory is left as training them in turn leaves it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 3, "learning_rate": 1e308}}))
+        proc = run_process("scenario", "gauge", "--config", cfg, "--out", tmp_path / "r")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "gammasort: error: linear: training diverged at epoch 1: logits must be finite\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["config.json", "linear"]
+        assert not list((tmp_path / "r" / "linear").iterdir())
+
+    def test_a_child_that_dies_is_one_line(self, tmp_path, capsys, monkeypatch):
+        from gammasort import experiment
+
+        original, parent = experiment.train, os.getpid()
+
+        def dying(train_ds, test_ds, initial, section, seed):
+            if initial.arch == "linear" and os.getpid() != parent:  # in the forked child
+                os._exit(3)
+            return original(train_ds, test_ds, initial, section, seed)
+
+        monkeypatch.setattr(experiment, "train", dying)
+        cfg = write_config(tmp_path, {"train": {"epochs": 2}})
+        assert run("scenario", "gauge", "--config", cfg, "--out", tmp_path / "r") == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "gammasort: error: linear: the training process exited with status 3 without a result\n"
+        )
+        assert captured.out == ""
+        with pytest.raises(ChildProcessError):  # reaped: no child and no zombie is left
+            os.waitpid(-1, os.WNOHANG)
+
 
 # A grid small enough that each fuzzed command runs in milliseconds.
 TINY_CONFIG = {

@@ -1,13 +1,19 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammasort import seeding
+from gammasort import experiment, seeding
 from gammasort.ensemble import (
     LabeledDataset,
     TaskKind,
@@ -31,6 +37,7 @@ from gammasort.experiment import (
     run_config,
     run_scenario,
     train,
+    train_and_write,
     write_confusion_csv,
     write_metrics_csv,
     write_weight_series,
@@ -546,6 +553,176 @@ class TestRunScenario:
             "Steel",
             "DepletedUranium",
         )
+
+
+def assert_no_child_left():
+    # Every child was reaped: none runs and none is a zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_files(run_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+class TestSideBySide:
+    """Several architectures train side by side: all but the last in forked children."""
+
+    ARCHS = (ARCH_LINEAR, ARCH_HIDDEN_TANH)
+
+    @pytest.fixture
+    def gauge(self):
+        config = run_config(SCENARIO_PRESETS["gauge"], {"train": {"epochs": 4, "width": 8}})
+        return (config, *small_datasets(TaskKind.GAUGE_BINARY))
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        pids = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    @staticmethod
+    def fail_for(monkeypatch, arch, fail):
+        """Patch ``train`` to call ``fail()`` for ``arch`` and train the others unchanged."""
+        original = experiment.train
+
+        def patched(train_ds, test_ds, initial, section, seed):
+            if initial.arch == arch:
+                fail()
+            return original(train_ds, test_ds, initial, section, seed)
+
+        monkeypatch.setattr(experiment, "train", patched)
+
+    def test_equals_training_in_turn(self, tmp_path, gauge, forks):
+        config, train_ds, test_ds = gauge
+        results = train_and_write(config, train_ds, test_ds, tmp_path / "both", self.ARCHS, 11)
+        assert len(forks) == 1
+        for arch in self.ARCHS:
+            initial = initial_params(arch, train_ds, 11, width=8)
+            params, history = train(results["train_ds"], test_ds, initial, config["train"], 11)
+            got = results[arch]
+            assert got["initial"].flat.tobytes() == initial.flat.tobytes()
+            assert got["params"].flat.tobytes() == params.flat.tobytes()
+            for name in ("epochs", "train_loss", "test_loss", "test_accuracy"):
+                assert getattr(got["history"], name) == getattr(history, name), name
+            assert (np.array(got["history"].per_class_accuracy).tobytes()
+                    == np.array(history.per_class_accuracy).tobytes())
+            assert np.array_equal(got["history"].confusion, history.confusion)
+            assert got["dir"] == tmp_path / "both" / arch
+
+            # One architecture starts no process and writes the same files.
+            train_and_write(config, train_ds, test_ds, tmp_path / arch, (arch,), 11)
+            assert run_files(tmp_path / "both" / arch) == {
+                name: data for name, data in run_files(tmp_path / arch).items()
+                if name != "config.json"
+            }
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_first_failure_in_order_wins(self, tmp_path, gauge):
+        # At 1e308 both architectures diverge; the linear one reports, as in turn.
+        config, train_ds, test_ds = gauge
+        config["train"]["learning_rate"] = 1e308
+        with pytest.raises(ValueError) as info:
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert str(info.value) == "linear: training diverged at epoch 1: non-finite parameters"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
+        assert not list((tmp_path / "linear").iterdir())
+        assert_no_child_left()
+
+    def test_failure_in_the_child_alone(self, tmp_path, gauge, monkeypatch):
+        config, train_ds, test_ds = gauge
+
+        def fail():
+            raise ValueError("linear: no")
+
+        self.fail_for(monkeypatch, ARCH_LINEAR, fail)
+        with pytest.raises(ValueError, match="^linear: no$"):
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
+        assert not list((tmp_path / "linear").iterdir())
+        assert_no_child_left()
+
+    def test_failure_in_the_parent_alone(self, tmp_path, gauge, monkeypatch):
+        # The child's architecture comes first: its files are written, then the
+        # parent's architecture gets its empty directory and raises.
+        config, train_ds, test_ds = gauge
+
+        def fail():
+            raise ValueError("hidden_tanh: no")
+
+        self.fail_for(monkeypatch, ARCH_HIDDEN_TANH, fail)
+        with pytest.raises(ValueError, match="^hidden_tanh: no$"):
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "hidden_tanh",
+                                                               "linear"]
+        assert (tmp_path / "linear" / "model.json").is_file()
+        assert not list((tmp_path / "hidden_tanh").iterdir())
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ])
+    def test_a_child_that_dies_is_a_one_line_error(self, tmp_path, gauge, monkeypatch, die, how):
+        config, train_ds, test_ds = gauge
+        parent = os.getpid()  # trained here by mistake, the linear model must not end pytest
+        self.fail_for(monkeypatch, ARCH_LINEAR, lambda: os.getpid() != parent and die())
+        with pytest.raises(ValueError) as info:
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert str(info.value) == f"linear: the training process {how} without a result"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, gauge, monkeypatch):
+        config, train_ds, test_ds = gauge
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.fail_for(monkeypatch, ARCH_LINEAR, lambda: time.sleep(60))
+        self.fail_for(monkeypatch, ARCH_HIDDEN_TANH, interrupt)  # in this process
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_one_architecture_starts_no_process(self, tmp_path, forks):
+        run_scenario("isotope", tmp_path, train={"epochs": 1}, samples_per_config=1,
+                     grid={"distances_m": [10.0]})
+        assert forks == []
+
+    def test_the_child_leaves_the_parents_buffers_alone(self, tmp_path):
+        # Redirected to a file, stdout is block-buffered: text printed before the
+        # fork is still in the buffer the child inherits, and must be written once.
+        script = (
+            "import io, sys\n"
+            "from gammasort.experiment import run_scenario\n"
+            "assert isinstance(sys.stdout.buffer, io.BufferedWriter)\n"
+            "print('before')\n"
+            f"run_scenario('gauge', {str(tmp_path / 'run')!r}, train={{'epochs': 2}},\n"
+            "             samples_per_config=1, grid={'distances_m': [10.0]})\n"
+            "print('after')\n"
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / "stdout.txt"
+        with out.open("w") as stdout:
+            proc = subprocess.run([sys.executable, "-W", "error", "-c", script], stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == "before\nafter\n"
+        assert (tmp_path / "run" / "linear" / "model.json").is_file()
 
 
 class TestRunConfig:

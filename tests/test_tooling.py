@@ -6,8 +6,8 @@ and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG`` and
 ``cli.build_template``.  A rename in ``src/`` would break the benchmark
 without failing any other test.  The last guards keep JSON reading
 and writing in the one module that checks it, keep file writes in the four
-writers, keep random streams in ``seeding``, and keep unused imports out of
-the package.
+writers, keep random streams in ``seeding``, keep process creation in one
+function, and keep unused imports out of the package.
 """
 
 import ast
@@ -193,6 +193,36 @@ def test_only_seeding_calls_numpy_random():
                         if name.startswith(("np.random.", "numpy.random"))]
     assert callers and all(c.startswith("seeding.py:") for c in callers), callers
 
+
+
+# Calls and imports that start (or replace) a process, by dotted-name prefix.
+PROCESS_STARTERS = ("os.fork", "os.spawn", "os.posix_spawn", "os.exec", "os.system", "os.popen",
+                    "multiprocessing", "subprocess", "concurrent.futures")
+
+
+def _starts_a_process(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        names = [ast.unparse(node.func)]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(name.startswith(PROCESS_STARTERS) for name in names)
+
+
+def test_only_one_function_starts_processes():
+    # The gauge architectures train side by side in forked children; one
+    # function forks, so how a child leaves (without flushing the parent's
+    # buffers) and how it is reaped is decided there and nowhere else.
+    starters = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            starters |= {f"{path.name}:{owner}" for node in ast.walk(top)
+                         if _starts_a_process(node)}
+    assert sorted(starters) == ["experiment.py:_fork_train"]
 
 def test_no_unused_imports():
     # No linter is installed, so this stands in for flake8's F401: a name a
