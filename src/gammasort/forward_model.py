@@ -296,7 +296,7 @@ def background_template(
     centers = detector.calibration.bin_centers()
     shape = np.exp(-centers / BACKGROUND_SLOPE_KEV) + BACKGROUND_FLAT_LEVEL
     shape[centers > BACKGROUND_MAX_KEV] = 0.0
-    shape /= math.fsum(shape)
+    shape /= math.fsum(shape.tolist())
     return rate_cps * dwell_s * shape
 
 

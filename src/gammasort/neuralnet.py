@@ -169,8 +169,12 @@ def forward_hidden(params: HiddenTanhParams, x: np.ndarray) -> np.ndarray:
     if not isinstance(params, HiddenTanhParams):
         raise ValueError("forward_hidden requires hidden-architecture parameters")
     x = _check_input(params, x)
-    hidden = np.tanh(x @ params.w1.T + params.b1)
-    return hidden @ params.w2.T + params.b2
+    hidden = x @ params.w1.T
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ params.w2.T
+    logits += params.b2
+    return logits
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:

@@ -146,6 +146,18 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_hidden(linear, np.ones(4))
 
+    @pytest.mark.parametrize("shape", [(40,), (33, 40)], ids=["vector", "batch"])
+    def test_hidden_logits_are_the_out_of_place_expression(self, shape):
+        # forward_hidden adds the biases and applies tanh in place; the IEEE
+        # operations, and so the bits, are those of the plain expression.
+        p = init_params(ARCH_HIDDEN_TANH, 40, 5, seed=19, width=16)
+        p = HiddenTanhParams(p.w1, np.linspace(-1.0, 1.0, 16), p.w2, np.linspace(0.5, -0.5, 5))
+        x = np.random.default_rng(19).poisson(3.0, size=shape).astype(float)
+        before = [a.tobytes() for a in (x, p.w1, p.b1, p.w2, p.b2)]
+        expected = np.tanh(x @ p.w1.T + p.b1) @ p.w2.T + p.b2
+        assert forward_hidden(p, x).tobytes() == expected.tobytes()
+        assert [a.tobytes() for a in (x, p.w1, p.b1, p.w2, p.b2)] == before
+
 
 class TestSoftmax:
     def test_uniform_logits(self):

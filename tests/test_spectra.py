@@ -1,7 +1,9 @@
 
+import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,3 +475,170 @@ def test_a_bad_row_past_max_rows_is_not_parsed(tmp_path, monkeypatch):
     path.write_text("# c\na,b,c\n" + joined(count_lines(65, "x")))
     got = assert_reads_as_loadtxt_did(path, monkeypatch, max_rows=60, integer_parse=True)
     assert got[0] == (60, 3)
+
+
+def fsum_blocks(counts, factor):
+    """``rebin_counts``' sums, one ``math.fsum`` per block of ``factor`` channels."""
+    counts = np.asarray(counts)
+    merged = [math.fsum(block.tolist()) for block in counts.reshape(-1, factor)]
+    return np.array(merged).reshape(counts.shape[:-1] + (-1,))
+
+
+# Doubles from about 1e-300 to 1e300 of either sign, so blocks cancel, and
+# the edges of that range; 64 of them cannot overflow a sum.
+REBIN_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.1, -0.0]),
+)
+
+
+@st.composite
+def rebin_inputs(draw):
+    n_channels = draw(st.integers(min_value=1, max_value=64))
+    factor = draw(st.sampled_from([f for f in range(1, n_channels + 1) if n_channels % f == 0]))
+    shape = draw(st.sampled_from([(n_channels,), (1, n_channels), (3, n_channels)]))
+    size = math.prod(shape)
+    counts = np.array(draw(st.lists(REBIN_VALUES, min_size=size, max_size=size))).reshape(shape)
+    return counts, factor, draw(st.integers(min_value=1, max_value=2 * n_channels))
+
+
+@given(rebin_inputs())
+@example((np.array([1e300, 1.0, -1e300, 1e-300]), 4, 1))
+@example((np.array([[0.1] * 8, [1e300, -1e300] * 4]), 2, 3))
+@settings(max_examples=300, deadline=None)
+def test_rebin_counts_sums_each_block_with_fsum(case):
+    # Chunks as small as one value make a row span several chunks.
+    counts, factor, chunk = case
+    cal = EnergyCalibration(0.0, 3000.0, counts.shape[-1])
+    with mock.patch.object(spectra, "_FSUM_VALUES", chunk):
+        merged, merged_cal = spectra.rebin_counts(counts, cal, factor)
+    expected = counts if factor == 1 else fsum_blocks(counts, factor)
+    assert merged.shape == expected.shape
+    assert merged.tobytes() == expected.tobytes()
+    assert merged_cal == EnergyCalibration(0.0, 3000.0, counts.shape[-1] // factor)
+
+
+def test_rebin_counts_of_a_template_matrix_spans_chunks():
+    counts = np.random.default_rng(19).gamma(0.3, 50.0, size=(70, 1024))
+    merged, _ = spectra.rebin_counts(counts, default_calibration(), 4)
+    assert counts.size > spectra._FSUM_VALUES
+    assert merged.tobytes() == fsum_blocks(counts, 4).tobytes()
+
+
+SAMPLED, TEMPLATE = SpectrumKind.SAMPLED_REALIZATION, SpectrumKind.EXPECTED_TEMPLATE
+# Rows of a 1024-channel matrix in checked_counts' first block and in a later one.
+FIRST_BLOCK_ROW = 0
+LATER_BLOCK_ROW = 3 * spectra._CHECK_BLOCK_VALUES // 1024 + 5
+
+
+def sampled_matrix(rows=LATER_BLOCK_ROW + 20):
+    return np.random.default_rng(7).poisson(0.5, size=(rows, 1024)).astype(float)
+
+
+def counts_error(counts, kind=SAMPLED, dwell=1.0, ndim=2):
+    with pytest.raises(ValueError) as err:
+        spectra.checked_counts(counts, ndim, counts.shape[-1], kind, dwell)
+    return str(err.value)
+
+
+class TestCheckedCounts:
+    @pytest.mark.parametrize("row", [FIRST_BLOCK_ROW, LATER_BLOCK_ROW], ids=["first", "later"])
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            (np.nan, SAMPLED, "counts must be finite"),
+            (np.inf, TEMPLATE, "counts must be finite"),
+            (-np.inf, SAMPLED, "counts must be finite"),
+            (-1.0, TEMPLATE, "counts must be non-negative"),
+            (-1.0, SAMPLED, "counts must be non-negative"),
+            (0.5, SAMPLED, "sampled realizations must have integer-valued counts"),
+        ],
+    )
+    def test_each_defect_in_any_block_is_named(self, row, value, kind, message):
+        counts = sampled_matrix()
+        counts[row, 300] = value
+        assert counts_error(counts, kind) == message
+
+    def test_a_defect_at_the_end_of_a_long_spectrum(self):
+        # One spectrum is one row, checked as one block however long it is.
+        counts = np.zeros(2 * spectra._CHECK_BLOCK_VALUES)
+        counts[-1] = np.nan
+        assert counts_error(counts, ndim=1) == "counts must be finite"
+
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            (-1.0, np.nan, "counts must be finite"),
+            (0.5, np.inf, "counts must be finite"),
+            (0.5, -1.0, "counts must be non-negative"),
+        ],
+    )
+    def test_the_first_defect_in_check_order_is_named(self, first, later, message):
+        counts = sampled_matrix()
+        counts[FIRST_BLOCK_ROW, 0] = first
+        counts[LATER_BLOCK_ROW, 1023] = later
+        assert counts_error(counts) == message
+
+    def test_fractional_template_counts_pass(self):
+        counts = sampled_matrix() + 0.25
+        assert spectra.checked_counts(counts, 2, 1024, TEMPLATE, 1.0).tobytes() == counts.tobytes()
+
+    def test_negative_zero_passes(self):
+        counts = sampled_matrix()
+        counts[LATER_BLOCK_ROW, 5] = -0.0
+        assert spectra.checked_counts(counts, 2, 1024, SAMPLED, 1.0).tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("dwell", [0.0, -1.0, np.nan])
+    def test_a_bad_dwell_with_good_counts_is_named(self, dwell):
+        assert counts_error(sampled_matrix(), dwell=dwell) == f"dwell must be positive, got {dwell}"
+
+    def test_bad_counts_are_named_before_a_bad_dwell(self):
+        counts = sampled_matrix()
+        counts[LATER_BLOCK_ROW, 0] = -2.0
+        assert counts_error(counts, dwell=0.0) == "counts must be non-negative"
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "column view"])
+    def test_copy_is_read_only_and_input_is_untouched(self, view):
+        table = np.hstack([np.arange(LATER_BLOCK_ROW + 20.0)[:, None], sampled_matrix()])
+        counts = table[:, 1:] if view else table[:, 1:].copy()
+        before = counts.copy()
+        checked = spectra.checked_counts(counts, 2, 1024, SAMPLED, 1.0)
+        assert checked.tobytes() == before.tobytes() and counts.tobytes() == before.tobytes()
+        assert not checked.flags.writeable and checked.flags.c_contiguous
+        assert counts.flags.writeable and not np.shares_memory(checked, counts)
+
+
+def reference_counts_error(counts, kind):
+    """The whole-array checks of ``checked_counts``, in their order, or None."""
+    if not np.isfinite(counts).all():
+        return "counts must be finite"
+    if (counts < 0).any():
+        return "counts must be non-negative"
+    if kind is SAMPLED and (counts != np.floor(counts)).any():
+        return "sampled realizations must have integer-valued counts"
+    return None
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=9),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.5])),
+        max_size=3,
+    ),
+    st.sampled_from([SAMPLED, TEMPLATE]),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_checked_counts_names_what_the_whole_array_checks_name(rows, width, defects, kind, block):
+    # Blocks as small as one row make defects land in any block.
+    counts = np.arange(rows * width, dtype=float).reshape(rows, width) % 3
+    for at, value in defects:
+        counts.flat[at % counts.size] = value
+    with mock.patch.object(spectra, "_CHECK_BLOCK_VALUES", block):
+        try:
+            checked, error = spectra.checked_counts(counts, 2, width, kind, 1.0), None
+        except ValueError as err:
+            checked, error = None, str(err)
+    assert error == reference_counts_error(counts, kind)
+    assert checked is None or checked.tobytes() == counts.tobytes()

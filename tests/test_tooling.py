@@ -195,6 +195,44 @@ def test_only_seeding_calls_numpy_random():
 
 
 
+def _python_floats(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x.tolist()``, or ``zip(*[iter(x.tolist())] * k)`` grouping one."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "tolist" and not node.args
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "zip"):
+        return False
+    grouped = node.args[0] if len(node.args) == 1 else None
+    if not (isinstance(grouped, ast.Starred) and isinstance(grouped.value, ast.BinOp)):
+        return False
+    items = grouped.value.left
+    return (isinstance(items, ast.List) and len(items.elts) == 1
+            and isinstance(items.elts[0], ast.Call) and ast.unparse(items.elts[0].func) == "iter"
+            and len(items.elts[0].args) == 1 and _python_floats(items.elts[0].args[0]))
+
+
+def test_every_fsum_reads_python_floats():
+    # math.fsum over a numpy array converts each value to a numpy scalar
+    # first, which cost rebin_counts about four times its sums.  So fsum is
+    # called on a ``.tolist()`` result, or mapped over one, and nowhere else.
+    uses, allowed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "math.fsum":
+                uses.append((path.name, node))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                uses += [(path.name, node) for alias in node.names if alias.name == "fsum"]
+            if not (isinstance(node, ast.Call) and len(node.args) >= 1):
+                continue
+            if ast.unparse(node.func) == "math.fsum" and _python_floats(node.args[0]):
+                allowed.add(id(node.func))
+            elif (ast.unparse(node.func) == "map" and len(node.args) == 2
+                  and ast.unparse(node.args[0]) == "math.fsum" and _python_floats(node.args[1])):
+                allowed.add(id(node.args[0]))
+    assert uses
+    assert [f"{name}:{node.lineno}" for name, node in uses if id(node) not in allowed] == []
+
+
+
 # Calls and imports that start (or replace) a process, by dotted-name prefix.
 PROCESS_STARTERS = ("os.fork", "os.spawn", "os.posix_spawn", "os.exec", "os.system", "os.popen",
                     "multiprocessing", "subprocess", "concurrent.futures")
