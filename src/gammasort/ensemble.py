@@ -87,7 +87,10 @@ class LabeledDataset:
     Calibration, dwell and spectrum kind are shared by every item; each item
     keeps the source configuration it was drawn from as provenance.  Counts
     (checked by :func:`spectra.checked_counts`) and labels (checked by
-    :func:`neuralnet.checked_labels`) are read-only copies.
+    :func:`neuralnet.checked_labels`) are read-only.  Labels are copied;
+    counts are copied unless frozen, so a producer that freezes the matrix
+    it built (``setflags(write=False)``) hands that matrix over and the
+    dataset keeps the only copy.
     """
 
     counts: np.ndarray
@@ -203,6 +206,9 @@ def sample_dataset(
     ``derive_seed(seed, ci, si)``, exactly as :func:`poisson_sample` would,
     so every item is independent of the others and of the build order.  The
     stream keys of all items are computed at once by :func:`seeding.philox_keys`.
+    Only channels of nonzero rate are drawn: a rate of 0 draws 0 without
+    taking from the stream, so the items are the same bits.  The matrix
+    drawn into is frozen and handed to the dataset, not copied.
     """
     if templates.kind is not SpectrumKind.EXPECTED_TEMPLATE:
         raise ValueError("can only Poisson-sample expected-count templates")
@@ -214,9 +220,12 @@ def sample_dataset(
     rows = np.repeat(np.arange(len(templates)), samples_per_config)
     sample_index = np.tile(np.arange(samples_per_config), len(templates))
     keys = seeding.philox_keys(seed, rows, sample_index)
-    counts = np.empty((rows.size, templates.n_channels))
+    live = [np.flatnonzero(rates) for rates in lam]
+    live_lam = [rates[channels] for rates, channels in zip(lam, live)]
+    counts = np.zeros((rows.size, templates.n_channels))
     for item, (ci, generator) in enumerate(zip(rows, seeding.keyed_rngs(keys))):
-        counts[item] = generator.poisson(lam[ci])
+        counts[item, live[ci]] = generator.poisson(live_lam[ci])
+    counts.setflags(write=False)
     return LabeledDataset(
         counts,
         templates.labels[rows],
@@ -348,7 +357,9 @@ def _row_format(ds: LabeledDataset):
     matrix has cells.  Any other matrix is formatted by :func:`_repr_row`.
     """
     counts = ds.counts
-    if ds.kind is SpectrumKind.SAMPLED_REALIZATION and not np.signbit(counts).any():
+    # A float's sign bit is the sign of its bits read as an int64, so this
+    # finds a -0.0 without a boolean temporary the size of the matrix.
+    if ds.kind is SpectrumKind.SAMPLED_REALIZATION and counts.view(np.int64).min() >= 0:
         top = counts.max()
         if top < 1e16 and top < counts.size:
             table = np.array([repr(float(i)) + "," for i in range(int(top) + 1)], dtype=np.bytes_)
@@ -403,6 +414,7 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         raise ValueError(f"{data_path}:{line}: more rows than the manifest's n_items of {n_items}")
     if len(rows) < n_items:
         raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
+    rows.setflags(write=False)  # the dataset keeps the counts columns, not a copy
     labels = rows[:, 0]
     ok = (labels == np.floor(labels)) & (labels >= 0) & (labels < task.n_classes)
     if not ok.all():

@@ -78,7 +78,7 @@ class Spectrum:
 
     Counts are stored as float64 even for realizations so both kinds share
     one type; realizations are validated to be integer-valued.  The counts
-    array is copied and marked read-only.
+    are kept read-only, copied unless frozen (see :func:`checked_counts`).
     """
 
     counts: np.ndarray
@@ -96,23 +96,26 @@ class Spectrum:
 
 
 def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell_s: float):
-    """A read-only float64 copy of ``counts``, checked as counts of ``kind`` at ``dwell_s``.
+    """``counts`` as a read-only float64 array, checked as counts of ``kind`` at ``dwell_s``.
 
     ``counts`` must be non-empty with ``ndim`` axes, the last of ``n_channels``;
     finite and non-negative; integer-valued for a sampled realization.  The
-    dwell must be positive.  The copy is filled a block of rows at a time,
-    each block checked before it is copied, so the checks' temporaries are
-    block-sized.  If a block fails, the copy is dropped and whole-array
-    checks name the defect, the first of non-finite, negative and
-    non-integer that any value has.
+    dwell must be positive.  A frozen float64 array (read-only, as is every
+    array it views, down to the one that owns the data) is checked in place
+    and returned itself: its producer hands it over and must not make it
+    writeable again.  Any other input is copied into a C-ordered array; the
+    copy is filled a block of rows at a time, each block checked before it
+    is copied.  Either way the checks' temporaries are block-sized.  If a
+    block fails, whole-array checks name the defect, the first of
+    non-finite, negative and non-integer that any value has.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != ndim or counts.size == 0 or counts.shape[-1] != n_channels:
         raise ValueError(
             f"counts shape {counts.shape} is not {ndim}-D, non-empty, over {n_channels} channels"
         )
-    copy = _checked_copy(counts, kind is SpectrumKind.SAMPLED_REALIZATION)
-    if copy is None:  # some value fails one of these checks
+    kept = counts if _frozen(counts) else np.empty(counts.shape)
+    if not _checked_blocks(counts, kind is SpectrumKind.SAMPLED_REALIZATION, kept):
         if not np.isfinite(counts).all():
             raise ValueError("counts must be finite")
         if (counts < 0).any():
@@ -120,8 +123,21 @@ def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell
         raise ValueError("sampled realizations must have integer-valued counts")
     if not dwell_s > 0:
         raise ValueError(f"dwell must be positive, got {dwell_s}")
-    copy.setflags(write=False)
-    return copy
+    kept.setflags(write=False)
+    return kept
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """Whether ``array`` and every array in its ``.base`` chain are read-only.
+
+    The chain must end at an array that owns its data; an array over a
+    buffer of another type (bytes, a map) counts as not frozen.
+    """
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 # Values per block of checked_counts' checks: a block and its temporaries
@@ -130,25 +146,26 @@ def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell
 _CHECK_BLOCK_VALUES = 32768
 
 
-def _checked_copy(counts: np.ndarray, integral: bool) -> np.ndarray | None:
-    """A C-ordered copy of ``counts``, or None if a value fails the checks.
+def _checked_blocks(counts: np.ndarray, integral: bool, out: np.ndarray) -> bool:
+    """Whether every value of ``counts`` passes the checks, copying each block to ``out``.
 
     Every value must be finite and non-negative, and integer-valued if
-    ``integral``.
+    ``integral``.  ``out`` is ``counts`` itself (nothing is copied) or an
+    array of its shape, filled up to the first failing block.
     """
-    copy = np.empty(counts.shape)
     width = counts.shape[-1]
-    rows, out = counts.reshape(-1, width), copy.reshape(-1, width)  # views: ndim is 1 or 2
+    rows, out_rows = counts.reshape(-1, width), out.reshape(-1, width)  # views: ndim is 1 or 2
     step = max(1, _CHECK_BLOCK_VALUES // width)
     floor = np.empty((min(step, len(rows)), width)) if integral else None
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         if not (block.min() >= 0 and block.max() < math.inf):  # NaN fails both
-            return None
+            return False
         if integral and (np.floor(block, out=floor[: len(block)]) != block).any():
-            return None
-        out[start : start + step] = block
-    return copy
+            return False
+        if out is not counts:
+            out_rows[start : start + step] = block
+    return True
 
 
 def total_counts(spectrum: Spectrum) -> float:
@@ -306,6 +323,9 @@ def read_csv_table(
 # Lines per block of the integer parse: a block's temporaries stay in the
 # CPU cache, where one pass over the whole file ran about twice as slow.
 _BLOCK_LINES = 48
+# Bytes of the mapped file scanned between two releases of the pages behind
+# the scan, so at most about this much of the file is resident at once.
+_RELEASE_BYTES = 1 << 20
 
 
 def _read_count_rows(path: str | Path, skip: int, width: int, max_rows: int | None):
@@ -317,6 +337,9 @@ def _read_count_rows(path: str | Path, skip: int, width: int, max_rows: int | No
     the result is bit for bit what ``np.loadtxt`` gives.  The file is mapped,
     not read into a bytes object: a freed copy of an 18 MB file stayed
     resident and raised the peak memory of reading two datasets by 17 MB.
+    Both passes over the map, the line ends and the parse, release the pages
+    they have scanned about every ``_RELEASE_BYTES``, so the file is never
+    resident all at once beside the rows.
     """
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:
@@ -327,18 +350,25 @@ def _read_count_rows(path: str | Path, skip: int, width: int, max_rows: int | No
 
 def _parse_count_rows(data: mmap.mmap, skip: int, width: int, max_rows: int | None):
     limit = len(data) if max_rows is None else skip + max_rows
-    ends, pos = [], 0  # the offset after each line's newline
+    # The offset after each line's newline; the pages before ``released`` are dropped.
+    ends, pos, released = [], 0, 0
     while len(ends) < limit and (pos := data.find(b"\n", pos) + 1):
         ends.append(pos)
+        if pos - released > _RELEASE_BYTES:
+            released = _release_pages(data, released, pos)
     if len(ends) <= skip or width < 1 or b"\r" in data[: ends[skip - 1] if skip else 0]:
         return None
     if len(ends) < limit and ends[-1] != len(data):
         return None  # a last line without a newline
     buf = np.frombuffer(data, np.uint8)
     rows = np.empty((len(ends) - skip, width))
+    released = 0
     for first in range(skip, len(ends), _BLOCK_LINES):
         last = min(first + _BLOCK_LINES, len(ends))
-        block = buf[ends[first - 1] if first else 0 : ends[last - 1]]
+        begin, end = ends[first - 1] if first else 0, ends[last - 1]
+        if end - released > _RELEASE_BYTES:
+            released = _release_pages(data, released, begin)
+        block = buf[begin:end]
         digit = block - 48  # a byte that is not a digit wraps to 10 or more
         sep = (block == 44) | (block == 10)
         cut = np.flatnonzero(sep)  # the comma or newline that ends each cell
@@ -364,6 +394,18 @@ def _parse_count_rows(data: mmap.mmap, skip: int, width: int, max_rows: int | No
             cells[many] = cells[many] * 10 + digit[at]
             many, k = many[digit[at + 1] < 10], k + 1
     return rows
+
+
+def _release_pages(data: mmap.mmap, start: int, end: int) -> int:
+    """Drop the pages of ``data`` from page-aligned ``start`` up to the page of ``end``.
+
+    A later read of a dropped page maps it again from the file.  Returns
+    the offset up to which pages are dropped, ``end`` rounded down to a page.
+    """
+    end -= end % mmap.PAGESIZE
+    if end > start and hasattr(mmap, "MADV_DONTNEED"):  # madvise is not on every platform
+        data.madvise(mmap.MADV_DONTNEED, start, end - start)
+    return end
 
 
 def csv_rows(path: str | Path, first_line: int) -> list[tuple[int, str]]:

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from gammasort.ensemble import (
     read_dataset,
     rescale,
     sample_dataset,
+    stack_templates,
     standard_grid,
     template_dataset,
     write_dataset,
@@ -564,3 +566,82 @@ class TestSeeding:
     def test_philox_keys_refuses_what_has_no_per_item_stream(self, seed, ci, si, match):
         with pytest.raises(ValueError, match=match):
             seeding.philox_keys(seed, ci, si)
+
+
+class TestZeroRateChannels:
+    def test_items_are_the_poisson_sample_of_the_item_stream(self, small_grid):
+        # Zero-rate channels between nonzero ones, and a template with no counts at all.
+        rates = np.random.default_rng(5).gamma(0.5, 20.0, size=(len(small_grid), 64))
+        rates[:, 1::3] = 0.0
+        rates[:, 40:50] = 0.0
+        rates[3] = 0.0
+        cal = EnergyCalibration(0.0, 3000.0, 64)
+        templates = stack_templates(rates, cal, 10.0, small_grid, TaskKind.ISOTOPE_ID)
+        ds = sample_dataset(templates, 4, 2.5, seed=31)
+        for item, (ci, si) in enumerate((ci, si) for ci in range(len(small_grid)) for si in range(4)):
+            template = Spectrum(rates[ci], cal, 10.0, SpectrumKind.EXPECTED_TEMPLATE)
+            expected = poisson_sample(template, 2.5, seeding.derive_seed(31, ci, si))
+            assert ds.counts[item].tobytes() == expected.counts.tobytes()
+        assert not ds.counts[12:16].any() and ds.counts.any()
+
+    def test_the_drawn_matrix_is_kept_read_only(self, small_grid):
+        rates = np.full((len(small_grid), 8), 3.0)
+        cal = EnergyCalibration(0.0, 3000.0, 8)
+        templates = stack_templates(rates, cal, 1.0, small_grid, TaskKind.ISOTOPE_ID)
+        ds = sample_dataset(templates, 2, 1.0, seed=2)
+        assert ds.counts.base is None and not ds.counts.flags.writeable
+
+
+# cli_1024's dataset size: 220 templates, 20 items each, over 1024 channels.
+LARGE_SAMPLES = 20
+
+
+@pytest.fixture(scope="module")
+def large_templates(full_grid):
+    rates = np.random.default_rng(11).gamma(0.2, 2.0, size=(len(full_grid), 1024))
+    rates[:, ::2] = 0.0
+    cal = EnergyCalibration(0.0, 3000.0, 1024)
+    return stack_templates(rates, cal, 1.0, full_grid, TaskKind.ISOTOPE_ID)
+
+
+@pytest.fixture(scope="module")
+def large_written(large_templates, tmp_path_factory):
+    ds = sample_dataset(large_templates, LARGE_SAMPLES, 1.0, seed=12)
+    return ds, write_dataset(ds, tmp_path_factory.mktemp("large"))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyOfTheCounts:
+    """A producer's matrix becomes the dataset's: the counts exist once, not twice."""
+
+    def test_sampling_allocates_the_counts_once(self, large_templates):
+        ds, peak = traced_peak(sample_dataset, large_templates, LARGE_SAMPLES, 1.0, 12)
+        assert ds.counts.shape == (4400, 1024)
+        assert peak <= 1.25 * ds.counts.nbytes
+
+    def test_reading_allocates_the_counts_once(self, large_written):
+        _, manifest = large_written
+        ds, peak = traced_peak(read_dataset, manifest)
+        assert ds.counts.shape == (4400, 1024)
+        assert peak <= 1.25 * ds.counts.nbytes
+
+    def test_read_counts_are_a_read_only_view_of_the_parsed_rows(self, large_written):
+        ds = read_dataset(large_written[1])
+        assert ds.counts.base.shape == (4400, 1025) and not ds.counts.base.flags.writeable
+
+    def test_round_trip_is_bit_for_bit(self, large_written):
+        ds, manifest = large_written
+        back = read_dataset(manifest)
+        assert back.counts.tobytes() == ds.counts.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        records = [list(map(_config_record, d.provenance)) for d in (back, ds)]
+        assert records[0] == records[1]
+        assert (back.calibration, back.dwell_s, back.kind) == (ds.calibration, ds.dwell_s, ds.kind)

@@ -642,3 +642,173 @@ def test_checked_counts_names_what_the_whole_array_checks_name(rows, width, defe
             checked, error = None, str(err)
     assert error == reference_counts_error(counts, kind)
     assert checked is None or checked.tobytes() == counts.tobytes()
+
+
+def frozen(counts):
+    """``counts`` as an array that owns its data and is read-only."""
+    counts = np.array(counts, dtype=float)
+    counts.setflags(write=False)
+    return counts
+
+
+COUNTS_DEFECTS = [
+    (np.nan, SAMPLED, "counts must be finite"),
+    (np.inf, TEMPLATE, "counts must be finite"),
+    (-np.inf, SAMPLED, "counts must be finite"),
+    (-1.0, TEMPLATE, "counts must be non-negative"),
+    (-1.0, SAMPLED, "counts must be non-negative"),
+    (0.5, SAMPLED, "sampled realizations must have integer-valued counts"),
+]
+
+
+class TestFrozenCounts:
+    """A frozen input is checked in place and kept; every other input is copied."""
+
+    @pytest.mark.parametrize("row", [FIRST_BLOCK_ROW, LATER_BLOCK_ROW], ids=["first", "later"])
+    @pytest.mark.parametrize("value, kind, message", COUNTS_DEFECTS)
+    def test_each_defect_in_any_block_is_named(self, row, value, kind, message):
+        counts = sampled_matrix()
+        counts[row, 300] = value
+        assert counts_error(frozen(counts), kind) == message
+
+    @pytest.mark.parametrize("value, kind, message", COUNTS_DEFECTS)
+    def test_each_defect_in_a_frozen_table_view_is_named(self, value, kind, message):
+        table = np.hstack([np.zeros((LATER_BLOCK_ROW + 20, 1)), sampled_matrix()])
+        table[LATER_BLOCK_ROW, 301] = value
+        table.setflags(write=False)
+        assert counts_error(table[:, 1:], kind) == message
+
+    def test_a_defect_at_the_end_of_a_long_spectrum(self):
+        counts = np.zeros(2 * spectra._CHECK_BLOCK_VALUES)
+        counts[-1] = np.nan
+        assert counts_error(frozen(counts), ndim=1) == "counts must be finite"
+
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            (-1.0, np.nan, "counts must be finite"),
+            (0.5, np.inf, "counts must be finite"),
+            (0.5, -1.0, "counts must be non-negative"),
+        ],
+    )
+    def test_the_first_defect_in_check_order_is_named(self, first, later, message):
+        counts = sampled_matrix()
+        counts[FIRST_BLOCK_ROW, 0] = first
+        counts[LATER_BLOCK_ROW, 1023] = later
+        assert counts_error(frozen(counts)) == message
+
+    @pytest.mark.parametrize("dwell", [0.0, -1.0, np.nan])
+    def test_a_bad_dwell_with_good_counts_is_named(self, dwell):
+        message = counts_error(frozen(sampled_matrix()), dwell=dwell)
+        assert message == f"dwell must be positive, got {dwell}"
+
+    def test_bad_counts_are_named_before_a_bad_dwell(self):
+        counts = sampled_matrix()
+        counts[LATER_BLOCK_ROW, 0] = -2.0
+        assert counts_error(frozen(counts), dwell=0.0) == "counts must be non-negative"
+
+    @pytest.mark.parametrize("kind", [SAMPLED, TEMPLATE])
+    def test_a_frozen_array_is_kept(self, kind):
+        counts = frozen(sampled_matrix())
+        checked = spectra.checked_counts(counts, 2, 1024, kind, 1.0)
+        assert checked is counts and np.shares_memory(checked, counts)
+        assert not checked.flags.writeable
+
+    def test_a_view_of_a_frozen_table_is_kept(self):
+        table = np.hstack([np.arange(LATER_BLOCK_ROW + 20.0)[:, None], sampled_matrix()])
+        table.setflags(write=False)
+        checked = spectra.checked_counts(table[:, 1:], 2, 1024, SAMPLED, 1.0)
+        assert checked.base is table and checked.tobytes() == table[:, 1:].tobytes()
+
+    def test_a_frozen_spectrum_is_kept(self):
+        counts = frozen(np.arange(16.0))
+        assert make_spectrum(counts, SAMPLED).counts is counts
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        table = np.hstack([np.zeros((LATER_BLOCK_ROW + 20, 1)), sampled_matrix()])
+        view = table[:, 1:]
+        view.setflags(write=False)
+        checked = spectra.checked_counts(view, 2, 1024, SAMPLED, 1.0)
+        assert not np.shares_memory(checked, table) and checked.tobytes() == view.tobytes()
+        assert not checked.flags.writeable and checked.flags.c_contiguous
+        table[0, 1] = 99.0  # the base can still be written; the copy cannot change
+        assert checked[0, 0] != 99.0
+
+    def test_a_writeable_array_deeper_in_the_base_chain_makes_a_copy(self):
+        owner = sampled_matrix()
+        middle = owner[:]
+        middle.setflags(write=False)
+        view = middle[1:]
+        view.setflags(write=False)
+        assert not np.shares_memory(spectra.checked_counts(view, 2, 1024, SAMPLED, 1.0), owner)
+
+    def test_a_read_only_array_over_another_buffer_is_copied(self):
+        counts = np.frombuffer(np.arange(8.0).tobytes(), dtype=np.float64)
+        assert not counts.flags.writeable
+        checked = spectra.checked_counts(counts, 1, 8, SAMPLED, 1.0)
+        assert not np.shares_memory(checked, counts) and checked.tobytes() == counts.tobytes()
+
+    def test_a_frozen_array_of_another_dtype_is_copied_as_float64(self):
+        counts = np.arange(8, dtype=np.int32)
+        counts.setflags(write=False)
+        checked = spectra.checked_counts(counts, 1, 8, SAMPLED, 1.0)
+        assert checked.dtype == np.float64 and np.array_equal(checked, counts)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=9),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.5])),
+        max_size=3,
+    ),
+    st.sampled_from([SAMPLED, TEMPLATE]),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_frozen_counts_are_named_as_the_whole_array_checks_name(rows, width, defects, kind, block):
+    # The same defects as a copied input, in blocks as small as one row.
+    counts = np.arange(rows * width, dtype=float).reshape(rows, width) % 3
+    for at, value in defects:
+        counts.flat[at % counts.size] = value
+    counts.setflags(write=False)
+    with mock.patch.object(spectra, "_CHECK_BLOCK_VALUES", block):
+        try:
+            checked, error = spectra.checked_counts(counts, 2, width, kind, 1.0), None
+        except ValueError as err:
+            checked, error = None, str(err)
+    assert error == reference_counts_error(counts, kind)
+    assert checked is None or checked is counts
+
+
+def test_released_pages_read_back_from_the_file(tmp_path):
+    # Releasing at every chance: each pass drops the pages it has scanned,
+    # and the parse maps them again from the file, bit for bit as np.loadtxt reads.
+    rows = np.random.default_rng(20).poisson(3.0, size=(300, 41)).astype(float)
+    path = tmp_path / "data.csv"
+    write_csv_table(path, (), rows)
+    real, released = spectra._release_pages, []
+
+    def release(data, start, end):
+        kept = real(data, start, end)
+        released.append((start, kept))
+        return kept
+
+    with (
+        mock.patch.object(spectra, "_RELEASE_BYTES", 1),
+        mock.patch.object(spectra, "_release_pages", release),
+    ):
+        parsed = spectra._read_count_rows(path, 0, 41, None)
+    assert parsed.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
+    passes = []  # how far each pass has released, in pages from the first
+    for start, kept in released:
+        if kept > start:
+            if start == 0:
+                passes.append(kept)
+            else:
+                assert start == passes[-1]  # no page skipped
+                passes[-1] = kept
+    size, page = path.stat().st_size, spectra.mmap.PAGESIZE
+    assert len(passes) == 2 and size > 4 * page
+    assert passes[0] == size - size % page  # the line ends: every whole page
+    assert passes[1] > size - 3 * page  # the parse: up to the last block
