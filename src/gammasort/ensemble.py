@@ -124,9 +124,11 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=np.intp)
+        counts = self.counts[indices]
+        counts.setflags(write=False)  # handed to the new dataset, not copied
         return replace(
             self,
-            counts=self.counts[indices],
+            counts=counts,
             labels=self.labels[indices],
             provenance=tuple(self.provenance[i] for i in indices),
         )
@@ -191,10 +193,16 @@ def stack_templates(
 
 
 def rescale(templates: LabeledDataset, dwell_s: float) -> LabeledDataset:
-    """The same expected-count templates at another dwell (counts scale linearly)."""
-    return replace(
-        templates, counts=templates.counts * (dwell_s / templates.dwell_s), dwell_s=dwell_s
-    )
+    """The same expected-count templates at another dwell (counts scale linearly).
+
+    At the templates' own dwell the templates themselves are returned:
+    scaling by 1.0 would give the same bits.
+    """
+    if dwell_s == templates.dwell_s:
+        return templates
+    counts = templates.counts * (dwell_s / templates.dwell_s)
+    counts.setflags(write=False)  # handed to the new dataset, not copied
+    return replace(templates, counts=counts, dwell_s=dwell_s)
 
 
 def sample_dataset(
@@ -268,6 +276,7 @@ def template_dataset(
         detector.calibration,
         rebin_factor,
     )
+    counts.setflags(write=False)  # handed to the dataset, not copied
     return rescale(stack_templates(counts, cal, TEMPLATE_DWELL_S, grid, task), dwell_s)
 
 

@@ -205,7 +205,8 @@ def rebin_counts(
         return counts, calibration
     counts = np.asarray(counts)
     blocks = counts.reshape(-1, factor)
-    merged = np.empty(len(blocks))
+    out = np.empty(counts.shape[:-1] + (n // factor,))
+    merged = out.reshape(-1)  # a view: the returned array owns its data
     step = max(1, _FSUM_VALUES // factor)
     for start in range(0, len(blocks), step):
         # math.fsum reads Python floats fastest; zip groups them back into blocks.
@@ -214,7 +215,7 @@ def rebin_counts(
             map(math.fsum, zip(*[iter(chunk.ravel().tolist())] * factor))
         )
     cal = EnergyCalibration(calibration.e_min, calibration.e_max, n // factor)
-    return merged.reshape(counts.shape[:-1] + (n // factor,)), cal
+    return out, cal
 
 
 def write_spectrum_csv(spectrum: Spectrum, path: str | Path) -> None:

@@ -1,4 +1,8 @@
-"""Minimal self-contained SVG charts, so reports need no plotting stack."""
+"""Minimal self-contained SVG charts, so reports need no plotting stack.
+
+One writer, :func:`_write_chart`, lays out every chart and escapes its text,
+so names read from files cannot break the XML.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +13,12 @@ PALETTE = (
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
-_MARGIN_LEFT = 64.0
-_MARGIN_RIGHT = 16.0
-_MARGIN_TOP = 32.0
-_MARGIN_BOTTOM = 44.0
+_WIDTH, _HEIGHT = 720, 440
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64.0, 16.0, 32.0, 44.0
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_PLOT_RIGHT, _PLOT_BOTTOM = _MARGIN_LEFT + _PLOT_W, _MARGIN_TOP + _PLOT_H
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # xml.sax.saxutils would import urllib
 
 
 def _bounds(values):
@@ -29,149 +35,93 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _tick_label(x: float) -> str:
-    return f"{x:.4g}"
+def _text(x: str, y: str, text, attrs: str = ' text-anchor="middle"') -> str:
+    """A ``<text>`` element at the formatted position ``x``, ``y``; every chart text is escaped here."""
+    return f'<text x="{x}" y="{y}"{attrs}>{str(text).translate(_ESCAPES)}</text>'
 
 
-def write_line_svg(
-    path: str | Path,
-    series: list[tuple[str, list, list]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 440,
-) -> None:
-    """Write a line chart for ``series`` = [(name, xs, ys), ...]."""
-    if not series or any(len(xs) == 0 or len(xs) != len(ys) for _, xs, ys in series):
-        raise ValueError("each series needs matching non-empty x and y values")
-    x_lo, x_hi = _bounds([x for _, xs, _ in series for x in xs])
-    y_lo, y_hi = _bounds([y for _, _, ys in series for y in ys])
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+def _write_chart(path, title, x_label, y_label, x_range, y_range, body) -> None:
+    """Write a chart's frame, five-step grid and labels, then the elements ``body(sx, sy)`` yields.
+
+    ``sx`` and ``sy`` map data coordinates to the plot area.  Without an
+    ``x_range`` (a bar chart) the x axis has no grid lines or tick labels.
+    """
+    y_lo, y_hi = y_range
 
     def sx(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (x - x_range[0]) / (x_range[1] - x_range[0]) * _PLOT_W
 
     def sy(y):
-        return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + _PLOT_H - (y - y_lo) / (y_hi - y_lo) * _PLOT_H
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="#444"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" width="{_fmt(_PLOT_W)}" '
+        f'height="{_fmt(_PLOT_H)}" fill="none" stroke="#444"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
+        parts.append(_text(_fmt(_WIDTH / 2), "20", title, ' text-anchor="middle" font-size="14"'))
     for i in range(5):
-        frac = i / 4
-        gx = x_lo + frac * (x_hi - x_lo)
-        gy = y_lo + frac * (y_hi - y_lo)
-        px, py = sx(gx), sy(gy)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="#ddd"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_LEFT + plot_w)}" '
-            f'y2="{_fmt(py)}" stroke="#ddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_TOP + plot_h + 16)}" '
-            f'text-anchor="middle">{_tick_label(gx)}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end">{_tick_label(gy)}</text>'
-        )
+        gy = y_lo + i / 4 * (y_hi - y_lo)
+        py = sy(gy)
+        step = [
+            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" x2="{_fmt(_PLOT_RIGHT)}" y2="{_fmt(py)}" '
+            'stroke="#ddd"/>',
+            _text(_fmt(_MARGIN_LEFT - 6), _fmt(py + 4), f"{gy:.4g}", ' text-anchor="end"'),
+        ]
+        if x_range is not None:  # each x grid line and tick label goes before its y one
+            gx = x_range[0] + i / 4 * (x_range[1] - x_range[0])
+            px = _fmt(sx(gx))
+            x_line = (f'<line x1="{px}" y1="{_fmt(_MARGIN_TOP)}" x2="{px}" y2="{_fmt(_PLOT_BOTTOM)}" '
+                      'stroke="#ddd"/>')
+            step = [x_line, step[0], _text(px, _fmt(_PLOT_BOTTOM + 16), f"{gx:.4g}"), step[1]]
+        parts += step
     if x_label:
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 8)}" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
+        parts.append(_text(_fmt(_MARGIN_LEFT + _PLOT_W / 2), _fmt(_HEIGHT - 8), x_label))
     if y_label:
-        cy = _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="14" y="{_fmt(cy)}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_fmt(cy)})">{y_label}</text>'
-        )
-    for i, (name, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        ly = _MARGIN_TOP + 14 + 16 * i
-        lx = _MARGIN_LEFT + plot_w - 150
-        parts.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}">{name}</text>')
+        cy = _fmt(_MARGIN_TOP + _PLOT_H / 2)
+        parts.append(_text("14", cy, y_label, f' text-anchor="middle" transform="rotate(-90 14 {cy})"'))
+    parts += body(sx, sy)
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def write_bar_svg(
-    path: str | Path,
-    labels: list[str],
-    values: list[float],
-    title: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 440,
-) -> None:
+def write_line_svg(path: str | Path, series: list[tuple[str, list, list]], title: str = "",
+                   x_label: str = "", y_label: str = "") -> None:
+    """Write a line chart for ``series`` = [(name, xs, ys), ...]."""
+    if not series or any(len(xs) == 0 or len(xs) != len(ys) for _, xs, ys in series):
+        raise ValueError("each series needs matching non-empty x and y values")
+
+    def lines(sx, sy):
+        for i, (name, xs, ys) in enumerate(series):
+            color = PALETTE[i % len(PALETTE)]
+            points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+            lx, ly = _PLOT_RIGHT - 150, _MARGIN_TOP + 14 + 16 * i
+            yield f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            yield (f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" y2="{_fmt(ly - 4)}" '
+                   f'stroke="{color}" stroke-width="2"/>')
+            yield _text(_fmt(lx + 24), _fmt(ly), name, "")
+
+    x_range = _bounds([x for _, xs, _ in series for x in xs])
+    y_range = _bounds([y for _, _, ys in series for y in ys])
+    _write_chart(path, title, x_label, y_label, x_range, y_range, lines)
+
+
+def write_bar_svg(path: str | Path, labels: list[str], values: list[float], title: str = "",
+                  y_label: str = "") -> None:
     """Write a bar chart for one labeled value per category."""
     if not labels or len(labels) != len(values):
         raise ValueError("labels and values must align and be non-empty")
     y_lo = min(0.0, min(values))
-    y_hi = max(1.0, max(values))
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
-    slot = plot_w / len(labels)
+    slot = _PLOT_W / len(labels)
 
-    def sy(y):
-        return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def bars(sx, sy):
+        for i, (label, value) in enumerate(zip(labels, values)):
+            x0, bar_w, y_top = _MARGIN_LEFT + slot * (i + 0.15), slot * 0.7, sy(value)
+            yield (f'<rect x="{_fmt(x0)}" y="{_fmt(y_top)}" width="{_fmt(bar_w)}" '
+                   f'height="{_fmt(sy(y_lo) - y_top)}" fill="{PALETTE[i % len(PALETTE)]}"/>')
+            yield _text(_fmt(x0 + bar_w / 2), _fmt(_PLOT_BOTTOM + 16), label)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" width="{_fmt(plot_w)}" '
-        f'height="{_fmt(plot_h)}" fill="none" stroke="#444"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" font-size="14">{title}</text>'
-        )
-    for i in range(5):
-        gy = y_lo + i / 4 * (y_hi - y_lo)
-        py = sy(gy)
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" x2="{_fmt(_MARGIN_LEFT + plot_w)}" '
-            f'y2="{_fmt(py)}" stroke="#ddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end">{_tick_label(gy)}</text>'
-        )
-    if y_label:
-        cy = _MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="14" y="{_fmt(cy)}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_fmt(cy)})">{y_label}</text>'
-        )
-    for i, (label, value) in enumerate(zip(labels, values)):
-        color = PALETTE[i % len(PALETTE)]
-        x0 = _MARGIN_LEFT + slot * (i + 0.15)
-        bar_w = slot * 0.7
-        y_top = sy(value)
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y_top)}" width="{_fmt(bar_w)}" '
-            f'height="{_fmt(sy(y_lo) - y_top)}" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 + bar_w / 2)}" y="{_fmt(_MARGIN_TOP + plot_h + 16)}" '
-            f'text-anchor="middle">{label}</text>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_chart(path, title, "", y_label, None, (y_lo, max(1.0, max(values))), bars)

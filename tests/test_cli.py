@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,10 @@ class TestScenarioCommand:
         assert run("report", "--run", out) == 0
         for name in ("loss.svg", "accuracy.svg", "weights.svg", "per_class_accuracy.csv"):
             assert (out / name).is_file(), name
+        svgs = sorted(out.rglob("*.svg"))
+        assert len(svgs) == 4
+        for svg in svgs:
+            ET.parse(svg)  # well-formed XML
 
     def test_report_on_empty_directory_lists_missing(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -431,6 +436,22 @@ class TestSvgContent:
 
         with pytest.raises(ValueError):
             write_line_svg(tmp_path / "x.svg", [("a", [1, 2], [1.0])])
+
+    def test_report_escapes_names_read_from_the_run(self, tmp_path):
+        name = "Cs<137>&Co"
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(
+            f"epoch,train_loss,test_loss,overall_acc,acc_{name}\n1,0.5,0.4,0.2,0.2\n2,0.3,0.3,0.6,0.6\n"
+        )
+        (run_dir / "weights_A.csv").write_text(f"# series={name}\nchannel,weight\n0,1.0\n1,0.5\n")
+        assert run("report", "--run", run_dir) == 0
+        texts = {}
+        for svg in sorted(run_dir.glob("*.svg")):
+            texts[svg.name] = [t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert sorted(texts) == ["accuracy.svg", "loss.svg", "per_class_accuracy.svg", "weights.svg"]
+        for chart in ("accuracy.svg", "per_class_accuracy.svg", "weights.svg"):
+            assert name in texts[chart], chart
 
 
 class TestSampleManifest:

@@ -633,6 +633,20 @@ class TestOneCopyOfTheCounts:
         assert ds.counts.shape == (4400, 1024)
         assert peak <= 1.25 * ds.counts.nbytes
 
+    def test_subset_allocates_the_counts_once(self, large_written):
+        ds = large_written[0]
+        part, peak = traced_peak(ds.subset, np.arange(len(ds)))
+        assert part.counts.tobytes() == ds.counts.tobytes()
+        assert peak <= 1.25 * part.counts.nbytes
+
+    def test_rescale_allocates_the_counts_once(self, large_templates):
+        ds, peak = traced_peak(rescale, large_templates, 2.0)
+        assert ds.counts.tobytes() == (large_templates.counts * 2.0).tobytes()
+        assert peak <= 1.25 * ds.counts.nbytes
+
+    def test_rescale_to_the_same_dwell_returns_the_templates(self, large_templates):
+        assert rescale(large_templates, large_templates.dwell_s) is large_templates
+
     def test_read_counts_are_a_read_only_view_of_the_parsed_rows(self, large_written):
         ds = read_dataset(large_written[1])
         assert ds.counts.base.shape == (4400, 1025) and not ds.counts.base.flags.writeable
