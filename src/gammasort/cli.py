@@ -16,6 +16,7 @@ import numpy as np
 
 from . import svgplot
 from .ensemble import (
+    TaskKind,
     read_dataset,
     sample_dataset,
     stack_templates,
@@ -33,7 +34,6 @@ from .experiment import (
     rebin_factor,
     run_config,
     run_scenario,
-    task_from_config,
     train_and_write,
     write_config,
     write_confusion_csv,
@@ -45,22 +45,6 @@ from .forward_model import (
 from .jsonfile import read_json, write_json
 from .neuralnet import load_model
 from .spectra import SpectrumKind, rebin_counts, write_csv_table
-
-
-def _config_overrides(args) -> tuple[dict, dict]:
-    """The ``--config`` document with the flags over it, and the run config it gives.
-
-    A key or type error names the config file, after the dotted key.
-    """
-    overrides = read_json(args.config, {}) if getattr(args, "config", None) else {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "rebin", None) is not None:
-        overrides["rebin"] = args.rebin
-    try:
-        return overrides, run_config(overrides)
-    except ValueError as err:  # the flags are typed by argparse: the file is at fault
-        raise ValueError(f"{err} (in {args.config})") from err
 
 
 def _seed_flag(text: str) -> int:
@@ -75,7 +59,19 @@ def _seed_flag(text: str) -> int:
 
 
 def load_config(args) -> dict:
-    return _config_overrides(args)[1]
+    """The run config: the ``--config`` document with the flags that name config keys over it.
+
+    A key or value error names the config file, after the dotted key.
+    """
+    doc = read_json(args.config, {}) if getattr(args, "config", None) else {}
+    flags = {key: getattr(args, key, None) for key in ("seed", "rebin", "scenario")}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if getattr(args, "templates", None) is not None:
+        flags["paths"] = {"templates": args.templates}
+    try:
+        return run_config(doc, flags)
+    except ValueError as err:  # the flags are typed by argparse: the file is at fault
+        raise ValueError(f"{err} (in {args.config})") from err
 
 
 def cmd_synth(args) -> int:
@@ -83,7 +79,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     # Built in full before the first write, so a failing synth writes nothing.
     templates = template_dataset(
-        grid_from_config(config), task_from_config(config), detector_from_config(config),
+        grid_from_config(config), TaskKind(config["task"]), detector_from_config(config),
         TEMPLATE_DWELL_S, background_cps=config["grid"]["background_cps"],
     )
     write_config(config, out_dir)
@@ -94,10 +90,10 @@ def cmd_synth(args) -> int:
 
 def cmd_sample(args) -> int:
     config = load_config(args)
-    templates_dir = args.templates or config["paths"]["templates"]
+    templates_dir = config["paths"]["templates"]
     if templates_dir is None:
         raise ValueError("sample needs --templates or paths.templates in the config")
-    task, factor = task_from_config(config), rebin_factor(config)
+    task, factor = TaskKind(config["task"]), rebin_factor(config)
     calibration = detector_from_config(config).calibration
     manifest_path = Path(templates_dir) / "manifest.json"
     stored = read_dataset(manifest_path)
@@ -121,10 +117,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides, config = _config_overrides(args)
-    scenario = args.scenario or config["scenario"]
+    config = load_config(args)
+    scenario = config["scenario"]
     if scenario:
-        results = run_scenario(scenario, args.out, **overrides)
+        results = run_scenario(scenario, args.out, **config)
     else:
         paths = config["paths"]
         for key in ("train_dataset", "test_dataset"):
@@ -132,7 +128,7 @@ def cmd_train(args) -> int:
                 raise ValueError(f"config.paths.{key} is required for train (or use --scenario)")
         train_ds = read_dataset(paths["train_dataset"])
         test_ds = read_dataset(paths["test_dataset"])
-        task = task_from_config(config)
+        task = TaskKind(config["task"])
         if train_ds.task is not task or test_ds.task is not task:
             raise ValueError(
                 f"task mismatch before training: config {task.value}, "
@@ -233,11 +229,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_scenario(args) -> int:
-    args.scenario = args.name
-    return cmd_train(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammasort",
@@ -278,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_scen = sub.add_parser("scenario", help="run a canned scenario end to end")
-    p_scen.add_argument("name", choices=SCENARIO_NAMES)
+    p_scen.add_argument("scenario", choices=SCENARIO_NAMES)
     add_common(p_scen)
-    p_scen.set_defaults(func=cmd_scenario)
+    p_scen.set_defaults(func=cmd_train)
 
     return parser
 

@@ -20,7 +20,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import seeding
+from . import ensemble, seeding, spectra
 from .ensemble import (
     LabeledDataset,
     TaskKind,
@@ -42,8 +42,7 @@ from .forward_model import (
 )
 from .jsonfile import _deep_merge, checked, write_json
 from .neuralnet import (
-    ARCH_HIDDEN_TANH,
-    ARCH_LINEAR,
+    ARCHS,
     AdamHyper,
     LinearParams,
     NetworkParams,
@@ -64,18 +63,18 @@ from .spectra import EnergyCalibration, read_csv_table, write_csv_table
 # leaf's value fixes the type it takes; a ``None`` leaf takes a string.
 DEFAULT_CONFIG: dict = {
     "detector": {
-        "n_channels": 1024,
-        "e_min": 0.0,
-        "e_max": 3000.0,
+        "n_channels": spectra.DEFAULT_N_CHANNELS,
+        "e_min": spectra.DEFAULT_E_MIN_KEV,
+        "e_max": spectra.DEFAULT_E_MAX_KEV,
         "face_area_cm2": DEFAULT_FACE_AREA_CM2,
         "intrinsic_efficiency": DEFAULT_INTRINSIC_EFFICIENCY,
         "resolution_fwhm_frac_662": DEFAULT_RESOLUTION_FWHM_FRAC_662,
         "compton_fraction": DEFAULT_COMPTON_FRACTION,
     },
     "grid": {
-        "isotopes": ["Cesium", "Cobalt", "Barium", "Selenium", "Iridium"],
-        "distances_m": [float(d) for d in range(10, 21)],
-        "shieldings": ["Bare", "Concrete", "Steel", "DepletedUranium"],
+        "isotopes": list(ensemble.ISOTOPE_NAMES),
+        "distances_m": list(ensemble.DEFAULT_DISTANCES_M),
+        "shieldings": list(ensemble.SHIELDING_NAMES),
         "activity_bq": DEFAULT_ACTIVITY_BQ,
         "include_background": False,
         "background_cps": DEFAULT_BACKGROUND_CPS,
@@ -101,12 +100,28 @@ DEFAULT_CONFIG: dict = {
     "scenario": None,
 }
 
+# Canned scenarios: a config that names one has its preset merged over
+# DEFAULT_CONFIG, under every override.  The gauge window structure converges
+# slowly; it gets a longer schedule and a hotter step size than the
+# single-peak-feature tasks.
+SCENARIO_PRESETS = {
+    "isotope": {"task": "IsotopeID"},
+    "shielding": {"task": "ShieldingID"},
+    "gauge": {"task": "GaugeBinary", "train": {"epochs": 300, "learning_rate": 1e-2}},
+}
+SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
+
 # Leaves that also take null; ``None`` means full-batch training.
 _NULLABLE = {"train.batch_size"}
 
 # The value ranges run_config checks, by dotted key: what the range is and a test
 # of the value and the whole config (a range may depend on another key).
 _RANGES = {
+    "task": (f"one of {[t.value for t in TaskKind]}",
+             lambda v, _: v in [t.value for t in TaskKind]),
+    "arch": (f"one of {list(ARCHS)}", lambda v, _: v in ARCHS),
+    "scenario": (f"one of {list(SCENARIO_NAMES)}, or null",
+                 lambda v, _: v is None or v in SCENARIO_NAMES),
     "seed": ("a non-negative integer", lambda v, _: v >= 0),
     "dwell_s": ("a positive dwell", lambda v, _: v > 0),
     "samples_per_config": ("an integer of at least 1", lambda v, _: v >= 1),
@@ -133,25 +148,20 @@ _RANGES = {
               lambda v, c: v >= 1 and c["detector"]["n_channels"] % v == 0),
 }
 
-# Canned scenarios, each merged over DEFAULT_CONFIG.  The gauge window
-# structure converges slowly; it gets a longer schedule and a hotter step size
-# than the single-peak-feature tasks.
-SCENARIO_PRESETS = {
-    "isotope": {"task": "IsotopeID"},
-    "shielding": {"task": "ShieldingID"},
-    "gauge": {"task": "GaugeBinary", "train": {"epochs": 300, "learning_rate": 1e-2}},
-}
-SCENARIO_NAMES = tuple(SCENARIO_PRESETS)
-
 
 def run_config(*overrides: dict) -> dict:
     """A fresh copy of DEFAULT_CONFIG with each override deep-merged over it in turn.
 
-    A value outside its range in ``_RANGES`` is an error naming its dotted key.
+    When the result names a ``scenario``, its preset is merged first, under
+    every override, so a resolved config resolves to itself.  A value outside
+    its range in ``_RANGES`` is an error naming its dotted key.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     for override in overrides:
         config = checked(_deep_merge(config, override), DEFAULT_CONFIG, nullable=_NULLABLE)
+    preset = SCENARIO_PRESETS.get(config["scenario"])
+    if preset is not None and overrides[0] is not preset:  # merge it first, once
+        return run_config(preset, *overrides)
     for key, (expected, ok) in _RANGES.items():
         value = functools.reduce(dict.__getitem__, key.split("."), config)
         if not ok(value, config):
@@ -195,16 +205,6 @@ def grid_from_config(config: dict) -> list[SourceConfig]:
 def rebin_factor(config: dict) -> int:
     """Channels summed into one: ``run_config`` checked that ``rebin`` divides them."""
     return config["detector"]["n_channels"] // config["rebin"]
-
-
-def task_from_config(config: dict) -> TaskKind:
-    try:
-        return TaskKind(config["task"])
-    except ValueError as err:
-        raise ValueError(
-            f"unknown task {config['task']!r}; choose from "
-            f"{[t.value for t in TaskKind]}"
-        ) from err
 
 
 @dataclass
@@ -562,17 +562,16 @@ def train_and_write(
 def run_scenario(name: str, out_dir: str | Path, **overrides) -> dict:
     """Run one canned scenario end to end, writing artifacts under ``out_dir``.
 
-    The run config is DEFAULT_CONFIG with the scenario's preset and then
-    ``overrides`` (top-level run-config keys, nested sections as dicts)
-    merged over it.  isotope / shielding: a model of the config's ``arch``
-    trained on rescaled templates, tested on a Poisson-sampled ensemble.
+    The run config is :func:`run_config` of ``overrides`` (top-level
+    run-config keys, nested sections as dicts) with ``scenario`` set to
+    ``name``, so the scenario's preset lies under them.  isotope / shielding:
+    a model of the config's ``arch`` trained on rescaled templates, tested on
+    a Poisson-sampled ensemble.
     gauge: linear and hidden models trained on the same data for comparison.
     Returns what :func:`train_and_write` returns.
     """
-    if name not in SCENARIO_NAMES:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    config = run_config(SCENARIO_PRESETS[name], overrides, {"scenario": name})
-    task = task_from_config(config)
+    config = run_config(overrides, {"scenario": name})
+    task = TaskKind(config["task"])
     templates = template_dataset(
         grid_from_config(config),
         task,
@@ -590,7 +589,7 @@ def run_scenario(name: str, out_dir: str | Path, **overrides) -> dict:
     )
 
     gauge = task is TaskKind.GAUGE_BINARY
-    archs = (ARCH_LINEAR, ARCH_HIDDEN_TANH) if gauge else (config["arch"],)
+    archs = ARCHS if gauge else (config["arch"],)
     out_dir = Path(out_dir)
     results = train_and_write(
         config, train_ds, test_ds, out_dir, archs, seeding.derive_seed(config["seed"], 7002)

@@ -21,6 +21,7 @@ from .jsonfile import checked, read_json, write_json
 
 ARCH_LINEAR = "linear"
 ARCH_HIDDEN_TANH = "hidden_tanh"
+ARCHS = (ARCH_LINEAR, ARCH_HIDDEN_TANH)
 
 PROB_FLOOR = 1e-12
 

@@ -31,9 +31,7 @@ _MASK32 = 0xFFFFFFFF
 
 def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence for ``seed``, optionally namespaced by integer subkeys."""
-    if key:
-        return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.SeedSequence(entropy=seed)
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
 def rng(seed: int, *key: int) -> np.random.Generator:

@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 from gammasort import cli
 from gammasort.cli import main
-from gammasort.ensemble import build_dataset, read_dataset, write_dataset
+from gammasort.ensemble import TaskKind, build_dataset, read_dataset, write_dataset
 from gammasort.experiment import (
     detector_from_config,
     grid_from_config,
     rebin_factor,
     run_config,
-    task_from_config,
 )
 from gammasort.jsonfile import write_json
 from gammasort.neuralnet import LinearParams, save_model
@@ -177,6 +176,13 @@ class TestSample:
         first = (ds / "data.csv").read_text().splitlines()[0]
         assert len(first.split(",")) == 257  # label + 256 channels
 
+    def test_templates_flag_is_recorded_as_paths_templates(self, tmp_path):
+        tpl, ds = tmp_path / "tpl", tmp_path / "ds"
+        assert run("synth", "--config", write_config(tmp_path), "--out", tpl) == 0
+        assert run("sample", "--templates", tpl, "--out", ds) == 0  # no --config
+        config = json.loads((ds / "config.json").read_text())
+        assert config["paths"]["templates"] == str(tpl)
+
     def test_synth_then_sample_is_build_dataset(self, tmp_path):
         overrides = {**SMALL_GRID_CONFIG, "task": "ShieldingID"}
         cfg = tmp_path / "config.json"
@@ -187,7 +193,7 @@ class TestSample:
         config = run_config(overrides)
         samples, seed = config["samples_per_config"], config["seed"]
         built = build_dataset(
-            grid_from_config(config), task_from_config(config), detector_from_config(config),
+            grid_from_config(config), TaskKind(config["task"]), detector_from_config(config),
             samples, config["dwell_s"], seed, rebin_factor(config),
             config["grid"]["background_cps"],
         )
@@ -406,7 +412,11 @@ class TestScenarioCommand:
     def test_unknown_scenario_via_train_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "warpdrive"})
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
-        assert "warpdrive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "gammasort: error: scenario: expected one of ['isotope', 'shielding', 'gauge'], "
+            f"or null, got warpdrive (in {cfg})\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file_is_an_error(self, tmp_path, capsys):
         assert run("synth", "--config", tmp_path / "absent.json", "--out", tmp_path / "o") == 2
@@ -653,6 +663,9 @@ class TestConfigChecks:
          "a positive divisor of detector.n_channels, got 256"),
         ("detector.e_min", {"detector": {"e_min": -500.0}},
          "a value in [0, detector.e_max), got -500.0"),
+        ("arch", {"arch": "lineer"}, "one of ['linear', 'hidden_tanh'], got lineer"),
+        ("task", {"task": "Isotope"},
+         "one of ['IsotopeID', 'ShieldingID', 'GaugeBinary'], got Isotope"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.

@@ -764,6 +764,13 @@ class TestRunConfig:
         assert config["train"]["batch_size"] == 8
         assert (config["scenario"], config["paths"]["templates"]) == ("gauge", "t")
 
+    def test_a_named_scenario_merges_its_preset_under_every_override(self):
+        assert run_config({"scenario": "gauge"}) == run_config(SCENARIO_PRESETS["gauge"],
+                                                               {"scenario": "gauge"})
+        config = run_config({"scenario": "gauge", "train": {"epochs": 2}})
+        assert (config["task"], config["train"]["epochs"]) == ("GaugeBinary", 2)
+        assert run_config(config) == config
+
     def test_run_scenario_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="epoch: unknown key"):
             run_scenario("isotope", tmp_path, epoch=3)

@@ -7,10 +7,12 @@ and ``perfbench/selftest.py`` checks ``cli.DEFAULT_CONFIG`` and
 without failing any other test.  The last guards keep JSON reading
 and writing in the one module that checks it, keep file writes in the four
 writers, keep random streams in ``seeding``, keep process creation in one
-function, and keep unused imports out of the package.
+function, keep unused imports out of the package, and keep the keyword
+defaults that restate ``DEFAULT_CONFIG`` equal to it.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -283,3 +285,26 @@ def test_no_unused_imports():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert unused == []
+
+
+def test_keyword_defaults_equal_the_run_config():
+    # ``neuralnet`` and ``ensemble`` cannot import ``experiment``, so these
+    # defaults restate DEFAULT_CONFIG; README says its ``train`` section holds
+    # the only training defaults, and this keeps the copies from drifting.
+    from gammasort.ensemble import standard_grid
+    from gammasort.experiment import DEFAULT_CONFIG, oversample_positives
+    from gammasort.neuralnet import AdamHyper, init_params
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    train, grid = DEFAULT_CONFIG["train"], DEFAULT_CONFIG["grid"]
+    assert dataclasses.asdict(AdamHyper()) == {key: train[key] for key in
+                                               ("learning_rate", "beta1", "beta2", "epsilon")}
+    assert default(init_params, "width") == train["width"]
+    assert default(oversample_positives, "ratio") == train["oversample_ratio"]
+    grid_keys = {"isotopes": "isotopes", "distances_m": "distances_m", "materials": "shieldings",
+                 "activity_bq": "activity_bq", "include_background": "include_background"}
+    grid_defaults = {arg: default(standard_grid, arg) for arg in grid_keys}
+    assert {arg: list(v) if isinstance(v, tuple) else v for arg, v in grid_defaults.items()} == {
+        arg: grid[key] for arg, key in grid_keys.items()}
