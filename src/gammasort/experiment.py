@@ -39,6 +39,7 @@ from .forward_model import (
     TEMPLATE_DWELL_S,
     DetectorModel,
     SourceConfig,
+    sphere_area_cm2,
 )
 from .jsonfile import _deep_merge, checked, write_json
 from .neuralnet import (
@@ -136,9 +137,13 @@ _RANGES = {
     "train.oversample_ratio": ("a non-negative value", lambda v, _: v >= 0),
     "grid.background_cps": ("a non-negative value", lambda v, _: v >= 0),
     "grid.activity_bq": ("a positive value", lambda v, _: v > 0),
-    "grid.distances_m": ("positive distances", lambda v, _: all(d > 0 for d in v)),
     "detector.n_channels": ("an integer of at least 1", lambda v, _: v >= 1),
     "detector.face_area_cm2": ("a positive value", lambda v, _: v > 0),
+    # Checked after face_area_cm2: nearer, the face would catch more than the source emits.
+    "grid.distances_m": (
+        "positive distances with 4 pi (100 d)^2 >= detector.face_area_cm2",
+        lambda v, c: all(d > 0 and sphere_area_cm2(d) >= c["detector"]["face_area_cm2"] for d in v),
+    ),
     "detector.intrinsic_efficiency": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
     "detector.resolution_fwhm_frac_662": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),
     "detector.compton_fraction": ("a value in (0, 1]", lambda v, _: 0 < v <= 1),

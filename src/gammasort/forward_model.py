@@ -228,10 +228,61 @@ def compton_edge(energy_kev: float) -> float:
     return energy_kev * ratio / (1.0 + ratio)
 
 
+def sphere_area_cm2(distance_m: float) -> float:
+    """Area of the sphere of radius ``distance_m`` around the source, in cm^2."""
+    radius_cm = 100.0 * distance_m
+    return 4.0 * math.pi * radius_cm * radius_cm
+
+
 def geometric_fraction(distance_m: float, face_area_cm2: float) -> float:
     """Solid-angle fraction of an isotropic source subtended by the detector face."""
-    radius_cm = 100.0 * distance_m
-    return face_area_cm2 / (4.0 * math.pi * radius_cm * radius_cm)
+    return face_area_cm2 / sphere_area_cm2(distance_m)
+
+
+# Cephes ``ndtr.c`` (S. Moshier), ported to give its erf bit for bit:
+# x T(x^2)/U(x^2) for |x| <= 1, else 1 - erfc(|x|) with the sign of x, where
+# erfc = exp(-x^2) P(|x|)/Q(|x|) below 8.  From 8 on, cephes' erfc (its R/S
+# branch and its exp underflow guard) is below 1.2e-29, far under half an ulp
+# of 1, so erf rounds to +-1 there and those branches are left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...], leading_one: bool = False) -> np.ndarray:
+    """Horner's rule in cephes' order; ``leading_one`` prepends an implicit 1."""
+    y = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf`` of each element of a float64 array, bit for bit.
+
+    ``math.erf`` rounds differently, and ``np.exp`` rounds differently from
+    the libm ``exp`` that cephes calls, so exp(-x^2) comes from ``math.exp``,
+    one value at a time.  nan gives nan, and no input raises a floating-point
+    warning: x^2 is only formed where |x| < 8.
+    """
+    a = np.abs(x)
+    out = np.where(np.isnan(x), np.nan, np.copysign(1.0, x))
+    inner = a <= 1.0
+    z = x[inner]
+    out[inner] = z * _polevl(z * z, _ERF_T) / _polevl(z * z, _ERF_U, leading_one=True)
+    outer = (a > 1.0) & (a < 8.0)
+    z = a[outer]
+    exp_z2 = np.fromiter(map(math.exp, (-(z * z)).tolist()), np.float64, z.size)
+    erfc = exp_z2 * _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q, leading_one=True)
+    out[outer] = np.copysign(1.0 - erfc, x[outer])
+    return out
 
 
 def line_response(
@@ -258,14 +309,11 @@ def line_response(
     if expected_detections < 0:
         raise ValueError("expected detections must be non-negative")
 
-    # Imported here: scipy.special is most of ``import gammasort``, and only
-    # template synthesis needs it.  math.erf would not round the same.
-    from scipy.special import erf
-
     sigma = detector.fwhm_kev(line_energy_kev) * FWHM_TO_SIGMA
     edges = cal.bin_edges()
-    with np.errstate(over="ignore"):  # a peak far narrower than a channel: erf(+-inf) is +-1
-        erf_z = erf((edges - line_energy_kev) / (sigma * math.sqrt(2.0)))
+    with np.errstate(over="ignore"):  # a peak far narrower than a channel: edges at +-inf
+        z = (edges - line_energy_kev) / (sigma * math.sqrt(2.0))
+    erf_z = _erf(z)
     peak = 0.5 * np.diff(erf_z)
     centers = cal.bin_centers()
     peak[np.abs(centers - line_energy_kev) > GAUSSIAN_TRUNCATION_SIGMA * sigma] = 0.0

@@ -42,6 +42,8 @@ SMALL_GRID_CONFIG = {
     "seed": 5,
 }
 
+DISTANCES = "positive distances with 4 pi (100 d)^2 >= detector.face_area_cm2"
+
 
 def write_config(tmp_path, extra=None, name="config.json"):
     config = json.loads(json.dumps(SMALL_GRID_CONFIG))
@@ -650,7 +652,7 @@ class TestConfigChecks:
          "a value in (0, 1], got 1.5"),
         ("grid.activity_bq", {"grid": {"activity_bq": -1.0}}, "a positive value, got -1.0"),
         ("grid.distances_m", {"grid": {"distances_m": [10.0, -1.0]}},
-         "positive distances, got [10.0, -1.0]"),
+         f"{DISTANCES}, got [10.0, -1.0]"),
         ("detector.e_min", {"detector": {"e_min": 3000.0}},
          "a value in [0, detector.e_max), got 3000.0"),
         ("detector.e_min", {"detector": {"e_min": 100.0, "e_max": 50.0}},
@@ -666,6 +668,12 @@ class TestConfigChecks:
         ("arch", {"arch": "lineer"}, "one of ['linear', 'hidden_tanh'], got lineer"),
         ("task", {"task": "Isotope"},
          "one of ['IsotopeID', 'ShieldingID', 'GaugeBinary'], got Isotope"),
+        # Nearer than about 2.03 cm the default face would take more than the source emits.
+        ("grid.distances_m", {"grid": {"distances_m": [1e-300]}}, f"{DISTANCES}, got [1e-300]"),
+        ("grid.distances_m", {"grid": {"distances_m": [1e-160]}}, f"{DISTANCES}, got [1e-160]"),
+        ("grid.distances_m", {"grid": {"distances_m": [0.001]}}, f"{DISTANCES}, got [0.001]"),
+        ("grid.distances_m", {"grid": {"distances_m": [0.1]}, "detector": {"face_area_cm2": 1.3e3}},
+         f"{DISTANCES}, got [0.1]"),
     ])
     def test_value_out_of_range_names_the_key(self, tmp_path, capsys, key, override, expected):
         # The small grid and one epoch, so that a run that is not refused ends soon.
@@ -685,6 +693,9 @@ class TestConfigChecks:
          "a value in [0, detector.e_max), got 3000.0"),
         ("detector.e_min", {"detector": {"e_min": -500.0}},
          "a value in [0, detector.e_max), got -500.0"),
+        ("grid.distances_m", {"grid": {"distances_m": [1e-300]}}, f"{DISTANCES}, got [1e-300]"),
+        ("grid.distances_m", {"grid": {"distances_m": [1e-160]}}, f"{DISTANCES}, got [1e-160]"),
+        ("grid.distances_m", {"grid": {"distances_m": [0.001]}}, f"{DISTANCES}, got [0.001]"),
     ])
     def test_synth_refuses_a_value_out_of_range_by_its_key(
         self, tmp_path, capsys, key, override, expected

@@ -18,6 +18,7 @@ from gammasort.forward_model import (
     DetectorModel,
     ShieldMaterial,
     SourceConfig,
+    _erf,
     attenuation_factor,
     background_template,
     bare_shielding,
@@ -129,7 +130,8 @@ class TestLineResponse:
     @example(energy=136.0, resolution=0.02, n_channels=64)  # refused: the whole photopeak
     @example(energy=383.8, resolution=0.075, n_channels=16)  # refused: part of it
     @example(energy=661.7, resolution=0.005, n_channels=1024)
-    @settings(deadline=None)  # the first call imports scipy.special
+    @example(energy=661.7, resolution=5e-324, n_channels=1024)  # refused: every edge at +-inf
+    @settings(deadline=None)  # timing is not under test, and a loaded host can stall one example
     def test_counts_conserved_within_tenth_percent(self, energy, resolution, n_channels):
         # Only the Gaussian tails beyond the +-6 sigma truncation may be lost,
         # so the peak's truncated span must lie inside the calibration.  The
@@ -388,6 +390,66 @@ class TestDataDirOverride:
         with pytest.raises(FileNotFoundError) as err:
             isotope_by_name("Cesium")
         assert str(tmp_path) in str(err.value)
+
+
+class TestErf:
+    # Cephes erf's value at x and -x, as float.hex; scipy.special.erf gives the same.
+    TABLE = {
+        0.0: ("0x0.0p+0", "-0x0.0p+0"),
+        0.5: ("0x1.0a7ef5c18edd2p-1", "-0x1.0a7ef5c18edd2p-1"),
+        1.0: ("0x1.af767a741088ap-1", "-0x1.af767a741088ap-1"),
+        1.5: ("0x1.eea5557137ae0p-1", "-0x1.eea5557137ae0p-1"),
+        5.0: ("0x1.fffffffffc9e8p-1", "-0x1.fffffffffc9e8p-1"),
+        8.0: ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+        26.5: ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+        27.0: ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+        math.inf: ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+    }
+    # Where cephes switches branch or stops forming exp(-x^2) (at -x^2 < -log(2**1024)),
+    # with their neighbours.
+    SWITCHES = [
+        math.nextafter(v, toward)
+        for edge in (1.0, 8.0, math.sqrt(1024 * math.log(2.0)))
+        for v in (edge, -edge)
+        for toward in (-math.inf, v, math.inf)
+    ]
+    EDGES = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.5, 26.6, 26.7, 27.3, -27.3, math.inf, -math.inf,
+             5e-324, -5e-324, 1e308, -1e308, math.nan, *SWITCHES]
+
+    def test_fixed_values(self):
+        x = np.array(list(self.TABLE))
+        got = list(zip(_erf(x).tolist(), _erf(-x).tolist()))
+        assert [(a.hex(), b.hex()) for a, b in got] == list(self.TABLE.values())
+
+    @pytest.fixture(scope="class")
+    def scipy_erf(self):
+        return pytest.importorskip("scipy.special").erf
+
+    # Any float, and more often one where erf is not yet +-1.
+    VALUES = st.lists(st.one_of(st.floats(), st.floats(-27.0, 27.0)), min_size=1, max_size=64)
+
+    @given(VALUES)
+    @example(EDGES)
+    def test_same_bits_as_scipy(self, scipy_erf, values):
+        x = np.array(values, dtype=np.float64)
+        assert _erf(x).tobytes() == scipy_erf(x).tobytes()
+
+    def test_same_bits_as_scipy_on_a_dense_sweep(self, scipy_erf):
+        # Rounding differences are rare: np.exp in place of math.exp changes
+        # about 1 value in 2,400.
+        x = np.linspace(-27.0, 27.0, 540_001)
+        assert _erf(x).tobytes() == scipy_erf(x).tobytes()
+
+    @given(VALUES)
+    @example(EDGES)
+    @pytest.mark.filterwarnings("error")  # no input may raise a floating-point warning
+    def test_odd_bounded_and_nan_only_for_nan(self, values):
+        x = np.array(values, dtype=np.float64)
+        y = _erf(x)
+        assert np.array_equal(np.isnan(y), np.isnan(x))
+        real = ~np.isnan(x)
+        assert np.all(np.abs(y[real]) <= 1.0)
+        assert _erf(-x[real]).tobytes() == (-y[real]).tobytes()
 
 
 def test_import_leaves_scipy_unloaded():

@@ -8,7 +8,8 @@ without failing any other test.  The last guards keep JSON reading
 and writing in the one module that checks it, keep file writes in the four
 writers, keep random streams in ``seeding``, keep process creation in one
 function, keep unused imports out of the package, and keep the keyword
-defaults that restate ``DEFAULT_CONFIG`` equal to it.
+defaults that restate ``DEFAULT_CONFIG`` equal to it.  Template synthesis
+must not load scipy, which is no runtime dependency.
 """
 
 import ast
@@ -16,6 +17,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,9 +123,8 @@ def test_backward_annotator_reads_the_backward_arguments(tracing):
     assert flops == 4 * 32 * 256 * 64 + 6 * 32 * 64 * 5
 
 
-def test_only_jsonfile_imports_json():
-    # Every JSON document goes through gammasort.jsonfile's one writer and one
-    # checked reader; a second ``import json`` would be a second, unchecked path.
+def _importers(package: str) -> list[str]:
+    """The modules under ``src/gammasort`` with an import of ``package`` or a submodule of it."""
     importers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -133,9 +134,39 @@ def test_only_jsonfile_imports_json():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name == "json" or name.startswith("json.") for name in names):
+            if any(name == package or name.startswith(f"{package}.") for name in names):
                 importers.append(path.name)
-    assert importers == ["jsonfile.py"]
+    return importers
+
+
+def test_only_jsonfile_imports_json():
+    # Every JSON document goes through gammasort.jsonfile's one writer and one
+    # checked reader; a second ``import json`` would be a second, unchecked path.
+    assert _importers("json") == ["jsonfile.py"]
+
+
+def test_no_module_imports_scipy():
+    # The runtime dependency is numpy alone: ``forward_model._erf`` ports the
+    # one scipy function the package used.
+    assert _importers("scipy") == []
+
+
+def _imported_by(args: list[str]) -> set[str]:
+    """Every module a fresh ``python -X importtime <args>`` process imports."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import sys; from gammasort import run_scenario; run_scenario('isotope', sys.argv[1])"],
+    ["-m", "gammasort.cli", "synth", "--out"],
+], ids=["run_scenario", "synth"])
+def test_template_synthesis_leaves_scipy_unloaded(tmp_path, args):
+    imported = _imported_by([*args, str(tmp_path / "out")])
+    assert (tmp_path / "out").is_dir()
+    assert sorted(m for m in imported if m.startswith("scipy")) == []
 
 
 # The functions that write files: one for JSON, one for CSV, one for SVG.
