@@ -16,7 +16,6 @@ import pickle
 import signal
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -432,50 +431,6 @@ def _series_order(path: Path) -> tuple:
     return prefix, len(number), number  # digit strings of one length sort as integers
 
 
-def _fork_train(
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    initial: NetworkParams,
-    section: dict,
-    seed: int,
-) -> tuple[int, BinaryIO]:
-    """Start ``train`` in a forked child: its pid, and the pipe it answers through.
-
-    The child inherits every argument, so nothing is pickled on the way in.  It
-    pickles back ``(params, history)``, or the exception ``train`` raised, and
-    leaves through ``os._exit``: it runs no exit handler and never flushes a
-    buffer it shares with the parent, such as stdout's unwritten text.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1  # a child that fails past here answers nothing
-        try:
-            os.close(read_fd)
-            try:
-                outcome = train(train_ds, test_ds, initial, section, seed)
-            except Exception as err:
-                outcome = err
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _child_outcome(arch: str, pid: int, pipe: BinaryIO):
-    """What the child training ``arch`` sent back, once it has exited and been reaped."""
-    with pipe:
-        answer = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return ValueError(f"{arch}: the training process {how} without a result")
-    return pickle.loads(answer)
-
-
 def _train_each(
     archs: tuple[str, ...],
     train_ds: LabeledDataset,
@@ -483,41 +438,66 @@ def _train_each(
     section: dict,
     seed: int,
 ) -> list:
-    """Each architecture's ``(initial, params, history)``, or the exception its run raised.
+    """Each architecture's ``(initial, params, history)``, or the exception ``train`` raised.
 
-    Every architecture but the last trains in a forked child process while the
-    last trains here, so two architectures take about the time of the slower
-    one on two CPUs.  A child runs the same ``train`` on the same bytes, so its
-    results equal those of training in turn bit for bit.  One architecture
-    starts no process.  No child outlives the call: on an interrupt each child
-    not yet reaped is killed and reaped.
+    Every architecture but the last trains in a forked child, which inherits
+    every argument and pickles back its outcome, while the last trains here:
+    two architectures take about the time of the slower one on two CPUs, and
+    a child's results equal those of training in turn bit for bit.  A child
+    leaves through ``os._exit``, so it never flushes a buffer it shares with
+    this process.  An error from ``init_params``, ``os.pipe`` or ``os.fork``
+    raises before anything trains; one architecture starts no process.  On an
+    error or an interrupt, each child not yet reaped is killed and reaped.
     """
-    outcomes: list = []
-    children = []  # (index, initial, pid, pipe) of each child not yet reaped
+    def outcome(initial: NetworkParams):
+        try:
+            return (initial, *train(train_ds, test_ds, initial, section, seed))
+        except Exception as err:
+            return err
+
+    initials = [init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed,
+                            section["width"]) for arch in archs]
+    children = []  # (arch, pid, pipe) of each child not yet reaped
     try:
-        for k, arch in enumerate(archs):
+        for arch, initial in zip(archs[:-1], initials):
+            read_fd, write_fd = os.pipe()
             try:
-                initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed,
-                                      section["width"])
-                if k < len(archs) - 1:
-                    children.append((k, initial, *_fork_train(train_ds, test_ds, initial,
-                                                              section, seed)))
-                    outcomes.append(None)  # filled in when the child is reaped
-                else:
-                    outcomes.append((initial, *train(train_ds, test_ds, initial, section, seed)))
-            except Exception as err:
-                outcomes.append(err)
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1  # a child that fails past here answers nothing
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(outcome(initial), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((arch, pid, os.fdopen(read_fd, "rb")))
+        last = outcome(initials[-1])
+        outcomes = []
         while children:
-            k, initial, pid, pipe = children[0]
-            answer = _child_outcome(archs[k], pid, pipe)
+            arch, pid, pipe = children[0]
+            with pipe:
+                answer = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            outcomes[k] = answer if isinstance(answer, Exception) else (initial, *answer)
+            if code == 0:
+                outcomes.append(pickle.loads(answer))
+            else:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                outcomes.append(ValueError(f"{arch}: the training process {how} without a result"))
+            del answer  # the pickled bytes
     finally:
-        for _, _, pid, pipe in children:
+        for _, pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-    return outcomes
+    return [*outcomes, last]
 
 
 def train_and_write(

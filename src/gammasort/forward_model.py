@@ -376,7 +376,9 @@ def template_matrix(
     is added only to the cells that ask for it.  A line's shape depends only
     on the detector and the line energy, so each distinct energy's shape is
     computed once per call.  A line outside the calibration range raises
-    ``ValueError`` naming its isotope (or the DU shield) and the range.
+    ``ValueError`` naming its isotope (or the DU shield) and the range; so
+    does a cell whose distance puts the sphere inside the detector face
+    (4 pi (100 d)^2 below ``face_area_cm2``), naming its isotope and distance.
     """
     if not dwell_s > 0:
         raise ValueError(f"dwell {dwell_s} must be positive")
@@ -395,6 +397,9 @@ def template_matrix(
         background = background_template(detector, dwell_s, background_cps)
     matrix = np.empty((len(grid), detector.calibration.n_channels))
     for row, config in enumerate(grid):
+        if sphere_area_cm2(config.distance_m) < detector.face_area_cm2:
+            raise ValueError(f"{config.isotope.name}: at {config.distance_m} m the detector face "
+                             f"({detector.face_area_cm2} cm^2) exceeds the whole sphere")
         geom = geometric_fraction(config.distance_m, detector.face_area_cm2)
         counts = np.zeros(detector.calibration.n_channels)
 

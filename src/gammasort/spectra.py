@@ -103,19 +103,18 @@ def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell
     dwell must be positive.  A frozen float64 array (read-only, as is every
     array it views, down to the one that owns the data) is checked in place
     and returned itself: its producer hands it over and must not make it
-    writeable again.  Any other input is copied into a C-ordered array; the
-    copy is filled a block of rows at a time, each block checked before it
-    is copied.  Either way the checks' temporaries are block-sized.  If a
-    block fails, whole-array checks name the defect, the first of
-    non-finite, negative and non-integer that any value has.
+    writeable again.  Any other input is checked in place, then copied once
+    into a C-ordered array.  Either way the checks run a block of rows at a
+    time, so their temporaries are block-sized.  If a block fails,
+    whole-array checks name the defect, the first of non-finite, negative
+    and non-integer that any value has.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != ndim or counts.size == 0 or counts.shape[-1] != n_channels:
         raise ValueError(
             f"counts shape {counts.shape} is not {ndim}-D, non-empty, over {n_channels} channels"
         )
-    kept = counts if _frozen(counts) else np.empty(counts.shape)
-    if not _checked_blocks(counts, kind is SpectrumKind.SAMPLED_REALIZATION, kept):
+    if not _checked_blocks(counts, kind is SpectrumKind.SAMPLED_REALIZATION):
         if not np.isfinite(counts).all():
             raise ValueError("counts must be finite")
         if (counts < 0).any():
@@ -123,8 +122,10 @@ def checked_counts(counts, ndim: int, n_channels: int, kind: SpectrumKind, dwell
         raise ValueError("sampled realizations must have integer-valued counts")
     if not dwell_s > 0:
         raise ValueError(f"dwell must be positive, got {dwell_s}")
-    kept.setflags(write=False)
-    return kept
+    if not _frozen(counts):
+        counts = np.array(counts, order="C")
+        counts.setflags(write=False)
+    return counts
 
 
 def _frozen(array: np.ndarray) -> bool:
@@ -146,15 +147,10 @@ def _frozen(array: np.ndarray) -> bool:
 _CHECK_BLOCK_VALUES = 32768
 
 
-def _checked_blocks(counts: np.ndarray, integral: bool, out: np.ndarray) -> bool:
-    """Whether every value of ``counts`` passes the checks, copying each block to ``out``.
-
-    Every value must be finite and non-negative, and integer-valued if
-    ``integral``.  ``out`` is ``counts`` itself (nothing is copied) or an
-    array of its shape, filled up to the first failing block.
-    """
+def _checked_blocks(counts: np.ndarray, integral: bool) -> bool:
+    """Whether every value is finite and non-negative, and integer-valued if ``integral``."""
     width = counts.shape[-1]
-    rows, out_rows = counts.reshape(-1, width), out.reshape(-1, width)  # views: ndim is 1 or 2
+    rows = counts.reshape(-1, width)  # a view: ndim is 1 or 2
     step = max(1, _CHECK_BLOCK_VALUES // width)
     floor = np.empty((min(step, len(rows)), width)) if integral else None
     for start in range(0, len(rows), step):
@@ -163,8 +159,6 @@ def _checked_blocks(counts: np.ndarray, integral: bool, out: np.ndarray) -> bool
             return False
         if integral and (np.floor(block, out=floor[: len(block)]) != block).any():
             return False
-        if out is not counts:
-            out_rows[start : start + step] = block
     return True
 
 
@@ -261,12 +255,7 @@ def write_csv_table(path: str | Path, header, rows, comments=()) -> None:
         fh.writelines(f"# {text}\n" for text in comments)
         if header:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            try:  # a row of strings is joined without a Python call per cell
-                line = ",".join(row if isinstance(row[0], str) else map(_csv_cell, row))
-            except TypeError:  # a row that starts with a string but holds a number
-                line = ",".join(map(_csv_cell, row))
-            fh.write(line + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def _csv_cell(cell) -> str:

@@ -682,6 +682,28 @@ class TestSideBySide:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
         assert_no_child_left()
 
+    def test_a_failed_fork_raises_before_anything_trains(self, tmp_path, gauge, monkeypatch):
+        config, train_ds, test_ds = gauge
+        trained = []
+        original = experiment.train
+
+        def recording(train_ds, test_ds, initial, section, seed):
+            trained.append(initial.arch)
+            return original(train_ds, test_ds, initial, section, seed)
+
+        def failing_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(experiment, "train", recording)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = os.listdir("/proc/self/fd")
+        with pytest.raises(OSError, match="^no fork$"):
+            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+        assert trained == []
+        assert_no_child_left()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert os.listdir("/proc/self/fd") == fds
+
     def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, gauge, monkeypatch):
         config, train_ds, test_ds = gauge
 

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gammasort.forward_model import (
     geometric_fraction,
     isotope_by_name,
     line_response,
+    sphere_area_cm2,
     template_matrix,
 )
 from gammasort.spectra import EnergyCalibration, SpectrumKind, total_counts
@@ -375,6 +377,20 @@ class TestTemplateMatrix:
             template_matrix(grid, detector, 1.0)
         assert str(info.value) == message
 
+    def test_a_face_larger_than_the_sphere_names_the_isotope_and_distance(self):
+        grid = standard_grid(isotopes=("Cesium",), distances_m=(0.001,), materials=("Bare",))
+        with pytest.raises(ValueError) as info:
+            template_matrix(grid, default_detector(), 1.0, 0.0)
+        assert str(info.value) == ("Cesium: at 0.001 m the detector face (51.6128 cm^2) "
+                                   "exceeds the whole sphere")
+
+    def test_a_face_equal_to_the_sphere_is_accepted(self):
+        # The run config's grid.distances_m accepts 4 pi (100 d)^2 >= face_area_cm2.
+        distance = 0.01
+        detector = replace(DETECTOR, face_area_cm2=sphere_area_cm2(distance))
+        grid = standard_grid(isotopes=("Cesium",), distances_m=(distance,), materials=("Bare",))
+        assert np.isfinite(template_matrix(grid, detector, 1.0, 0.0)).all()
+
 
 class TestDataDirOverride:
     def test_env_var_redirects_table_loading(self, tmp_path, monkeypatch):
@@ -453,8 +469,8 @@ class TestErf:
 
 
 def test_import_leaves_scipy_unloaded():
-    # Only template synthesis needs scipy.special; eval, report and dataset
-    # sample/train processes do not pay for importing it.
+    # No process needs scipy: erf is ported to numpy (_erf), so scipy is a
+    # test-only dependency and importing the CLI must not load it.
     code = "import sys, gammasort.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

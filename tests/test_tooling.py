@@ -292,7 +292,7 @@ def test_only_one_function_starts_processes():
             owner = getattr(top, "name", "<module>")
             starters |= {f"{path.name}:{owner}" for node in ast.walk(top)
                          if _starts_a_process(node)}
-    assert sorted(starters) == ["experiment.py:_fork_train"]
+    assert sorted(starters) == ["experiment.py:_train_each"]
 
 def test_no_unused_imports():
     # No linter is installed, so this stands in for flake8's F401: a name a
