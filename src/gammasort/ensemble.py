@@ -321,8 +321,12 @@ def _config_from_record(record: dict, built: dict) -> SourceConfig:
 def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = None) -> Path:
     """Persist a dataset as manifest.json plus one packed CSV row per item.
 
-    Each row is the label index followed by the channel counts; floats are
-    written in shortest round-trip form, so reading back is value-exact.
+    Each row is the label index followed by the channel counts.  The counts
+    of a sampled dataset are integers and are written as integer text
+    (``3``); any other matrix, templates included, as the shortest ``repr``
+    of each float (``3.0``, ``0.125``).  Either way reading back is
+    value-exact, and an older file that holds sampled counts as ``repr``
+    still reads the same.  See :func:`_row_format`.
     The manifest lists each distinct source configuration once under
     ``sources``; ``source_index`` gives each item's entry in that list.
     """
@@ -355,15 +359,20 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
 
 
 def _row_format(ds: LabeledDataset):
-    """Formatter of one counts row: each cell as ``repr`` of its float, joined by commas.
+    """Formatter of one counts row: its cells joined by commas.
 
-    Integer counts (sampled realizations) index a fixed-width byte table of
-    the strings ``repr(0.0) + ","``, ``repr(1.0) + ","``, ... up to the matrix
-    maximum with the whole row at once; the row's bytes, without the table's
-    NUL padding and the last comma, are the line.  The table is used only
-    where it gives ``repr`` exactly: no ``-0.0`` cell, a maximum below 1e16
-    (``repr`` switches to exponent form there), and no more entries than the
-    matrix has cells.  Any other matrix is formatted by :func:`_repr_row`.
+    Integer counts (sampled realizations) are written as integer text: they
+    index a fixed-width byte table of the strings ``"0,"``, ``"1,"``, ... up
+    to the matrix maximum with the whole row at once; the row's bytes,
+    without the table's NUL padding and the last comma, are the line.  Integer
+    text is half the bytes of ``repr`` (``"0"`` for ``"0.0"``) and
+    :func:`~gammasort.spectra.read_csv_table` parses both forms to the same
+    floats.  The table is used only where each cell's text is its ``repr``
+    less the ``.0``: no ``-0.0`` cell (integer text has no negative zero), a
+    maximum below 1e16 (``repr`` switches to exponent form there, so the two
+    forms would no longer share their digits), and no more entries than the
+    matrix has cells.  Any other matrix, templates included, is formatted by
+    :func:`_repr_row`, ``repr`` of each float.
     """
     counts = ds.counts
     # A float's sign bit is the sign of its bits read as an int64, so this
@@ -371,7 +380,7 @@ def _row_format(ds: LabeledDataset):
     if ds.kind is SpectrumKind.SAMPLED_REALIZATION and counts.view(np.int64).min() >= 0:
         top = counts.max()
         if top < 1e16 and top < counts.size:
-            table = np.array([repr(float(i)) + "," for i in range(int(top) + 1)], dtype=np.bytes_)
+            table = np.array([f"{i}," for i in range(int(top) + 1)], dtype=np.bytes_)
             return lambda row: (
                 table[row.astype(np.intp)].tobytes().translate(None, b"\0")[:-1].decode()
             )
@@ -387,9 +396,9 @@ def read_dataset(path: str | Path) -> LabeledDataset:
 
     Malformed input raises ``ValueError`` naming the file, and the line for
     data rows: a missing or ill-typed manifest field, a source index outside
-    the source list, a ``#`` comment line, a row count other than ``n_items``,
-    a row whose width is not the channel count, or a label outside the task's
-    classes.
+    the source list, a ``source_index`` whose length is not ``n_items``, a
+    ``#`` comment line, a row count other than ``n_items``, a row whose width
+    is not the channel count, or a label outside the task's classes.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
@@ -408,6 +417,8 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         n_items, dwell = manifest["n_items"], manifest["dwell_s"]
         if n_items < 1:
             raise ValueError("n_items must be a positive integer")
+        if len(source_index) != n_items:
+            raise ValueError(f"source_index has {len(source_index)} entries, n_items is {n_items}")
     except ValueError as err:
         raise ValueError(f"{manifest_path}: malformed manifest: {err}") from err
     data_path = manifest_path.parent / manifest["data_csv"]

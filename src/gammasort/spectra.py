@@ -276,9 +276,11 @@ def read_csv_table(
     the file line of the first row.  A malformed row, or a cell that is not a
     finite number, raises ``ValueError("<path>:<line>: <cause>")``.
 
-    Tables of integer cells, such as a sampled dataset's ``data.csv``, are
-    parsed by :func:`_read_count_rows`; every other file (a template's
-    ``data.csv``, ``metrics.csv``, ``weights_*.csv``, a spectrum CSV and
+    Tables of integer cells are parsed by :func:`_read_count_rows`: a
+    sampled dataset's ``data.csv``, whose counts are integer text (``3``),
+    and one written before that, whose counts are ``repr`` text (``3.0``).
+    Every other file (a template's ``data.csv``, whose expected counts stay
+    ``repr`` text, ``metrics.csv``, ``weights_*.csv``, a spectrum CSV and
     every malformed file) goes to ``np.loadtxt``.  Both give the same rows.
     """
     with open(path) as fh:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gammasort import cli
 from gammasort.cli import main
-from gammasort.ensemble import TaskKind, build_dataset, read_dataset, write_dataset
+from gammasort.ensemble import _repr_row, TaskKind, build_dataset, read_dataset, write_dataset
 from gammasort.experiment import (
     detector_from_config,
     grid_from_config,
@@ -354,6 +354,26 @@ class TestTrainEval:
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
         assert (tmp_path / "ev" / "eval.json").is_file()
+
+    def test_repr_form_datasets_train_and_eval_the_same(self, pipeline):
+        """Datasets of ``repr`` counts, as written before integer text, give the same artifacts."""
+        cfg_path, tmp_path = pipeline
+
+        def train_eval(out):
+            assert run("train", "--config", cfg_path, "--out", out / "run") == 0
+            assert run("eval", "--model", out / "run" / "model.json",
+                       "--dataset", tmp_path / "test_ds", "--out", out / "ev") == 0
+            return [(out / name).read_bytes()
+                    for name in ("run/model.json", "run/metrics.csv", "ev/eval.json")]
+
+        new = train_eval(tmp_path / "new")
+        for name in ("train_ds", "test_ds"):
+            ds = read_dataset(tmp_path / name)
+            data = tmp_path / name / "data.csv"
+            old = "".join(f"{k},{_repr_row(c)}\n" for k, c in zip(ds.labels.tolist(), ds.counts))
+            assert ".0," in old and "." not in data.read_text()
+            data.write_text(old)
+        assert train_eval(tmp_path / "old") == new
 
     def test_eval_channel_mismatch_reported_before_compute(self, pipeline, capsys):
         cfg_path, tmp_path = pipeline

@@ -4,6 +4,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -347,10 +348,12 @@ def tiny_dataset(counts, grid, kind=SpectrumKind.EXPECTED_TEMPLATE):
     return LabeledDataset(counts, labels, task, tuple(provenance), cal, 1.0, kind)
 
 
-def repr_data_csv(ds):
-    """data.csv as the reference writer forms it: ``repr`` of every cell."""
+def reference_data_csv(ds, by_table):
+    """data.csv as the reference writer forms it: each cell as ``str(int(c))``
+    where the writer takes the byte table, else as ``repr(c)``."""
+    cell = (lambda c: str(int(c))) if by_table else repr
     return "".join(
-        f"{label}," + ",".join(repr(c) for c in row.tolist()) + "\n"
+        f"{label}," + ",".join(cell(c) for c in row.tolist()) + "\n"
         for label, row in zip(ds.labels.tolist(), ds.counts)
     )
 
@@ -359,7 +362,8 @@ SAMPLED = SpectrumKind.SAMPLED_REALIZATION
 
 
 class TestWriterMatchesRepr:
-    """The lookup table writes exactly what ``repr`` writes, and is used only where it can."""
+    """The lookup table writes exactly the integer text of each count, and is
+    used only where it can; every other matrix is written as ``repr``."""
 
     @pytest.mark.parametrize("counts, kind, by_table", [
         ([[0.0, 3.0, 1.0], [2.0, 0.0, 0.0]], SAMPLED, True),
@@ -374,14 +378,14 @@ class TestWriterMatchesRepr:
     def test_matches_repr_writer(self, tmp_path, small_grid, counts, kind, by_table):
         ds = tiny_dataset(counts, small_grid, kind)
         write_dataset(ds, tmp_path)
-        assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
+        assert (tmp_path / "data.csv").read_text() == reference_data_csv(ds, by_table)
         assert (_row_format(ds) is not _repr_row) == by_table
 
     def test_sampled_dataset(self, tmp_path, small_grid):
         ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 3, 10.0, seed=5, rebin_factor=4)
         write_dataset(ds, tmp_path)
         assert _row_format(ds) is not _repr_row
-        assert (tmp_path / "data.csv").read_text() == repr_data_csv(ds)
+        assert (tmp_path / "data.csv").read_text() == reference_data_csv(ds, True)
 
 
 @given(st.integers(1, 5).flatmap(
@@ -392,11 +396,41 @@ class TestWriterMatchesRepr:
 @example([[3], [0], [1], [0]])  # one channel: the cut comma is the row's only separator
 @example([[0, 10, 40, 1, 0]] * 9)  # entries of three widths share one NUL-padded table
 @settings(max_examples=60, deadline=None)
-def test_integer_counts_write_as_repr(small_grid, rows):
+def test_integer_counts_write_as_integer_text(small_grid, rows):
     ds = tiny_dataset(rows, small_grid, SAMPLED)
+    by_table = ds.counts.max() < ds.counts.size  # else the table would outgrow the matrix
+    assert (_row_format(ds) is not _repr_row) == by_table
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(ds, tmp)
-        assert (Path(tmp) / "data.csv").read_text() == repr_data_csv(ds)
+        assert (Path(tmp) / "data.csv").read_text() == reference_data_csv(ds, by_table)
+
+
+@given(st.tuples(st.integers(1, 5), st.sampled_from([9, 10**6])).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(0, shape[1]), min_size=shape[0], max_size=shape[0]),
+        min_size=1, max_size=12,
+    )
+))
+@example([[3], [0], [1], [0]])
+@example([[10**6], [0], [999999]])
+@settings(max_examples=60, deadline=None)
+def test_sampled_counts_read_back_without_loadtxt(small_grid, rows):
+    """Sampled counts read back exactly through the byte scan, as written and as integer text.
+
+    The writer keeps ``repr`` where the table would outgrow the matrix, so
+    the counts are also read from their integer text.  A silent fallback to
+    ``np.loadtxt`` would keep every other test green, only slower.
+    """
+    ds = tiny_dataset(rows, small_grid, SAMPLED)
+    by_table = _row_format(ds) is not _repr_row
+    refuse = mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt called"))
+    with tempfile.TemporaryDirectory() as tmp, refuse:
+        write_dataset(ds, tmp)
+        data = Path(tmp) / "data.csv"
+        assert ("." not in data.read_text()) == by_table  # integer text has no ".0" cell
+        assert read_dataset(tmp).counts.tobytes() == ds.counts.tobytes()
+        data.write_text(reference_data_csv(ds, True))
+        assert read_dataset(tmp).counts.tobytes() == ds.counts.tobytes()
 
 
 COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
@@ -492,6 +526,17 @@ class TestDataRows:
         lines = data.read_text().splitlines()
         data.write_text("\n".join([first] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:1: .*comment"):
+            read_dataset(ds_dir)
+
+    @pytest.mark.parametrize("entries", [5, 7])
+    def test_source_index_length_must_be_n_items(self, written, entries):
+        ds_dir, _ = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["source_index"] = (doc["source_index"] * 2)[:entries]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: malformed manifest: "
+                           rf"source_index has {entries} entries, n_items is 6$"):
             read_dataset(ds_dir)
 
     @pytest.mark.parametrize("n_items", [0, -1, "6", 6.0, True])

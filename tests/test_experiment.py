@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gammasort import experiment, seeding
 from gammasort.ensemble import (
+    _repr_row,
     LabeledDataset,
     TaskKind,
     build_dataset,
@@ -427,6 +428,18 @@ class TestCsvParsePath:
     def test_sampled_dataset_reads_without_loadtxt(self, tmp_path, templates):
         ds = sample_dataset(templates, 3, 1.0, seed=5)
         back = read_dataset(write_dataset(ds, tmp_path))
+        assert back.counts.tobytes() == ds.counts.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
+    def test_repr_form_sampled_dataset_reads_without_loadtxt(self, tmp_path, templates):
+        """A sampled data.csv of ``repr`` counts, as written before integer text, still loads."""
+        ds = sample_dataset(templates, 3, 1.0, seed=5)
+        write_dataset(ds, tmp_path)
+        data = tmp_path / "data.csv"
+        old = "".join(f"{k},{_repr_row(c)}\n" for k, c in zip(ds.labels.tolist(), ds.counts))
+        assert ".0," in old and old != data.read_text()
+        data.write_text(old)
+        back = read_dataset(tmp_path)
         assert back.counts.tobytes() == ds.counts.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
