@@ -8,6 +8,8 @@ construction is reproducible and order-independent.
 
 from __future__ import annotations
 
+import tokenize
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -33,10 +35,8 @@ from .spectra import (
     Spectrum,
     SpectrumKind,
     checked_counts,
-    csv_rows,
     read_csv_table,
     rebin_counts,
-    write_csv_table,
 )
 
 ISOTOPE_NAMES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
@@ -280,14 +280,23 @@ def template_dataset(
     return rescale(stack_templates(counts, cal, TEMPLATE_DWELL_S, grid, task), dwell_s)
 
 
-# The keys :func:`read_dataset` reads from a dataset manifest.
+# The keys :func:`read_dataset` reads from a dataset manifest, besides the
+# name of its rows file: ``data_npy``, or ``data_csv`` in an older manifest.
 DATASET_MANIFEST = {
-    "task": "", "kind": "", "data_csv": "", "n_items": 0, "dwell_s": 0.0,
+    "task": "", "kind": "", "n_items": 0, "dwell_s": 0.0,
     "calibration": {"e_min": 0.0, "e_max": 0.0, "n_channels": 0},
     "sources": [{"isotope": "", "activity_bq": 0.0, "distance_m": 0.0, "material": "",
                  "thickness_cm": 0.0, "include_background": False}],
     "source_index": [0],
 }
+
+
+# The dtypes of data.npy: the smallest unsigned type that holds a sampled
+# matrix, or float64.
+_NPY_DTYPES = tuple(np.dtype(d) for d in ("<u1", "<u2", "<u4", "<f8"))
+# Values per block of data.npy rows written or read: the block's temporaries
+# stay small beside the counts matrix.
+_NPY_BLOCK_VALUES = 65536
 
 
 def _config_record(config: SourceConfig) -> dict:
@@ -319,14 +328,11 @@ def _config_from_record(record: dict, built: dict) -> SourceConfig:
 
 
 def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = None) -> Path:
-    """Persist a dataset as manifest.json plus one packed CSV row per item.
+    """Persist a dataset as manifest.json plus data.npy, one row per item.
 
-    Each row is the label index followed by the channel counts.  The counts
-    of a sampled dataset are integers and are written as integer text
-    (``3``); any other matrix, templates included, as the shortest ``repr``
-    of each float (``3.0``, ``0.125``).  Either way reading back is
-    value-exact, and an older file that holds sampled counts as ``repr``
-    still reads the same.  See :func:`_row_format`.
+    Each row of data.npy is the label index followed by the channel counts,
+    in the dtype :func:`_stored_dtype` picks, written a block of rows at a
+    time; reading back is value-exact.
     The manifest lists each distinct source configuration once under
     ``sources``; ``source_index`` gives each item's entry in that list.
     """
@@ -344,7 +350,7 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
         "calibration": {"e_min": cal.e_min, "e_max": cal.e_max, "n_channels": cal.n_channels},
         "dwell_s": ds.dwell_s,
         "kind": ds.kind.value,
-        "data_csv": "data.csv",
+        "data_npy": "data.npy",
         "sources": [dict(record) for record in positions],
         "source_index": [positions[record] for record in records],
     }
@@ -352,59 +358,54 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
         manifest.update(extra)
     write_json(out_dir / "manifest.json", manifest)
 
-    format_row = _row_format(ds)
-    rows = ([str(k), format_row(c)] for k, c in zip(ds.labels.tolist(), ds.counts))
-    write_csv_table(out_dir / "data.csv", (), rows)
+    dtype, width = _stored_dtype(ds), ds.n_channels + 1
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+              "shape": (len(ds), width)}
+    step = max(1, _NPY_BLOCK_VALUES // width)
+    with open(out_dir / "data.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, len(ds), step):
+            rows = slice(start, start + step)
+            block = np.column_stack((ds.labels[rows], ds.counts[rows]))
+            fh.write(block.astype(dtype).tobytes())
     return out_dir / "manifest.json"
 
 
-def _row_format(ds: LabeledDataset):
-    """Formatter of one counts row: its cells joined by commas.
+def _stored_dtype(ds: LabeledDataset) -> np.dtype:
+    """The dtype of ``ds``'s data.npy rows, the first of :data:`_NPY_DTYPES` that holds them.
 
-    Integer counts (sampled realizations) are written as integer text: they
-    index a fixed-width byte table of the strings ``"0,"``, ``"1,"``, ... up
-    to the matrix maximum with the whole row at once; the row's bytes,
-    without the table's NUL padding and the last comma, are the line.  Integer
-    text is half the bytes of ``repr`` (``"0"`` for ``"0.0"``) and
-    :func:`~gammasort.spectra.read_csv_table` parses both forms to the same
-    floats.  The table is used only where each cell's text is its ``repr``
-    less the ``.0``: no ``-0.0`` cell (integer text has no negative zero), a
-    maximum below 1e16 (``repr`` switches to exponent form there, so the two
-    forms would no longer share their digits), and no more entries than the
-    matrix has cells.  Any other matrix, templates included, is formatted by
-    :func:`_repr_row`, ``repr`` of each float.
+    A sampled matrix takes the smallest unsigned type that holds its largest
+    label or count, unless it has a ``-0.0`` cell, which such a type would
+    store as ``0``.  Any other matrix, templates included, is float64.
     """
     counts = ds.counts
     # A float's sign bit is the sign of its bits read as an int64, so this
     # finds a -0.0 without a boolean temporary the size of the matrix.
     if ds.kind is SpectrumKind.SAMPLED_REALIZATION and counts.view(np.int64).min() >= 0:
-        top = counts.max()
-        if top < 1e16 and top < counts.size:
-            table = np.array([f"{i}," for i in range(int(top) + 1)], dtype=np.bytes_)
-            return lambda row: (
-                table[row.astype(np.intp)].tobytes().translate(None, b"\0")[:-1].decode()
-            )
-    return _repr_row
-
-
-def _repr_row(row: np.ndarray) -> str:
-    return ",".join(map(repr, row.tolist()))
+        top = max(counts.max(), ds.labels.max())
+        for dtype in _NPY_DTYPES[:-1]:
+            if top <= np.iinfo(dtype).max:
+                return dtype
+    return _NPY_DTYPES[-1]
 
 
 def read_dataset(path: str | Path) -> LabeledDataset:
     """Load a dataset directory (or manifest path) written by :func:`write_dataset`.
 
-    Malformed input raises ``ValueError`` naming the file, and the line for
-    data rows: a missing or ill-typed manifest field, a source index outside
-    the source list, a ``source_index`` whose length is not ``n_items``, a
-    ``#`` comment line, a row count other than ``n_items``, a row whose width
-    is not the channel count, or a label outside the task's classes.
+    A manifest that names a ``data_csv`` instead of a ``data_npy``, as
+    written before data.npy, reads its rows with :func:`read_csv_table`.
+    Malformed input raises ``ValueError`` naming the file: a missing or
+    ill-typed manifest field, a source index outside the source list, a
+    ``source_index`` whose length is not ``n_items``, a rows file that
+    :func:`_read_npy_rows` or :func:`read_csv_table` refuses, a row count other
+    than ``n_items``, or a label outside the task's classes, which names its item.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
     manifest = read_json(manifest_path, {})
+    legacy = "data_csv" in manifest and "data_npy" not in manifest
     try:
-        manifest = checked(manifest, DATASET_MANIFEST)
+        manifest = checked(manifest, {**DATASET_MANIFEST, "data_csv" if legacy else "data_npy": ""})
         task = TaskKind(manifest["task"])
         c = manifest["calibration"]
         cal = EnergyCalibration(c["e_min"], c["e_max"], c["n_channels"])
@@ -421,26 +422,22 @@ def read_dataset(path: str | Path) -> LabeledDataset:
             raise ValueError(f"source_index has {len(source_index)} entries, n_items is {n_items}")
     except ValueError as err:
         raise ValueError(f"{manifest_path}: malformed manifest: {err}") from err
-    data_path = manifest_path.parent / manifest["data_csv"]
 
-    # One row past n_items keeps an over-long file detectable.
-    comments, _, rows, first_line = read_csv_table(
-        data_path, cal.n_channels + 1, max_rows=n_items + 1
-    )
-    if comments:
-        raise ValueError(f"{data_path}:1: comment line {comments[0]!r}; data rows take none")
-    if len(rows) > n_items:
-        line = csv_rows(data_path, first_line)[n_items][0]
-        raise ValueError(f"{data_path}:{line}: more rows than the manifest's n_items of {n_items}")
-    if len(rows) < n_items:
-        raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
+    if legacy:
+        data_path = manifest_path.parent / manifest["data_csv"]
+        rows = read_csv_table(data_path, cal.n_channels + 1)[2]
+        if len(rows) != n_items:
+            raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
+    else:
+        data_path = manifest_path.parent / manifest["data_npy"]
+        rows = _read_npy_rows(data_path, n_items, cal.n_channels + 1)
     rows.setflags(write=False)  # the dataset keeps the counts columns, not a copy
     labels = rows[:, 0]
     ok = (labels == np.floor(labels)) & (labels >= 0) & (labels < task.n_classes)
     if not ok.all():
-        row = int(np.argmin(ok))
+        item = int(np.argmin(ok))
         raise ValueError(
-            f"{data_path}:{csv_rows(data_path, first_line)[row][0]}: label {labels[row]:g} "
+            f"{data_path}: item {item}: label {labels[item]:g} "
             f"outside [0, {task.n_classes}) for task {task.value}"
         )
     try:
@@ -455,3 +452,47 @@ def read_dataset(path: str | Path) -> LabeledDataset:
         )
     except ValueError as err:
         raise ValueError(f"{data_path}: {err}") from err
+
+
+def _read_npy_rows(path: Path, n_items: int, width: int) -> np.ndarray:
+    """The ``(n_items, width)`` rows of a data.npy file as one float64 matrix.
+
+    Only the header is parsed before the checks: the file must hold a
+    C-ordered array of that shape in one of :data:`_NPY_DTYPES`, so object or
+    pickled data is never loaded, and end where its rows do.  The rows are
+    then read a block at a time into the matrix, so no second copy of them is
+    ever whole in memory.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            # numpy parses the header with ast.literal_eval and, failing that,
+            # tokenize, and warns where it had to repair the text: each of
+            # these is a header it cannot read as written.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                version = fmt.read_magic(fh)
+                if version not in ((1, 0), (2, 0)):
+                    raise ValueError(f"unsupported .npy format version {version}")
+                read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+                shape, fortran_order, dtype = read(fh)
+        except (ValueError, TypeError, tokenize.TokenError, UserWarning) as err:
+            raise ValueError(f"{path}: {err}") from err
+        if dtype not in _NPY_DTYPES:
+            expected = [d.str for d in _NPY_DTYPES]
+            raise ValueError(f"{path}: dtype {dtype.str}, expected one of {expected}")
+        if fortran_order:
+            raise ValueError(f"{path}: rows in Fortran order, expected C order")
+        if shape != (n_items, width):
+            raise ValueError(f"{path}: shape {shape}, expected (n_items, 1 + n_channels) = "
+                             f"{(n_items, width)}")
+        size = fh.tell() + n_items * width * dtype.itemsize
+        if path.stat().st_size != size:
+            raise ValueError(f"{path}: {path.stat().st_size} bytes, expected {size} for the header "
+                             f"and {n_items} rows of {width} {dtype.str} values")
+        rows = np.empty((n_items, width))
+        step = max(1, _NPY_BLOCK_VALUES // width)
+        for start in range(0, n_items, step):
+            block = rows[start : start + step]
+            block[:] = np.fromfile(fh, dtype, count=block.size).reshape(block.shape)
+    return rows

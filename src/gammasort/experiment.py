@@ -133,7 +133,9 @@ _RANGES = {
     "train.beta1": ("a value in [0, 1)", lambda v, _: 0 <= v < 1),
     "train.beta2": ("a value in [0, 1)", lambda v, _: 0 <= v < 1),
     "train.epsilon": ("a positive value", lambda v, _: v > 0),
-    "train.oversample_ratio": ("a non-negative value", lambda v, _: v >= 0),
+    # At 1 the positives equal the negatives; a higher ratio no longer balances
+    # the classes, and the replicated set would grow without bound.
+    "train.oversample_ratio": ("a value in [0, 1]", lambda v, _: 0 <= v <= 1),
     "grid.background_cps": ("a non-negative value", lambda v, _: v >= 0),
     "grid.activity_bq": ("a positive value", lambda v, _: v > 0),
     "detector.n_channels": ("an integer of at least 1", lambda v, _: v >= 1),

@@ -8,8 +8,6 @@ Both share one immutable container type, distinguished by a ``kind`` flag.
 from __future__ import annotations
 
 import math
-import mmap
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -264,24 +262,15 @@ def _csv_cell(cell) -> str:
     return str(int(cell)) if isinstance(cell, (int, np.integer)) else repr(float(cell))
 
 
-def read_csv_table(
-    path: str | Path, width: int | None = None, header: bool = False, max_rows: int | None = None
-) -> tuple:
+def read_csv_table(path: str | Path, width: int | None = None, header: bool = False) -> tuple:
     """Leading ``#`` comment lines, column names and float64 rows of a CSV file.
 
     A line of column names follows the comments if ``header``; each row holds
     ``width`` numbers (default: one per name), and empty lines are skipped.
-    At most ``max_rows`` rows are read, if given; the rows past them are not
-    parsed.  Returns ``(comments, names, rows, first_line)``, the last being
-    the file line of the first row.  A malformed row, or a cell that is not a
-    finite number, raises ``ValueError("<path>:<line>: <cause>")``.
-
-    Tables of integer cells are parsed by :func:`_read_count_rows`: a
-    sampled dataset's ``data.csv``, whose counts are integer text (``3``),
-    and one written before that, whose counts are ``repr`` text (``3.0``).
-    Every other file (a template's ``data.csv``, whose expected counts stay
-    ``repr`` text, ``metrics.csv``, ``weights_*.csv``, a spectrum CSV and
-    every malformed file) goes to ``np.loadtxt``.  Both give the same rows.
+    Returns ``(comments, names, rows, first_line)``, the last being the file
+    line of the first row.  The rows are parsed by one ``np.loadtxt`` call.
+    A malformed row, or a cell that is not a finite number, raises
+    ``ValueError("<path>:<line>: <cause>")``.
     """
     with open(path) as fh:
         head = [fh.readline()]
@@ -291,17 +280,11 @@ def read_csv_table(
     names = head[-1].rstrip("\n").split(",") if header and head[-1] else []
     width = len(names) if width is None else width
     first_line = len(comments) + 1 + header
-    rows = _read_count_rows(path, first_line - 1, width, max_rows)
-    if rows is not None:
-        return comments, names, rows, first_line
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # An empty line does not count towards max_rows; numpy warns that it once did.
-            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
             rows = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1,
-                max_rows=max_rows,
+                path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1
             )
     except ValueError as err:
         raise _bad_row_error(path, first_line, width, err) from err
@@ -310,94 +293,6 @@ def read_csv_table(
     if rows.shape[1] != width or not np.isfinite(rows).all():
         raise _bad_row_error(path, first_line, width)
     return comments, names, rows, first_line
-
-
-# Lines per block of the integer parse: a block's temporaries stay in the
-# CPU cache, where one pass over the whole file ran about twice as slow.
-_BLOCK_LINES = 48
-# Bytes of the mapped file scanned between two releases of the pages behind
-# the scan, so at most about this much of the file is resident at once.
-_RELEASE_BYTES = 1 << 20
-
-
-def _read_count_rows(path: str | Path, skip: int, width: int, max_rows: int | None):
-    """The rows after line ``skip`` of a table of integers, as ``np.loadtxt`` reads them.
-
-    Returns None unless each of those lines (up to ``max_rows``) ends in
-    a newline and holds ``width`` comma-separated cells, each 1 to 15 decimal
-    digits with an optional ``.0``.  Such integers are exact in float64, so
-    the result is bit for bit what ``np.loadtxt`` gives.  The file is mapped,
-    not read into a bytes object: a freed copy of an 18 MB file stayed
-    resident and raised the peak memory of reading two datasets by 17 MB.
-    Both passes over the map, the line ends and the parse, release the pages
-    they have scanned about every ``_RELEASE_BYTES``, so the file is never
-    resident all at once beside the rows.
-    """
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:
-            return None
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _parse_count_rows(data, skip, width, max_rows)
-
-
-def _parse_count_rows(data: mmap.mmap, skip: int, width: int, max_rows: int | None):
-    limit = len(data) if max_rows is None else skip + max_rows
-    # The offset after each line's newline; the pages before ``released`` are dropped.
-    ends, pos, released = [], 0, 0
-    while len(ends) < limit and (pos := data.find(b"\n", pos) + 1):
-        ends.append(pos)
-        if pos - released > _RELEASE_BYTES:
-            released = _release_pages(data, released, pos)
-    if len(ends) <= skip or width < 1 or b"\r" in data[: ends[skip - 1] if skip else 0]:
-        return None
-    if len(ends) < limit and ends[-1] != len(data):
-        return None  # a last line without a newline
-    buf = np.frombuffer(data, np.uint8)
-    rows = np.empty((len(ends) - skip, width))
-    released = 0
-    for first in range(skip, len(ends), _BLOCK_LINES):
-        last = min(first + _BLOCK_LINES, len(ends))
-        begin, end = ends[first - 1] if first else 0, ends[last - 1]
-        if end - released > _RELEASE_BYTES:
-            released = _release_pages(data, released, begin)
-        block = buf[begin:end]
-        digit = block - 48  # a byte that is not a digit wraps to 10 or more
-        sep = (block == 44) | (block == 10)
-        cut = np.flatnonzero(sep)  # the comma or newline that ends each cell
-        dots = np.count_nonzero(block == 46)
-        if (
-            len(cut) != (last - first) * width
-            or (block[cut[width - 1 :: width]] != 10).any()
-            or np.count_nonzero(digit < 10) + len(cut) + dots != len(block)
-            or np.count_nonzero((block[:-2] == 46) & (block[1:-1] == 48) & sep[2:]) != dots
-        ):
-            return None  # a row of another width, or a byte outside digits, ".0" and ","
-        starts = np.concatenate(([0], cut[:-1] + 1))
-        lead = digit[starts]
-        if (lead >= 10).any():
-            return None  # an empty cell, or one that starts with "."
-        cells = rows[first - skip : last - skip].reshape(-1)
-        cells[:] = lead
-        many, k = np.flatnonzero(digit[starts + 1] < 10), 1  # cells of two or more digits
-        while many.size:
-            if k == 15:
-                return None  # a 16th digit
-            at = starts[many] + k
-            cells[many] = cells[many] * 10 + digit[at]
-            many, k = many[digit[at + 1] < 10], k + 1
-    return rows
-
-
-def _release_pages(data: mmap.mmap, start: int, end: int) -> int:
-    """Drop the pages of ``data`` from page-aligned ``start`` up to the page of ``end``.
-
-    A later read of a dropped page maps it again from the file.  Returns
-    the offset up to which pages are dropped, ``end`` rounded down to a page.
-    """
-    end -= end % mmap.PAGESIZE
-    if end > start and hasattr(mmap, "MADV_DONTNEED"):  # madvise is not on every platform
-        data.madvise(mmap.MADV_DONTNEED, start, end - start)
-    return end
 
 
 def csv_rows(path: str | Path, first_line: int) -> list[tuple[int, str]]:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gammasort import cli
 from gammasort.cli import main
-from gammasort.ensemble import _repr_row, TaskKind, build_dataset, read_dataset, write_dataset
+from gammasort.ensemble import TaskKind, build_dataset, read_dataset, write_dataset
 from gammasort.experiment import (
     detector_from_config,
     grid_from_config,
@@ -74,7 +74,7 @@ def assert_templates(out, n):
     assert len(templates) == n
     assert templates.kind is SpectrumKind.EXPECTED_TEMPLATE
     assert templates.dwell_s == 86400.0
-    assert sorted(p.name for p in out.iterdir()) == ["config.json", "data.csv", "manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "data.npy", "manifest.json"]
 
 
 class TestSynth:
@@ -153,8 +153,7 @@ class TestSample:
         run("synth", "--config", cfg, "--out", tpl)
         ds = tmp_path / "ds"
         assert run("sample", "--config", cfg, "--templates", tpl, "--out", ds) == 0
-        rows = (ds / "data.csv").read_text().splitlines()
-        assert len(rows) == 8 * 3
+        assert np.load(ds / "data.npy").shape[0] == 8 * 3
         manifest = json.loads((ds / "manifest.json").read_text())
         assert manifest["dwell_s"] == 1.5
         assert manifest["seed"] == 5
@@ -167,7 +166,7 @@ class TestSample:
         a, b = tmp_path / "da", tmp_path / "db"
         run("sample", "--config", cfg, "--templates", tpl, "--out", a)
         run("sample", "--config", cfg, "--templates", tpl, "--out", b)
-        assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
+        assert (a / "data.npy").read_bytes() == (b / "data.npy").read_bytes()
 
     def test_rebin_flag_shrinks_rows(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -175,8 +174,7 @@ class TestSample:
         run("synth", "--config", cfg, "--out", tpl)
         ds = tmp_path / "ds256"
         run("sample", "--config", cfg, "--templates", tpl, "--out", ds, "--rebin", 256)
-        first = (ds / "data.csv").read_text().splitlines()[0]
-        assert len(first.split(",")) == 257  # label + 256 channels
+        assert np.load(ds / "data.npy").shape[1] == 257  # label + 256 channels
 
     def test_templates_flag_is_recorded_as_paths_templates(self, tmp_path):
         tpl, ds = tmp_path / "tpl", tmp_path / "ds"
@@ -200,7 +198,7 @@ class TestSample:
             config["grid"]["background_cps"],
         )
         write_dataset(built, tmp_path / "built", extra={"seed": seed, "samples_per_config": samples})
-        for name in ("data.csv", "manifest.json"):
+        for name in ("data.npy", "manifest.json"):
             assert (ds / name).read_bytes() == (tmp_path / "built" / name).read_bytes(), name
 
 
@@ -246,56 +244,57 @@ class TestEvalInputBoundary:
         assert err.count("\n") == 1
         return err
 
-    def edit_row(self, ds, row, edit):
-        lines = (ds / "data.csv").read_text().splitlines()
-        lines[row] = edit(lines[row])
-        (ds / "data.csv").write_text("\n".join(lines) + "\n")
-
     def test_well_formed_inputs_evaluate(self, files, capsys):
         model, ds = files
         assert run("eval", "--model", model, "--dataset", ds) == 0
 
-    @pytest.mark.parametrize("label", ["9", "5", "-1"])
-    def test_label_outside_class_range(self, files, capsys, label):
+    @pytest.mark.parametrize("label", [9.0, 5.0, -1.0, 1.5])
+    def test_label_outside_class_range_names_the_item(self, files, capsys, label):
         model, ds = files
-        self.edit_row(ds, 0, lambda line: label + line[line.index(","):])
+        rows = np.load(ds / "data.npy").astype(np.float64)
+        rows[4, 0] = label
+        np.save(ds / "data.npy", rows)
         err = self.eval_error(capsys, model, ds)
-        assert "data.csv:1:" in err
-        assert f"label {label}" in err
+        assert err.startswith(f"gammasort: error: {ds / 'data.npy'}: item 4: label {label:g} ")
 
-    def test_row_of_wrong_width(self, files, capsys):
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda data: data[:-1], "bytes, expected"),
+        (lambda data: data + b"\0", "bytes, expected"),
+        (lambda data: data[:200], "bytes, expected"),
+        (lambda data: data[:100], "EOF: reading array header"),
+        (lambda data: data[:5], "EOF: reading magic string"),
+        (lambda data: b"0,1,2\n", "magic"),
+        # Headers numpy's parser fails on with other errors than ValueError, or
+        # warns that it repaired: a lost brace, a list as a key, a Python 2 long.
+        (lambda data: data.replace(b"}", b" ", 1), "EOF in multi-line statement"),
+        (lambda data: data.replace(b"{'descr'", b"{['descr']", 1), "unhashable type"),
+        (lambda data: data.replace(b"257)", b"25L)", 1), "required additional header parsing"),
+    ], ids=["truncated", "trailing-byte", "first-row", "header", "magic", "text", "token-error",
+            "type-error", "repaired"])
+    def test_rows_file_of_the_wrong_size_or_format(self, files, capsys, edit, expected):
         model, ds = files
-        self.edit_row(ds, 2, lambda line: line.rsplit(",", 1)[0])
+        data = ds / "data.npy"
+        data.write_bytes(edit(data.read_bytes()))
         err = self.eval_error(capsys, model, ds)
-        assert "data.csv:3:" in err
-        assert "256 cells, expected 257" in err
+        assert err.startswith(f"gammasort: error: {data}: ")
+        assert expected in err
 
-    @pytest.mark.parametrize("cell", ["abc", "", "1.5"])
-    def test_cell_that_is_not_a_count_or_label(self, files, capsys, cell):
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda rows: rows.astype("<i8"), "dtype <i8"),
+        (lambda rows: rows.astype(object), "dtype |O"),
+        (lambda rows: rows.astype(">u2"), "dtype >u2"),
+        (lambda rows: rows.astype(">f8"), "dtype >f8"),
+        (np.asfortranarray, "rows in Fortran order"),
+        (lambda rows: rows[:, :-1], "shape (24, 256), expected (n_items, 1 + n_channels) = (24, 257)"),
+        (lambda rows: rows[:-1], "shape (23, 257), expected"),
+        (lambda rows: rows.ravel(), "shape (6168,), expected"),
+    ], ids=["int64", "object", "big-endian", "big-endian-float", "fortran", "narrow", "short",
+            "flat"])
+    def test_rows_of_another_dtype_order_or_shape(self, files, capsys, edit, expected):
         model, ds = files
-        column = 0 if cell == "1.5" else 7
-        self.edit_row(ds, 4, lambda line: ",".join(
-            cell if i == column else c for i, c in enumerate(line.split(","))
-        ))
+        np.save(ds / "data.npy", edit(np.load(ds / "data.npy")))
         err = self.eval_error(capsys, model, ds)
-        assert "data.csv:5: " in err
-        assert ("label 1.5" if cell == "1.5" else f"cell 8 is not a number: {cell!r}") in err
-
-    def test_row_count_differs_from_n_items(self, files, capsys):
-        model, ds = files
-        lines = (ds / "data.csv").read_text().splitlines()
-        (ds / "data.csv").write_text("\n".join(lines[:-1]) + "\n")
-        err = self.eval_error(capsys, model, ds)
-        assert "data.csv" in err
-        assert "n_items" in err
-
-    def test_many_extra_rows_name_the_first(self, files, capsys):
-        model, ds = files
-        lines = (ds / "data.csv").read_text().splitlines()
-        (ds / "data.csv").write_text("\n".join(lines * 40) + "\n")
-        err = self.eval_error(capsys, model, ds)
-        assert f"data.csv:{len(lines) + 1}: " in err
-        assert f"n_items of {len(lines)}" in err
+        assert err.startswith(f"gammasort: error: {ds / 'data.npy'}: {expected}")
 
     def test_missing_manifest_field(self, files, capsys):
         model, ds = files
@@ -355,8 +354,8 @@ class TestTrainEval:
         assert first.splitlines()[-1] == second.splitlines()[-1]
         assert (tmp_path / "ev" / "eval.json").is_file()
 
-    def test_repr_form_datasets_train_and_eval_the_same(self, pipeline):
-        """Datasets of ``repr`` counts, as written before integer text, give the same artifacts."""
+    def test_data_csv_datasets_train_and_eval_the_same(self, pipeline):
+        """Datasets of ``repr`` counts in data.csv, as written before data.npy, give the same artifacts."""
         cfg_path, tmp_path = pipeline
 
         def train_eval(out):
@@ -369,10 +368,15 @@ class TestTrainEval:
         new = train_eval(tmp_path / "new")
         for name in ("train_ds", "test_ds"):
             ds = read_dataset(tmp_path / name)
-            data = tmp_path / name / "data.csv"
-            old = "".join(f"{k},{_repr_row(c)}\n" for k, c in zip(ds.labels.tolist(), ds.counts))
-            assert ".0," in old and "." not in data.read_text()
-            data.write_text(old)
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            manifest["data_csv"] = "data.csv"
+            del manifest["data_npy"]
+            (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
+            (tmp_path / name / "data.npy").unlink()
+            (tmp_path / name / "data.csv").write_text("".join(
+                f"{k}," + ",".join(map(repr, c.tolist())) + "\n"
+                for k, c in zip(ds.labels.tolist(), ds.counts)
+            ))
         assert train_eval(tmp_path / "old") == new
 
     def test_eval_channel_mismatch_reported_before_compute(self, pipeline, capsys):
@@ -524,14 +528,19 @@ class TestSampleManifest:
         assert str(tpl / "manifest.json") in err
         assert "missing key 'sources'" in err
 
-    @pytest.mark.parametrize("row", ["1,abc", "0,1.0,2"])
-    def test_bad_template_row_names_the_file(self, templates, tmp_path, capsys, row):
+    @pytest.mark.parametrize("cell, expected", [
+        (np.inf, "counts must be finite"),
+        (np.nan, "counts must be finite"),
+        (-1.0, "counts must be non-negative"),
+    ])
+    def test_bad_template_cell_names_the_file(self, templates, tmp_path, capsys, cell, expected):
         cfg, tpl = templates
-        lines = (tpl / "data.csv").read_text().splitlines()
-        lines[-1] = row
-        (tpl / "data.csv").write_text("\n".join(lines) + "\n")
+        rows = np.load(tpl / "data.npy")
+        assert rows.dtype == np.float64
+        rows[-1, 7] = cell
+        np.save(tpl / "data.npy", rows)
         err = self.sample_error(capsys, cfg, tpl, tmp_path)
-        assert f"{tpl / 'data.csv'}:{len(lines)}: " in err
+        assert err == f"gammasort: error: {tpl / 'data.npy'}: {expected}\n"
 
     def test_sampled_spectrum_among_templates_names_the_file(self, templates, tmp_path, capsys):
         cfg, tpl = templates
@@ -651,7 +660,11 @@ class TestConfigChecks:
         ("train.beta2", {"train": {"beta2": -0.5}}, "a value in [0, 1), got -0.5"),
         ("train.epsilon", {"train": {"epsilon": 0.0}}, "a positive value, got 0.0"),
         ("train.oversample_ratio", {"train": {"oversample_ratio": -1.0}},
-         "a non-negative value, got -1.0"),
+         "a value in [0, 1], got -1.0"),
+        ("train.oversample_ratio", {"train": {"oversample_ratio": 1.5}},
+         "a value in [0, 1], got 1.5"),
+        ("train.oversample_ratio", {"train": {"oversample_ratio": 1e300}},
+         "a value in [0, 1], got 1e+300"),
         ("grid.background_cps", {"grid": {"background_cps": -5.0}},
          "a non-negative value, got -5.0"),
         ("grid.background_cps", {"grid": {"background_cps": -5.0, "include_background": True}},
@@ -912,14 +925,14 @@ TINY_CONFIG = {
 CHECKED_FIELDS = {
     "model.json": ["arch", "weights", "bias", "weights[1][2]", "bias[0]"],
     "manifest.json": [
-        "task", "kind", "data_csv", "n_items", "dwell_s", "calibration", "calibration.e_min",
+        "task", "kind", "data_npy", "n_items", "dwell_s", "calibration", "calibration.e_min",
         "calibration.e_max", "calibration.n_channels", "sources", "sources[1]",
         "sources[1].isotope", "sources[0].activity_bq", "sources[0].distance_m",
         "sources[0].material", "sources[0].thickness_cm", "sources[0].include_background",
         "source_index", "source_index[2]",
     ],
     "tpl/manifest.json": [
-        "task", "kind", "data_csv", "n_items", "dwell_s", "calibration", "calibration.e_min",
+        "task", "kind", "data_npy", "n_items", "dwell_s", "calibration", "calibration.e_min",
         "calibration.e_max", "calibration.n_channels", "sources", "sources[1]",
         "sources[0].isotope", "sources[0].activity_bq", "sources[0].distance_m",
         "sources[1].material", "sources[1].thickness_cm", "sources[0].include_background",
@@ -1073,7 +1086,7 @@ class TestJsonReadersFuzz:
 
 # The first data line of each CSV file a command reads; the lines before it
 # are ``#`` comments and the header.
-CSV_FIRST_ROW = {"ds/data.csv": 0, "run/metrics.csv": 1, "run/weights_class_1.csv": 2}
+CSV_FIRST_ROW = {"run/metrics.csv": 1, "run/weights_class_1.csv": 2}
 
 # Corruptions of one cell (a non-number, a non-finite number) or of one row
 # (a dropped or an extra cell), as (kind, text).
@@ -1106,16 +1119,13 @@ class TestCsvReadersFuzz:
            column=st.integers(0, 300), corruption=CSV_CORRUPTIONS)
     @example(name="run/metrics.csv", row=0, column=1, corruption=("replace", "nan"))
     @example(name="run/metrics.csv", row=3, column=1, corruption=("replace", "inf"))
-    @example(name="ds/data.csv", row=2, column=100, corruption=("replace", "-inf"))
-    @example(name="ds/data.csv", row=1, column=0, corruption=("drop", None))
     @example(name="run/weights_class_1.csv", row=0, column=2, corruption=("extra", "0"))
     @settings(max_examples=60, deadline=None)
     def test_corrupt_cell_or_row(self, inputs, name, row, column, corruption):
         kind, text = corruption
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            for part in ("ds", "run"):
-                shutil.copytree(inputs / part, work / part)
+            shutil.copytree(inputs / "run", work / "run")
             path = work / name
             lines = path.read_text().splitlines()
             line = CSV_FIRST_ROW[name] + row
@@ -1129,8 +1139,7 @@ class TestCsvReadersFuzz:
             lines[line] = ",".join(cells)
             path.write_text("\n".join(lines) + "\n")
             out = work / "out"
-            argv = (["eval", "--model", work / "run" / "model.json", "--dataset", work / "ds"]
-                    if name == "ds/data.csv" else ["report", "--run", work / "run"])
+            argv = ["report", "--run", work / "run"]
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert run(*argv, "--out", out) == 2

@@ -4,7 +4,6 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from hypothesis import strategies as st
 from gammasort import nucleardata, seeding
 from gammasort.ensemble import (
     _config_record,
-    _repr_row,
-    _row_format,
     LabeledDataset,
     TaskKind,
     build_dataset,
@@ -294,7 +291,7 @@ class TestTemplateDataset:
 
 
 class TestDatasetRoundTrip:
-    def test_packed_csv_round_trip(self, tmp_path, small_grid):
+    def test_packed_rows_round_trip(self, tmp_path, small_grid):
         ds = build_dataset(small_grid, TaskKind.GAUGE_BINARY, DETECTOR, 2, 1.0, seed=11, rebin_factor=4)
         write_dataset(ds, tmp_path / "ds", extra={"seed": 11})
         back = read_dataset(tmp_path / "ds")
@@ -348,89 +345,44 @@ def tiny_dataset(counts, grid, kind=SpectrumKind.EXPECTED_TEMPLATE):
     return LabeledDataset(counts, labels, task, tuple(provenance), cal, 1.0, kind)
 
 
-def reference_data_csv(ds, by_table):
-    """data.csv as the reference writer forms it: each cell as ``str(int(c))``
-    where the writer takes the byte table, else as ``repr(c)``."""
-    cell = (lambda c: str(int(c))) if by_table else repr
-    return "".join(
-        f"{label}," + ",".join(cell(c) for c in row.tolist()) + "\n"
-        for label, row in zip(ds.labels.tolist(), ds.counts)
-    )
-
-
 SAMPLED = SpectrumKind.SAMPLED_REALIZATION
 
 
-class TestWriterMatchesRepr:
-    """The lookup table writes exactly the integer text of each count, and is
-    used only where it can; every other matrix is written as ``repr``."""
-
-    @pytest.mark.parametrize("counts, kind, by_table", [
-        ([[0.0, 3.0, 1.0], [2.0, 0.0, 0.0]], SAMPLED, True),
-        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], SAMPLED, True),  # maximum = last table entry
-        ([[-0.0, 1.0, 2.0], [3.0, 0.0, 1.0]], SAMPLED, False),
-        ([[0.0, 9999999999999998.0], [1.0, 2.0]], SAMPLED, False),
-        ([[0.0, 1e16], [1.0, 2.0]], SAMPLED, False),
-        ([[0.0, 1e12, 3.0]], SAMPLED, False),  # the table would outgrow the matrix
-        ([[0.0, 0.1, 2.5], [1e16, 5e-324, 3.0]], SpectrumKind.EXPECTED_TEMPLATE, False),
-        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], SpectrumKind.EXPECTED_TEMPLATE, False),
-    ])
-    def test_matches_repr_writer(self, tmp_path, small_grid, counts, kind, by_table):
-        ds = tiny_dataset(counts, small_grid, kind)
-        write_dataset(ds, tmp_path)
-        assert (tmp_path / "data.csv").read_text() == reference_data_csv(ds, by_table)
-        assert (_row_format(ds) is not _repr_row) == by_table
-
-    def test_sampled_dataset(self, tmp_path, small_grid):
-        ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 3, 10.0, seed=5, rebin_factor=4)
-        write_dataset(ds, tmp_path)
-        assert _row_format(ds) is not _repr_row
-        assert (tmp_path / "data.csv").read_text() == reference_data_csv(ds, True)
-
-
-@given(st.integers(1, 5).flatmap(
-    lambda width: st.lists(
-        st.lists(st.integers(0, 40), min_size=width, max_size=width), min_size=1, max_size=8
-    )
-))
-@example([[3], [0], [1], [0]])  # one channel: the cut comma is the row's only separator
-@example([[0, 10, 40, 1, 0]] * 9)  # entries of three widths share one NUL-padded table
-@settings(max_examples=60, deadline=None)
-def test_integer_counts_write_as_integer_text(small_grid, rows):
-    ds = tiny_dataset(rows, small_grid, SAMPLED)
-    by_table = ds.counts.max() < ds.counts.size  # else the table would outgrow the matrix
-    assert (_row_format(ds) is not _repr_row) == by_table
+def assert_round_trip(ds, dtype):
+    """``ds`` is written as data.npy of ``dtype``, the same bytes twice, and reads back exactly."""
     with tempfile.TemporaryDirectory() as tmp:
-        write_dataset(ds, tmp)
-        assert (Path(tmp) / "data.csv").read_text() == reference_data_csv(ds, by_table)
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        write_dataset(ds, a)
+        write_dataset(ds, b)
+        assert (a / "data.npy").read_bytes() == (b / "data.npy").read_bytes()
+        assert np.load(a / "data.npy").dtype.str == dtype
+        back = read_dataset(a)
+    assert back.counts.tobytes() == ds.counts.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    assert [_config_record(c) for c in back.provenance] == [_config_record(c) for c in ds.provenance]
 
 
-@given(st.tuples(st.integers(1, 5), st.sampled_from([9, 10**6])).flatmap(
-    lambda shape: st.lists(
-        st.lists(st.integers(0, shape[1]), min_size=shape[0], max_size=shape[0]),
-        min_size=1, max_size=12,
-    )
-))
-@example([[3], [0], [1], [0]])
-@example([[10**6], [0], [999999]])
+# The largest count of a sampled matrix, and the dtype data.npy stores it in:
+# the smallest unsigned type that holds it, else float64.
+STORED_DTYPES = [(0, "|u1"), (255, "|u1"), (256, "<u2"), (65535, "<u2"), (65536, "<u4"),
+                 (2**32 - 1, "<u4"), (2**32, "<f8"), (2**53, "<f8")]
+
+
+@given(top_dtype=st.sampled_from(STORED_DTYPES), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_sampled_counts_read_back_without_loadtxt(small_grid, rows):
-    """Sampled counts read back exactly through the byte scan, as written and as integer text.
+def test_sampled_rows_are_stored_in_the_smallest_dtype(small_grid, top_dtype, data):
+    top, dtype = top_dtype
+    n_items, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(st.integers(0, top), min_size=n_items * width,
+                               max_size=n_items * width))
+    cells[data.draw(st.integers(0, len(cells) - 1))] = top
+    assert_round_trip(tiny_dataset(np.reshape(cells, (n_items, width)), small_grid, SAMPLED), dtype)
 
-    The writer keeps ``repr`` where the table would outgrow the matrix, so
-    the counts are also read from their integer text.  A silent fallback to
-    ``np.loadtxt`` would keep every other test green, only slower.
-    """
-    ds = tiny_dataset(rows, small_grid, SAMPLED)
-    by_table = _row_format(ds) is not _repr_row
-    refuse = mock.patch.object(np, "loadtxt", side_effect=AssertionError("np.loadtxt called"))
-    with tempfile.TemporaryDirectory() as tmp, refuse:
-        write_dataset(ds, tmp)
-        data = Path(tmp) / "data.csv"
-        assert ("." not in data.read_text()) == by_table  # integer text has no ".0" cell
-        assert read_dataset(tmp).counts.tobytes() == ds.counts.tobytes()
-        data.write_text(reference_data_csv(ds, True))
-        assert read_dataset(tmp).counts.tobytes() == ds.counts.tobytes()
+
+@pytest.mark.parametrize("counts", [[[-0.0, 1.0, 2.0], [3.0, 0.0, 1.0]], [[0.0], [-0.0]]])
+def test_sampled_negative_zero_is_stored_as_float64(small_grid, counts):
+    # An unsigned type would store -0.0 as 0, which reads back as +0.0.
+    assert_round_trip(tiny_dataset(counts, small_grid, SAMPLED), "<f8")
 
 
 COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
@@ -440,92 +392,91 @@ COUNTS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=
     lambda width: st.lists(st.lists(COUNTS, min_size=width, max_size=width), min_size=1, max_size=6)
 ))
 @example([[5e-324, 1.7976931348623157e308, 0.1]])
+@example([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])  # integer-valued, yet templates stay float64
 @settings(max_examples=60, deadline=None)
-def test_dataset_round_trip_is_value_exact(small_grid, rows):
-    ds = tiny_dataset(rows, small_grid)
-    with tempfile.TemporaryDirectory() as tmp:
-        write_dataset(ds, tmp)
-        back = read_dataset(tmp)
-    assert back.counts.tobytes() == ds.counts.tobytes()
-    assert np.array_equal(back.labels, ds.labels)
-    assert [_config_record(c) for c in back.provenance] == [_config_record(c) for c in ds.provenance]
-
-
-NOT_A_NUMBER = st.sampled_from(
-    ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#", "#", "#1", "# 0.0", "nan", "inf", "-inf"]
-)
+def test_template_round_trip_is_value_exact(small_grid, rows):
+    assert_round_trip(tiny_dataset(rows, small_grid), "<f8")
 
 
 @st.composite
-def corruptions(draw):
-    """(row, edit) for one data.csv line: a cell that is not a number, a dropped
-    cell, an extra cell, or a label that is not a class index."""
-    row = draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["not_a_number", "drop", "extra", "label"]))
-    if kind == "not_a_number":
-        column, text = draw(st.integers(0, 4)), draw(NOT_A_NUMBER)
-        return row, lambda cells: cells[:column] + [text] + cells[column + 1 :]
-    if kind == "drop":
-        column = draw(st.integers(0, 4))
-        return row, lambda cells: cells[:column] + cells[column + 1 :]
-    if kind == "extra":
-        column, text = draw(st.integers(0, 5)), draw(st.sampled_from(["0", "1.5", "x"]))
-        return row, lambda cells: cells[:column] + [text] + cells[column:]
-    label = draw(st.one_of(st.integers(5, 10**6), st.integers(-(10**6), -1),
-                           st.sampled_from([0.5, 2.25, float("nan"), float("inf")])))
-    return row, lambda cells: [repr(label) if isinstance(label, float) else str(label)] + cells[1:]
+def npy_corruptions(draw):
+    """An edit of data.npy's bytes: cut them short, append bytes, or overwrite one byte."""
+    kind = draw(st.sampled_from(["truncate", "append", "overwrite"]))
+    if kind == "truncate":
+        at = draw(st.integers(0, 10**4))
+        return lambda data: data[: at % len(data)]
+    if kind == "append":
+        extra = draw(st.binary(min_size=1, max_size=16))
+        return lambda data: data + extra
+    at, value = draw(st.integers(0, 10**4)), draw(st.integers(0, 255))
+    return lambda data: data[: at % len(data)] + bytes([value]) + data[at % len(data) + 1 :]
 
 
-@given(corruptions())
-@settings(max_examples=80, deadline=None)
-def test_corrupt_data_row_names_its_line(small_grid, corruption):
-    row, edit = corruption
-    ds = tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid)
+@given(corrupt=npy_corruptions(), kind=st.sampled_from(list(SpectrumKind)))
+@example(corrupt=lambda data: data.replace(b"}", b" "), kind=SAMPLED)  # tokenize's TokenError
+@example(corrupt=lambda data: data.replace(b"'|u1'", b"'|O1'"), kind=SAMPLED)
+@settings(max_examples=120, deadline=None)
+def test_corrupt_data_npy_reads_or_names_the_file(small_grid, corrupt, kind):
+    """Any edit of data.npy either reads as a well-formed dataset or raises
+    ``ValueError`` naming data.npy; never another error, nor a warning."""
+    ds = tiny_dataset(np.arange(24.0).reshape(6, 4) % 5, small_grid, kind)
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(ds, tmp)
-        data = Path(tmp) / "data.csv"
-        lines = data.read_text().splitlines()
-        lines[row] = ",".join(edit(lines[row].split(",")))
-        data.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_dataset(tmp)
-    assert str(info.value).startswith(f"{data}:{row + 1}: ")
+        data = Path(tmp) / "data.npy"
+        data.write_bytes(corrupt(data.read_bytes()))
+        try:
+            back = read_dataset(tmp)
+        except ValueError as err:
+            assert str(err).startswith(f"{data}: ")
+        else:
+            assert back.counts.shape == ds.counts.shape
+
+
+def write_data_csv(ds, ds_dir):
+    """Rewrite the dataset at ``ds_dir`` as it was stored before data.npy: ``repr`` rows in data.csv."""
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    manifest["data_csv"] = manifest.pop("data_npy").replace(".npy", ".csv")
+    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+    (ds_dir / "data.npy").unlink()
+    (ds_dir / "data.csv").write_text("".join(
+        f"{k}," + ",".join(map(repr, c.tolist())) + "\n" for k, c in zip(ds.labels.tolist(), ds.counts)
+    ))
+    return ds_dir / "data.csv"
 
 
 class TestDataRows:
-    """data.csv holds exactly n_items rows and no comment lines."""
+    """The rows file holds exactly n_items rows of valid labels; so does an older data.csv."""
 
     @pytest.fixture()
     def written(self, tmp_path, small_grid):
-        write_dataset(tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid), tmp_path)
-        return tmp_path, tmp_path / "data.csv"
+        ds = tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid)
+        write_dataset(ds, tmp_path)
+        return tmp_path, ds
 
-    @pytest.mark.parametrize("extra", [1, 500])
-    def test_extra_rows_name_the_first(self, written, extra):
-        ds_dir, data = written
+    def test_data_csv_still_reads(self, written):
+        ds_dir, ds = written
+        write_data_csv(ds, ds_dir)
+        back = read_dataset(ds_dir)
+        assert back.counts.tobytes() == ds.counts.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_data_csv_row_count_must_be_n_items(self, written, rows):
+        ds_dir, ds = written
+        data = write_data_csv(ds, ds_dir)
         lines = data.read_text().splitlines()
-        data.write_text("\n".join(lines + lines[:1] * extra) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: .*n_items of 6"):
+        data.write_text("\n".join((lines * 2)[:rows]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}: {rows} rows, manifest n_items is 6$"):
             read_dataset(ds_dir)
 
-    def test_extra_row_after_an_empty_line(self, written):
-        ds_dir, data = written
-        data.write_text(data.read_text() + "\n" + "0,1.0,2.0,3.0,4.0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:8: "):
-            read_dataset(ds_dir)
-
-    def test_extra_row_that_is_malformed(self, written):
-        ds_dir, data = written
-        data.write_text(data.read_text() + "0,1.0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: "):
-            read_dataset(ds_dir)
-
-    @pytest.mark.parametrize("first", ["#", "# 0,1.0,2.0,3.0,4.0", "#0,1.0,2.0,3.0,4.0"])
-    def test_comment_line_is_rejected(self, written, first):
-        ds_dir, data = written
+    @pytest.mark.parametrize("label", ["5", "-1", "0.5"])
+    def test_data_csv_label_names_its_item(self, written, label):
+        ds_dir, ds = written
+        data = write_data_csv(ds, ds_dir)
         lines = data.read_text().splitlines()
-        data.write_text("\n".join([first] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:1: .*comment"):
+        lines[3] = label + lines[3][lines[3].index(","):]
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}: item 3: label {label} outside"):
             read_dataset(ds_dir)
 
     @pytest.mark.parametrize("entries", [5, 7])
@@ -547,6 +498,15 @@ class TestDataRows:
         doc["n_items"] = n_items
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: malformed manifest: .*n_items"):
+            read_dataset(ds_dir)
+
+    def test_manifest_without_a_rows_file_names_data_npy(self, written):
+        ds_dir, _ = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["data_npy"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"malformed manifest: missing key 'data_npy'$"):
             read_dataset(ds_dir)
 
 

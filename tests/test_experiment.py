@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gammasort import experiment, seeding
 from gammasort.ensemble import (
-    _repr_row,
     LabeledDataset,
     TaskKind,
     build_dataset,
@@ -405,8 +404,11 @@ class TestOversample:
         assert len(oversample_positives(ds, 0, 0.25)) == len(ds)  # copies = max(1, ...)
 
 
+LOADTXT = np.loadtxt
+
+
 class TestCsvParsePath:
-    """Sampled data.csv files are read without np.loadtxt; other tables still go to it.
+    """data.npy files are read without np.loadtxt; data.csv and other tables go to it.
 
     A fast path that silently fell back would keep every other test green.
     """
@@ -431,22 +433,26 @@ class TestCsvParsePath:
         assert back.counts.tobytes() == ds.counts.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
-    def test_repr_form_sampled_dataset_reads_without_loadtxt(self, tmp_path, templates):
-        """A sampled data.csv of ``repr`` counts, as written before integer text, still loads."""
+    def test_data_csv_dataset_goes_to_loadtxt(self, tmp_path, templates, monkeypatch):
+        """A sampled data.csv of ``repr`` counts, as written before data.npy, still loads."""
         ds = sample_dataset(templates, 3, 1.0, seed=5)
-        write_dataset(ds, tmp_path)
-        data = tmp_path / "data.csv"
-        old = "".join(f"{k},{_repr_row(c)}\n" for k, c in zip(ds.labels.tolist(), ds.counts))
-        assert ".0," in old and old != data.read_text()
-        data.write_text(old)
+        manifest = json.loads(write_dataset(ds, tmp_path).read_text())
+        manifest["data_csv"] = manifest.pop("data_npy").replace(".npy", ".csv")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "data.csv").write_text("".join(
+            f"{k}," + ",".join(map(repr, c.tolist())) + "\n"
+            for k, c in zip(ds.labels.tolist(), ds.counts)
+        ))
+        with pytest.raises(self.LoadtxtCalled):
+            read_dataset(tmp_path)
+        monkeypatch.setattr(np, "loadtxt", LOADTXT)
         back = read_dataset(tmp_path)
         assert back.counts.tobytes() == ds.counts.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
-    def test_template_dataset_goes_to_loadtxt(self, tmp_path, templates):
-        write_dataset(templates, tmp_path)
-        with pytest.raises(self.LoadtxtCalled):
-            read_dataset(tmp_path)
+    def test_template_dataset_reads_without_loadtxt(self, tmp_path, templates):
+        back = read_dataset(write_dataset(templates, tmp_path))
+        assert back.counts.tobytes() == templates.counts.tobytes()
 
     def test_metrics_csv_goes_to_loadtxt(self, tmp_path):
         history = MetricsHistory()

@@ -169,8 +169,10 @@ def test_template_synthesis_leaves_scipy_unloaded(tmp_path, args):
     assert sorted(m for m in imported if m.startswith("scipy")) == []
 
 
-# The functions that write files: one for JSON, one for CSV, one for SVG.
-WRITERS = ["jsonfile.py:write_json", "spectra.py:write_csv_table", "svgplot.py:_write_chart"]
+# The functions that write files: one for JSON, one for a dataset's data.npy,
+# one for CSV, one for SVG.
+WRITERS = ["ensemble.py:write_dataset", "jsonfile.py:write_json", "spectra.py:write_csv_table",
+           "svgplot.py:_write_chart"]
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -196,7 +198,7 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 def test_only_the_writers_write_files():
     # Each file format is written in one function, so how files are written
-    # (say, atomically) is decided in those three places and nowhere else.
+    # (say, atomically) is decided in those four places and nowhere else.
     writers = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
