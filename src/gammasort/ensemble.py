@@ -35,6 +35,7 @@ from .spectra import (
     Spectrum,
     SpectrumKind,
     checked_counts,
+    csv_rows,
     read_csv_table,
     rebin_counts,
 )
@@ -399,6 +400,8 @@ def read_dataset(path: str | Path) -> LabeledDataset:
     ``source_index`` whose length is not ``n_items``, a rows file that
     :func:`_read_npy_rows` or :func:`read_csv_table` refuses, a row count other
     than ``n_items``, or a label outside the task's classes, which names its item.
+    A data.csv also takes no ``#`` comment line, and its first row past
+    ``n_items`` is named by its line.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
@@ -425,8 +428,13 @@ def read_dataset(path: str | Path) -> LabeledDataset:
 
     if legacy:
         data_path = manifest_path.parent / manifest["data_csv"]
-        rows = read_csv_table(data_path, cal.n_channels + 1)[2]
-        if len(rows) != n_items:
+        comments, _, rows, first_line = read_csv_table(data_path, cal.n_channels + 1)
+        if comments:
+            raise ValueError(f"{data_path}:1: comment line {comments[0]!r}; data rows take none")
+        if len(rows) > n_items:
+            line = csv_rows(data_path, first_line)[n_items][0]
+            raise ValueError(f"{data_path}:{line}: more rows than the manifest's n_items of {n_items}")
+        if len(rows) < n_items:
             raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
     else:
         data_path = manifest_path.parent / manifest["data_npy"]

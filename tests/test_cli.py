@@ -68,6 +68,20 @@ def run_process(*argv, stdin=None):
     )
 
 
+def as_data_csv(ds_dir):
+    """Rewrite the dataset at ``ds_dir`` as it was stored before data.npy: ``repr`` rows in data.csv."""
+    ds = read_dataset(ds_dir)
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    manifest["data_csv"] = "data.csv"
+    del manifest["data_npy"]
+    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+    (ds_dir / "data.npy").unlink()
+    (ds_dir / "data.csv").write_text("".join(
+        f"{k}," + ",".join(map(repr, c.tolist())) + "\n" for k, c in zip(ds.labels.tolist(), ds.counts)
+    ))
+    return ds_dir / "data.csv"
+
+
 def assert_templates(out, n):
     """``out`` is a template dataset of ``n`` rows at the 86400 s dwell, and nothing else."""
     templates = read_dataset(out)
@@ -296,6 +310,57 @@ class TestEvalInputBoundary:
         err = self.eval_error(capsys, model, ds)
         assert err.startswith(f"gammasort: error: {ds / 'data.npy'}: {expected}")
 
+    def edit_row(self, ds, row, edit):
+        """Store ``ds`` as an older data.csv and apply ``edit`` to one of its lines."""
+        data = as_data_csv(ds)
+        lines = data.read_text().splitlines()
+        lines[row] = edit(lines[row])
+        data.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("label", ["9", "5", "-1"])
+    def test_label_outside_class_range(self, files, capsys, label):
+        model, ds = files
+        self.edit_row(ds, 0, lambda line: label + line[line.index(","):])
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv: item 0: " in err
+        assert f"label {label}" in err
+
+    def test_row_of_wrong_width(self, files, capsys):
+        model, ds = files
+        self.edit_row(ds, 2, lambda line: line.rsplit(",", 1)[0])
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv:3:" in err
+        assert "256 cells, expected 257" in err
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1.5"])
+    def test_cell_that_is_not_a_count_or_label(self, files, capsys, cell):
+        model, ds = files
+        column = 0 if cell == "1.5" else 7
+        self.edit_row(ds, 4, lambda line: ",".join(
+            cell if i == column else c for i, c in enumerate(line.split(","))
+        ))
+        err = self.eval_error(capsys, model, ds)
+        assert ("data.csv: item 4: label 1.5" if cell == "1.5"
+                else f"data.csv:5: cell 8 is not a number: {cell!r}") in err
+
+    def test_row_count_differs_from_n_items(self, files, capsys):
+        model, ds = files
+        data = as_data_csv(ds)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:-1]) + "\n")
+        err = self.eval_error(capsys, model, ds)
+        assert "data.csv" in err
+        assert "n_items" in err
+
+    def test_many_extra_rows_name_the_first(self, files, capsys):
+        model, ds = files
+        data = as_data_csv(ds)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines * 40) + "\n")
+        err = self.eval_error(capsys, model, ds)
+        assert f"data.csv:{len(lines) + 1}: " in err
+        assert f"n_items of {len(lines)}" in err
+
     def test_missing_manifest_field(self, files, capsys):
         model, ds = files
         manifest = json.loads((ds / "manifest.json").read_text())
@@ -367,16 +432,7 @@ class TestTrainEval:
 
         new = train_eval(tmp_path / "new")
         for name in ("train_ds", "test_ds"):
-            ds = read_dataset(tmp_path / name)
-            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-            manifest["data_csv"] = "data.csv"
-            del manifest["data_npy"]
-            (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
-            (tmp_path / name / "data.npy").unlink()
-            (tmp_path / name / "data.csv").write_text("".join(
-                f"{k}," + ",".join(map(repr, c.tolist())) + "\n"
-                for k, c in zip(ds.labels.tolist(), ds.counts)
-            ))
+            as_data_csv(tmp_path / name)
         assert train_eval(tmp_path / "old") == new
 
     def test_eval_channel_mismatch_reported_before_compute(self, pipeline, capsys):
@@ -541,6 +597,16 @@ class TestSampleManifest:
         np.save(tpl / "data.npy", rows)
         err = self.sample_error(capsys, cfg, tpl, tmp_path)
         assert err == f"gammasort: error: {tpl / 'data.npy'}: {expected}\n"
+
+    @pytest.mark.parametrize("row", ["1,abc", "0,1.0,2"])
+    def test_bad_template_row_names_the_file(self, templates, tmp_path, capsys, row):
+        cfg, tpl = templates
+        data = as_data_csv(tpl)
+        lines = data.read_text().splitlines()
+        lines[-1] = row
+        data.write_text("\n".join(lines) + "\n")
+        err = self.sample_error(capsys, cfg, tpl, tmp_path)
+        assert f"{data}:{len(lines)}: " in err
 
     def test_sampled_spectrum_among_templates_names_the_file(self, templates, tmp_path, capsys):
         cfg, tpl = templates

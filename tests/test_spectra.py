@@ -1,5 +1,6 @@
 
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -356,6 +357,73 @@ def test_csv_table_round_trip_is_value_exact(rows, comment):
     expected = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     assert back.tobytes() == expected.tobytes()
     assert (comments, back_names, first_line) == ([f"# {comment}"], names, 3)
+
+
+def count_lines(at, cell=None):
+    """70 rows of three integer cells, the middle one of row ``at`` replaced by ``cell``."""
+    lines = [f"{i % 5},{7 * i}.0,{3 * i}" for i in range(70)]
+    if cell is not None:
+        lines[at] = f"{at % 5},{cell},{3 * at}"
+    return lines
+
+
+def joined(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def with_line(at, edit):
+    lines = count_lines(at)
+    lines[at : at + 1] = edit(lines[at])
+    return joined(lines)
+
+
+# Table texts a data.csv of older or hand-edited counts may hold: other
+# spellings of a number, other line ends, and rows of the wrong width.
+TABLE_TEXTS = {
+    **{f"cell {cell!r}": lambda at, cell=cell: joined(count_lines(at, cell)) for cell in
+       ["1.", ".0", "1.00", "1.0.0", "-0.0", "+1.0", "1e3", " 1.0", "1234567890123456"]},
+    "trailing comma": lambda at: with_line(at, lambda line: [line + ","]),
+    "crlf endings": lambda at: joined(count_lines(at), "\r\n"),
+    "blank line": lambda at: with_line(at, lambda line: ["", line]),
+    "no final newline": lambda at: joined(count_lines(at))[:-1],
+    "short row": lambda at: with_line(at, lambda line: [line.rsplit(",", 1)[0]]),
+    "cell moved to the next row": lambda at: with_line(
+        at, lambda line: [line.rsplit(",", 1)[0], f"{line.rsplit(',', 1)[1]},{line}"]
+    ),
+}
+
+
+def python_rows(text, first_line, width):
+    """The rows of ``text`` from ``first_line`` on, each cell as Python's
+    ``float`` reads it, or the line number of the first row that is not
+    ``width`` numbers."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines()[first_line - 1 :], first_line):
+        cells = line.split(",") if line else []
+        try:
+            if cells and len(cells) != width:
+                raise ValueError(line)
+            rows += [[float(cell) for cell in cells]] if cells else []
+        except ValueError:
+            return lineno
+    return np.array(rows, dtype=np.float64)
+
+
+@pytest.mark.parametrize("at", [0, 69], ids=["first row", "last row"])
+@pytest.mark.parametrize("text", TABLE_TEXTS.values(), ids=TABLE_TEXTS.keys())
+def test_table_texts_read_as_python_floats(tmp_path, text, at):
+    """Each text reads bit for bit as ``float`` reads its cells, or is refused
+    naming the line of its first bad row."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(("# c\na,b,c\n" + text(at)).encode())
+    expected = python_rows(path.read_text(), 3, 3)
+    if isinstance(expected, int):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{expected}: "):
+            read_csv_table(path, 3, header=True)
+    else:
+        back = read_csv_table(path, 3, header=True)[2]
+        assert back.shape == expected.shape == (70, 3)
+        assert back.tobytes() == expected.tobytes()
 
 
 def fsum_blocks(counts, factor):
