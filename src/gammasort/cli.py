@@ -280,7 +280,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the checks raise; a warning would add a stderr line
+            return args.func(args)
     except (ValueError, OSError) as err:
         print(f"gammasort: error: {err}", file=sys.stderr)
         return 2

@@ -161,6 +161,11 @@ def standard_grid(
     return grid
 
 
+# The largest mean numpy's Poisson sampler draws from; above it, it raises
+# "lam value too large".
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 def poisson_sample(template: Spectrum, target_dwell_s: float, seed: int) -> Spectrum:
     """One finite-dwell realization of a template.
 
@@ -217,7 +222,9 @@ def sample_dataset(
     stream keys of all items are computed at once by :func:`seeding.philox_keys`.
     Only channels of nonzero rate are drawn: a rate of 0 draws 0 without
     taking from the stream, so the items are the same bits.  The matrix
-    drawn into is frozen and handed to the dataset, not copied.
+    drawn into is frozen and handed to the dataset, not copied.  A dwell that
+    takes an expected count above ``POISSON_LAM_MAX`` raises ``ValueError``
+    naming ``dwell_s``.
     """
     if templates.kind is not SpectrumKind.EXPECTED_TEMPLATE:
         raise ValueError("can only Poisson-sample expected-count templates")
@@ -226,6 +233,11 @@ def sample_dataset(
     if not dwell_s > 0:
         raise ValueError(f"target dwell {dwell_s} must be positive")
     lam = templates.counts * (dwell_s / templates.dwell_s)
+    if not np.max(lam, initial=0.0) <= POISSON_LAM_MAX:
+        raise ValueError(
+            f"dwell_s: at {dwell_s} s the expected counts reach {np.max(lam):.4g}, above "
+            f"the Poisson sampler's limit of {POISSON_LAM_MAX:.4g}"
+        )
     rows = np.repeat(np.arange(len(templates)), samples_per_config)
     sample_index = np.tile(np.arange(samples_per_config), len(templates))
     keys = seeding.philox_keys(seed, rows, sample_index)

@@ -9,11 +9,15 @@ with the linear and hidden-layer architectures side by side.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import fcntl
 import functools
 import os
 import pickle
+import select
 import signal
+import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -296,8 +300,16 @@ def train(
     trajectory, reproduces bit for bit.  ``initial`` is copied, because Adam
     updates in place.  Each step writes its gradients into one buffer allocated
     here, through the kernel and the Adam update that ``backward`` and
-    ``adam_step`` check and wrap.  A step that leaves non-finite parameters, or
-    logits that overflow, raises ``ValueError`` naming the architecture and the epoch.
+    ``adam_step`` check and wrap.
+
+    An epoch's metrics (the train loss and the test set's :class:`EvalResult`)
+    feed nothing that trains, so an :class:`_Evaluator` computes them while the
+    next epochs train, when :func:`_evaluator` starts one.  After each epoch's
+    steps, the epoch goes to the evaluator unless it still holds
+    ``_BACKLOG`` unfinished epochs; then it is evaluated here.  The history is
+    the same bit for bit either way.  A step that leaves non-finite
+    parameters, or logits that overflow, raises ``ValueError`` naming the
+    architecture and the earliest epoch that failed.
     """
     if train_ds.task is not test_ds.task:
         raise ValueError(
@@ -316,6 +328,15 @@ def train(
     x_test, true_test = test_ds.as_matrix(), test_ds.labels
     n = x_train.shape[0]
 
+    def metrics_of(params: NetworkParams) -> tuple[float, EvalResult] | ValueError:
+        """The epoch's train loss and test metrics, or the error that computing them raised."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_loss = cross_entropy(softmax(forward(params, x_train)), true_train)
+                return train_loss, _metrics(forward(params, x_test), true_test, params.n_classes)
+        except ValueError as err:
+            return err
+
     params = replace(initial)  # the constructor copies into a new buffer
     hyper = AdamHyper(section["learning_rate"], section["beta1"], section["beta2"],
                       section["epsilon"])
@@ -323,23 +344,215 @@ def train(
     grads = _zeros_like(params)  # every step writes its gradients here
 
     batch = n if section["batch_size"] is None else min(section["batch_size"], n)
+    outcomes: dict = {}  # by epoch: metrics_of's outcome, or the error of the epoch's steps
+    with _evaluator(metrics_of, params) as evaluator:
+        for epoch in range(1, section["epochs"] + 1):
+            order = seeding.rng(seed, 1, epoch).permutation(n)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for start in range(0, n, batch):
+                        idx = order[start : start + batch]
+                        _gradients_into(grads, params, x_train[idx], true_train[idx])
+                        _adam_update(params.flat, grads.flat, state)
+                        if not np.isfinite(params.flat).all():
+                            raise ValueError("non-finite parameters")
+            except ValueError as err:  # the inputs were checked above: the trajectory failed
+                outcomes[epoch] = err
+                break
+            answered = {} if evaluator is None else evaluator.answers(block=False)
+            if evaluator is not None and evaluator.pending < _BACKLOG:
+                evaluator.send(epoch, params)
+            else:
+                answered[epoch] = metrics_of(params)
+            outcomes.update(answered)
+            if any(isinstance(outcome, ValueError) for outcome in answered.values()):
+                break
+        if evaluator is not None:  # an earlier epoch still in the evaluator may have failed
+            outcomes.update(evaluator.answers(block=True))
+
     history = MetricsHistory()
-    for epoch in range(1, section["epochs"] + 1):
-        order = seeding.rng(seed, 1, epoch).permutation(n)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, batch):
-                    idx = order[start : start + batch]
-                    _gradients_into(grads, params, x_train[idx], true_train[idx])
-                    _adam_update(params.flat, grads.flat, state)
-                    if not np.isfinite(params.flat).all():
-                        raise ValueError("non-finite parameters")
-                train_loss = cross_entropy(softmax(forward(params, x_train)), true_train)
-                result = _metrics(forward(params, x_test), true_test, params.n_classes)
-        except ValueError as err:  # the inputs were checked above: the trajectory failed
-            raise ValueError(f"{params.arch}: training diverged at epoch {epoch}: {err}") from err
-        history.append(epoch, train_loss, result)
+    for epoch in sorted(outcomes):
+        outcome = outcomes[epoch]
+        if isinstance(outcome, ValueError):
+            raise ValueError(
+                f"{params.arch}: training diverged at epoch {epoch}: {outcome}"
+            ) from outcome
+        history.append(epoch, *outcome)
     return params, history
+
+
+# The most epochs the evaluator holds unfinished: the trainer evaluates the
+# next one itself, so the split follows the ratio of step work to metric work.
+_BACKLOG = 2
+
+# An epoch number or a byte count in the evaluator's pipes.
+_INT = struct.Struct("<q")
+
+# The BLAS thread-count (getter, setter) names: numpy's bundled OpenBLAS
+# (libscipy_openblas64_) exports the first pair, a plain OpenBLAS the second.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads() -> tuple:
+    """The BLAS thread count's ``(getter, setter)``; either is None when not found.
+
+    They are looked up by name in the libraries this process has mapped whose
+    file name holds ``blas``, so they are the ones numpy calls.
+    """
+    import ctypes  # here, not at import: only a training run needs it
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        fields = []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "blas" in Path(f[5]).name})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # mapped already: this finds the loaded library
+        except OSError:
+            continue
+        for names in _BLAS_THREAD_FUNCTIONS:
+            found = tuple(getattr(lib, name, None) for name in names)
+            if any(found):
+                return found
+    return None, None
+
+
+@contextlib.contextmanager
+def _evaluator(metrics_of, params: NetworkParams):
+    """An :class:`_Evaluator` for ``train``, or None to evaluate every epoch inline.
+
+    It is forked only when this process may run on at least two CPUs, and only
+    when BLAS runs on one thread or its thread count can be set.  While the
+    evaluator lives, BLAS is capped at half its threads (at least one), so the
+    trainer and the evaluator do not contend for the CPUs; the count is
+    restored on exit.  On exit, also on an error or an interrupt, the evaluator
+    is killed and reaped.
+    """
+    get, set_ = _blas_threads()
+    threads = get() if get is not None else None
+    capped = threads is not None and set_ is not None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or not (capped or threads == 1):
+        yield None
+        return
+    evaluator = None
+    try:
+        if capped:
+            set_(max(1, threads // 2))
+        evaluator = _Evaluator(metrics_of, params)
+        yield evaluator
+    finally:
+        if evaluator is not None:
+            evaluator.close()
+        if capped:
+            set_(threads)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Evaluator:
+    """A forked process that runs ``metrics_of`` on the epochs the trainer hands it.
+
+    It inherits ``metrics_of``, with the datasets it reads, and a copy of
+    ``params``.  The trainer writes each epoch to one pipe as a frame: the
+    epoch number, then ``params.flat``'s raw bytes.  The evaluator answers on
+    another pipe, in order, with a length-prefixed pickle of ``(epoch,
+    metrics_of(params))``.  It leaves through ``os._exit``, so it never flushes a
+    buffer it shares with the trainer: when its frame pipe closes, or on any
+    error.  An error from ``os.pipe`` or ``os.fork`` raises before anything
+    trains, with no descriptor left open.
+    """
+
+    def __init__(self, metrics_of, params: NetworkParams):
+        self.arch = params.arch
+        self.pending = 0  # epochs handed over and not yet answered
+        self._unread = bytearray()  # answer bytes not yet unpickled
+        frame_size = _INT.size + params.flat.nbytes
+        fds: list[int] = []
+        try:
+            fds += os.pipe()  # frames: trainer to evaluator
+            fds += os.pipe()  # answers: evaluator to trainer
+            with contextlib.suppress(OSError):  # a frame that does not fit waits for the reader
+                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, frame_size)
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        frames_in, self._frames, self._answers, answers_out = fds
+        if pid == 0:
+            status = 1  # an evaluator that fails past here answers nothing more
+            try:
+                os.close(self._frames)
+                os.close(self._answers)
+                with open(frames_in, "rb") as frames:
+                    while len(frame := frames.read(frame_size)) == frame_size:
+                        params.flat[:] = np.frombuffer(frame, np.float64, offset=_INT.size)
+                        answer = pickle.dumps((_INT.unpack_from(frame)[0], metrics_of(params)))
+                        _write_all(answers_out, _INT.pack(len(answer)) + answer)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(frames_in)
+        os.close(answers_out)
+        self.pid: int | None = pid
+
+    def send(self, epoch: int, params: NetworkParams) -> None:
+        """Hand ``epoch``'s parameters to the evaluator."""
+        try:
+            _write_all(self._frames, _INT.pack(epoch) + params.flat.tobytes())
+        except BrokenPipeError:
+            raise self._died() from None
+        self.pending += 1
+
+    def answers(self, block: bool) -> dict:
+        """The outcomes answered since the last call, by epoch.
+
+        With ``block``, waits until every epoch handed over is answered.  An
+        evaluator that died raises a one-line ``ValueError`` naming the
+        architecture.
+        """
+        answered = {}
+        while self.pending and (block or select.select([self._answers], [], [], 0)[0]):
+            chunk = os.read(self._answers, 1 << 16)
+            if not chunk:
+                raise self._died()
+            self._unread += chunk
+            while len(self._unread) >= _INT.size:
+                end = _INT.size + _INT.unpack_from(self._unread)[0]
+                if len(self._unread) < end:
+                    break
+                epoch, outcome = pickle.loads(self._unread[_INT.size:end])
+                del self._unread[:end]
+                answered[epoch] = outcome
+                self.pending -= 1
+        return answered
+
+    def _died(self) -> ValueError:
+        """Reap the evaluator that closed its pipe, and say how it ended."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return ValueError(f"{self.arch}: the evaluation process {how} without a result")
+
+    def close(self) -> None:
+        """Kill the evaluator unless it is reaped, reap it, and close the pipes."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self._frames)
+        os.close(self._answers)
 
 
 def oversample_positives(
@@ -433,75 +646,6 @@ def _series_order(path: Path) -> tuple:
     return prefix, len(number), number  # digit strings of one length sort as integers
 
 
-def _train_each(
-    archs: tuple[str, ...],
-    train_ds: LabeledDataset,
-    test_ds: LabeledDataset,
-    section: dict,
-    seed: int,
-) -> list:
-    """Each architecture's ``(initial, params, history)``, or the exception ``train`` raised.
-
-    Every architecture but the last trains in a forked child, which inherits
-    every argument and pickles back its outcome, while the last trains here:
-    two architectures take about the time of the slower one on two CPUs, and
-    a child's results equal those of training in turn bit for bit.  A child
-    leaves through ``os._exit``, so it never flushes a buffer it shares with
-    this process.  An error from ``init_params``, ``os.pipe`` or ``os.fork``
-    raises before anything trains; one architecture starts no process.  On an
-    error or an interrupt, each child not yet reaped is killed and reaped.
-    """
-    def outcome(initial: NetworkParams):
-        try:
-            return (initial, *train(train_ds, test_ds, initial, section, seed))
-        except Exception as err:
-            return err
-
-    initials = [init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed,
-                            section["width"]) for arch in archs]
-    children = []  # (arch, pid, pipe) of each child not yet reaped
-    try:
-        for arch, initial in zip(archs[:-1], initials):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1  # a child that fails past here answers nothing
-                try:
-                    os.close(read_fd)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(outcome(initial), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((arch, pid, os.fdopen(read_fd, "rb")))
-        last = outcome(initials[-1])
-        outcomes = []
-        while children:
-            arch, pid, pipe = children[0]
-            with pipe:
-                answer = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code == 0:
-                outcomes.append(pickle.loads(answer))
-            else:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                outcomes.append(ValueError(f"{arch}: the training process {how} without a result"))
-            del answer  # the pickled bytes
-    finally:
-        for _, pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    return [*outcomes, last]
-
-
 def train_and_write(
     config: dict,
     train_ds: LabeledDataset,
@@ -515,11 +659,9 @@ def train_and_write(
     ``config.json`` goes in ``out_dir``; each architecture's model, metrics,
     confusion and weight files go there too, or in ``out_dir/<arch>`` when
     there are several.  Gauge positives are oversampled first.  ``archs`` and
-    ``seed`` default to the config's ``arch`` and ``seed``.  Several
-    architectures train side by side (:func:`_train_each`), but only this
-    process writes files, in architecture order, as training them in turn
-    would: the first architecture whose training failed raises its error,
-    after the files of those before it and its own empty directory.
+    ``seed`` default to the config's ``arch`` and ``seed``.  The architectures
+    train in turn: the first whose training fails raises its error, after the
+    files of those before it and its own empty directory.
     """
     out_dir = Path(out_dir)
     archs = (config["arch"],) if archs is None else archs
@@ -531,12 +673,11 @@ def train_and_write(
 
     class_names = train_ds.task.class_names
     results: dict = {"train_ds": train_ds, "test_ds": test_ds, "config": config}
-    for arch, outcome in zip(archs, _train_each(archs, train_ds, test_ds, t, seed)):
+    for arch in archs:
         arch_dir = out_dir / arch if len(archs) > 1 else out_dir
         arch_dir.mkdir(parents=True, exist_ok=True)
-        if isinstance(outcome, Exception):
-            raise outcome
-        initial, params, history = outcome
+        initial = init_params(arch, train_ds.n_channels, train_ds.task.n_classes, seed, t["width"])
+        params, history = train(train_ds, test_ds, initial, t, seed)
         train_doc = {"task": train_ds.task.value, **t, "arch": arch, "seed": seed}
         save_model(arch_dir / "model.json", params, train_doc)
         write_metrics_csv(arch_dir / "metrics.csv", history, class_names)

@@ -379,6 +379,9 @@ def template_matrix(
     ``ValueError`` naming its isotope (or the DU shield) and the range; so
     does a cell whose distance puts the sphere inside the detector face
     (4 pi (100 d)^2 below ``face_area_cm2``), naming its isotope and distance.
+    Expected counts that overflow raise ``ValueError`` naming the run-config
+    key they come from: ``grid.background_cps``, or ``grid.activity_bq`` and
+    the cell.
     """
     if not dwell_s > 0:
         raise ValueError(f"dwell {dwell_s} must be positive")
@@ -395,6 +398,9 @@ def template_matrix(
     background = None
     if any(config.include_background for config in grid):
         background = background_template(detector, dwell_s, background_cps)
+        if not np.isfinite(background).all():
+            raise ValueError(f"grid.background_cps: {background_cps} cps over {dwell_s} s "
+                             "overflows the expected counts")
     matrix = np.empty((len(grid), detector.calibration.n_channels))
     for row, config in enumerate(grid):
         if sphere_area_cm2(config.distance_m) < detector.face_area_cm2:
@@ -420,6 +426,10 @@ def template_matrix(
                 expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
                 counts = counts + expected * shape(ShieldMaterial.DEPLETED_URANIUM.value, energy)
 
+        if not np.isfinite(counts).all():
+            raise ValueError(f"grid.activity_bq: {config.activity_bq} Bq of "
+                             f"{config.isotope.name} at {config.distance_m} m over {dwell_s} s "
+                             "overflows the expected counts")
         if config.include_background:
             counts = counts + background
         matrix[row] = counts

@@ -931,6 +931,49 @@ class TestReportInputBoundary:
         assert f"metrics.csv:3: {cause}" in err
 
 
+class TestOverflowNamesItsKey:
+    """Expected counts that overflow exit 2 on one stderr line naming their config key."""
+
+    def one_line(self, capsys, *argv):
+        capsys.readouterr()
+        errors = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a floating-point warning would be a second line
+            assert run(*argv) == 2
+        assert np.geterr() == errors
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_activity_bq(self, tmp_path, capsys):
+        grid = {**SMALL_GRID_CONFIG["grid"], "activity_bq": 1e305}
+        cfg = write_config(tmp_path, {"grid": grid})
+        assert self.one_line(capsys, "synth", "--config", cfg, "--out", tmp_path / "t") == (
+            "gammasort: error: grid.activity_bq: 1e+305 Bq of Cesium at 10.0 m over 86400.0 s "
+            "overflows the expected counts\n"
+        )
+        assert not (tmp_path / "t").exists()
+
+    def test_background_cps(self, tmp_path, capsys):
+        grid = {**SMALL_GRID_CONFIG["grid"], "include_background": True, "background_cps": 1e305}
+        cfg = write_config(tmp_path, {"grid": grid})
+        assert self.one_line(capsys, "synth", "--config", cfg, "--out", tmp_path / "t") == (
+            "gammasort: error: grid.background_cps: 1e+305 cps over 86400.0 s "
+            "overflows the expected counts\n"
+        )
+        assert not (tmp_path / "t").exists()
+
+    def test_dwell_s(self, tmp_path, capsys):
+        assert run("synth", "--config", write_config(tmp_path), "--out", tmp_path / "t") == 0
+        cfg = write_config(tmp_path, {"dwell_s": 1e300}, name="long.json")
+        err = self.one_line(capsys, "sample", "--config", cfg, "--templates", tmp_path / "t",
+                            "--out", tmp_path / "s")
+        assert err.startswith("gammasort: error: dwell_s: at 1e+300 s the expected counts reach ")
+        assert err.endswith(", above the Poisson sampler's limit of 9.223e+18\n")
+        assert not (tmp_path / "s").exists()
+
+
 class TestDivergence:
     def test_train_reports_the_epoch_on_one_line(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -944,8 +987,8 @@ class TestDivergence:
         )
 
     def test_gauge_reports_the_first_architecture(self, tmp_path):
-        # Both architectures diverge, side by side; the first in order reports,
-        # and the run directory is left as training them in turn leaves it.
+        # Both architectures would diverge; the first in order reports, and the
+        # second is not trained.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": {"epochs": 3, "learning_rate": 1e308}}))
         proc = run_process("scenario", "gauge", "--config", cfg, "--out", tmp_path / "r")
@@ -956,22 +999,24 @@ class TestDivergence:
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == ["config.json", "linear"]
         assert not list((tmp_path / "r" / "linear").iterdir())
 
-    def test_a_child_that_dies_is_one_line(self, tmp_path, capsys, monkeypatch):
+    def test_a_dead_evaluator_is_one_line(self, tmp_path, capsys, monkeypatch):
         from gammasort import experiment
 
-        original, parent = experiment.train, os.getpid()
+        original, parent = experiment._metrics, os.getpid()
 
-        def dying(train_ds, test_ds, initial, section, seed):
-            if initial.arch == "linear" and os.getpid() != parent:  # in the forked child
+        def dying(logits, true, n_classes):
+            if os.getpid() != parent:  # in the forked evaluator
                 os._exit(3)
-            return original(train_ds, test_ds, initial, section, seed)
+            return original(logits, true, n_classes)
 
-        monkeypatch.setattr(experiment, "train", dying)
+        monkeypatch.setattr(experiment, "_metrics", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = write_config(tmp_path, {"train": {"epochs": 2}})
         assert run("scenario", "gauge", "--config", cfg, "--out", tmp_path / "r") == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "gammasort: error: linear: the training process exited with status 3 without a result\n"
+            "gammasort: error: linear: the evaluation process exited with status 3 "
+            "without a result\n"
         )
         assert captured.out == ""
         with pytest.raises(ChildProcessError):  # reaped: no child and no zombie is left

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammasort import nucleardata, seeding
+from gammasort import ensemble, nucleardata, seeding
 from gammasort.ensemble import (
     _config_record,
     LabeledDataset,
@@ -207,6 +207,18 @@ class TestSampleDataset:
         )
         with pytest.raises(ValueError, match=match):
             sample_dataset(templates, 2, dwell, seed=seed)
+
+    def test_the_largest_expected_count_numpy_samples_is_the_bound(self, small_grid):
+        # At POISSON_LAM_MAX numpy draws; one step above, it would raise "lam value
+        # too large", and sample_dataset names dwell_s instead.
+        templates = tiny_dataset([[0.0, ensemble.POISSON_LAM_MAX]], small_grid)
+        assert sample_dataset(templates, 1, 1.0, seed=1).counts[0, 0] == 0.0
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(1).poisson(np.nextafter(ensemble.POISSON_LAM_MAX, np.inf))
+        with pytest.raises(ValueError, match=r"^dwell_s: at 1.0000000000000002 s the expected "
+                                             r"counts reach 9.223e\+18, above the Poisson "
+                                             r"sampler's limit of 9.223e\+18$"):
+            sample_dataset(templates, 1, np.nextafter(1.0, 2.0), seed=1)
 
     def test_rejects_realizations_as_templates(self, small_grid):
         ds = build_dataset(small_grid, TaskKind.ISOTOPE_ID, DETECTOR, 1, 1.0, seed=1, rebin_factor=4)

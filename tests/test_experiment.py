@@ -585,8 +585,8 @@ def run_files(run_dir: Path) -> dict[str, bytes]:
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
-class TestSideBySide:
-    """Several architectures train side by side: all but the last in forked children."""
+class TestSeveralArchitectures:
+    """Several architectures train in turn on one dataset pair."""
 
     ARCHS = (ARCH_LINEAR, ARCH_HIDDEN_TANH)
 
@@ -594,19 +594,6 @@ class TestSideBySide:
     def gauge(self):
         config = run_config(SCENARIO_PRESETS["gauge"], {"train": {"epochs": 4, "width": 8}})
         return (config, *small_datasets(TaskKind.GAUGE_BINARY))
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        pids = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return pids
 
     @staticmethod
     def fail_for(monkeypatch, arch, fail):
@@ -620,34 +607,28 @@ class TestSideBySide:
 
         monkeypatch.setattr(experiment, "train", patched)
 
-    def test_equals_training_in_turn(self, tmp_path, gauge, forks):
+    def test_equals_training_each_alone(self, tmp_path, gauge):
         config, train_ds, test_ds = gauge
         results = train_and_write(config, train_ds, test_ds, tmp_path / "both", self.ARCHS, 11)
-        assert len(forks) == 1
         for arch in self.ARCHS:
             initial = initial_params(arch, train_ds, 11, width=8)
             params, history = train(results["train_ds"], test_ds, initial, config["train"], 11)
             got = results[arch]
             assert got["initial"].flat.tobytes() == initial.flat.tobytes()
             assert got["params"].flat.tobytes() == params.flat.tobytes()
-            for name in ("epochs", "train_loss", "test_loss", "test_accuracy"):
-                assert getattr(got["history"], name) == getattr(history, name), name
-            assert (np.array(got["history"].per_class_accuracy).tobytes()
-                    == np.array(history.per_class_accuracy).tobytes())
-            assert np.array_equal(got["history"].confusion, history.confusion)
+            assert_same_history(got["history"], history)
             assert got["dir"] == tmp_path / "both" / arch
 
-            # One architecture starts no process and writes the same files.
+            # One architecture writes the same files.
             train_and_write(config, train_ds, test_ds, tmp_path / arch, (arch,), 11)
             assert run_files(tmp_path / "both" / arch) == {
                 name: data for name, data in run_files(tmp_path / arch).items()
                 if name != "config.json"
             }
-        assert len(forks) == 1
         assert_no_child_left()
 
     def test_first_failure_in_order_wins(self, tmp_path, gauge):
-        # At 1e308 both architectures diverge; the linear one reports, as in turn.
+        # At 1e308 both architectures diverge; the linear one reports.
         config, train_ds, test_ds = gauge
         config["train"]["learning_rate"] = 1e308
         with pytest.raises(ValueError) as info:
@@ -657,7 +638,7 @@ class TestSideBySide:
         assert not list((tmp_path / "linear").iterdir())
         assert_no_child_left()
 
-    def test_failure_in_the_child_alone(self, tmp_path, gauge, monkeypatch):
+    def test_failure_in_the_first_alone(self, tmp_path, gauge, monkeypatch):
         config, train_ds, test_ds = gauge
 
         def fail():
@@ -668,11 +649,10 @@ class TestSideBySide:
             train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
         assert not list((tmp_path / "linear").iterdir())
-        assert_no_child_left()
 
-    def test_failure_in_the_parent_alone(self, tmp_path, gauge, monkeypatch):
-        # The child's architecture comes first: its files are written, then the
-        # parent's architecture gets its empty directory and raises.
+    def test_failure_in_the_second_alone(self, tmp_path, gauge, monkeypatch):
+        # The first architecture's files are written, then the second gets its
+        # empty directory and raises.
         config, train_ds, test_ds = gauge
 
         def fail():
@@ -685,85 +665,280 @@ class TestSideBySide:
                                                                "linear"]
         assert (tmp_path / "linear" / "model.json").is_file()
         assert not list((tmp_path / "hidden_tanh").iterdir())
+
+
+def assert_same_history(got: MetricsHistory, want: MetricsHistory):
+    for name in ("epochs", "train_loss", "test_loss", "test_accuracy"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array(got.per_class_accuracy).tobytes() == np.array(want.per_class_accuracy).tobytes()
+    assert got.confusion.tobytes() == want.confusion.tobytes()
+
+
+def in_child(parent: int) -> bool:
+    return os.getpid() != parent
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returned to this process, on two available CPUs."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """A BLAS thread count of 4 behind a fake getter and setter; ``set`` records each call."""
+    threads = {"now": 4, "set": []}
+
+    def set_threads(n):
+        threads["now"] = n
+        threads["set"].append(n)
+
+    monkeypatch.setattr(experiment, "_blas_threads", lambda: (lambda: threads["now"], set_threads))
+    return threads
+
+
+def train_small(arch=ARCH_LINEAR, **section):
+    """``train`` on the small isotope datasets: full batch and 6 epochs unless ``section`` says."""
+    train_ds, test_ds = small_datasets()
+    values = {"epochs": 6, "batch_size": None, "learning_rate": 1e-2, "width": 6, **section}
+    initial = initial_params(arch, train_ds, 9, width=values["width"])
+    return train(train_ds, test_ds, initial, train_section(**values), 9)
+
+
+def patch_metrics(monkeypatch, patched):
+    """Patch ``_metrics`` to call ``patched(n)`` first, ``n`` counting its calls in each process.
+
+    Returns the counts by pid; this process sees only its own.
+    """
+    calls = {}
+    original = experiment._metrics
+
+    def counting(logits, true, n_classes):
+        calls[os.getpid()] = calls.get(os.getpid(), 0) + 1
+        patched(calls[os.getpid()])
+        return original(logits, true, n_classes)
+
+    monkeypatch.setattr(experiment, "_metrics", counting)
+    return calls
+
+
+class TestEvaluator:
+    """Each epoch's metrics are computed in a forked evaluator while the next epochs train."""
+
+    @pytest.mark.parametrize("arch", [ARCH_LINEAR, ARCH_HIDDEN_TANH])
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    def test_history_equals_inline_evaluation(self, arch, batch_size, forks, monkeypatch):
+        params, history = train_small(arch, batch_size=batch_size)
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline_params, inline_history = train_small(arch, batch_size=batch_size)
+        assert len(forks) == 1
+        assert params.flat.tobytes() == inline_params.flat.tobytes()
+        assert_same_history(history, inline_history)
+
+    def test_the_evaluator_evaluates_while_the_next_epochs_train(self, forks, monkeypatch):
+        # A slow evaluator holds epochs 1 and 2; the trainer evaluates the rest.
+        parent = os.getpid()
+        calls = patch_metrics(monkeypatch, lambda n: in_child(parent) and time.sleep(0.5))
+        _, history = train_small()
+        assert history.epochs == [1, 2, 3, 4, 5, 6]
+        assert calls == {parent: 4}
+
+    def test_one_available_cpu_starts_no_process(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+        run_scenario("isotope", tmp_path, train={"epochs": 2}, samples_per_config=1,
+                     grid={"distances_m": [10.0]})
+        assert forks == []
+
+    def test_a_metrics_failure_names_its_epoch_after_the_trainer_moved_on(self, forks,
+                                                                         monkeypatch):
+        # The evaluator always holds epochs 1 and 2; its second evaluation, of
+        # epoch 2, fails only after the trainer has evaluated epochs 3 to 6.
+        parent = os.getpid()
+
+        def fail_the_second(n):
+            if in_child(parent):
+                time.sleep(0.5)
+                if n == 2:
+                    raise ValueError("no metrics")
+
+        calls = patch_metrics(monkeypatch, fail_the_second)
+        with pytest.raises(ValueError) as info:
+            train_small()
+        assert str(info.value) == "linear: training diverged at epoch 2: no metrics"
+        assert calls == {parent: 4}
+        assert_no_child_left()
+
+    def test_the_earliest_failure_wins_over_a_later_step_failure(self, forks, monkeypatch):
+        parent = os.getpid()
+        steps = []
+        gradients = experiment._gradients_into
+
+        def failing_at_epoch_4(*args):
+            steps.append(None)
+            if len(steps) == 4:  # full batch: one step an epoch
+                raise ValueError("no step")
+            gradients(*args)
+
+        monkeypatch.setattr(experiment, "_gradients_into", failing_at_epoch_4)
+
+        def fail_the_second(n):
+            if in_child(parent) and n == 2:
+                time.sleep(0.5)
+                raise ValueError("no metrics")
+
+        patch_metrics(monkeypatch, fail_the_second)
+        with pytest.raises(ValueError) as info:
+            train_small()
+        assert str(info.value) == "linear: training diverged at epoch 2: no metrics"
+        assert len(steps) == 4
         assert_no_child_left()
 
     @pytest.mark.parametrize("die, how", [
         (lambda: os._exit(3), "exited with status 3"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
     ])
-    def test_a_child_that_dies_is_a_one_line_error(self, tmp_path, gauge, monkeypatch, die, how):
-        config, train_ds, test_ds = gauge
-        parent = os.getpid()  # trained here by mistake, the linear model must not end pytest
-        self.fail_for(monkeypatch, ARCH_LINEAR, lambda: os.getpid() != parent and die())
+    def test_a_dead_evaluator_is_a_one_line_error(self, tmp_path, forks, monkeypatch, die, how):
+        config = run_config(SCENARIO_PRESETS["gauge"], {"train": {"epochs": 4, "width": 8}})
+        train_ds, test_ds = small_datasets(TaskKind.GAUGE_BINARY)
+        parent = os.getpid()  # evaluated here, the epoch must not end pytest
+        patch_metrics(monkeypatch, lambda n: in_child(parent) and die())
         with pytest.raises(ValueError) as info:
-            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
-        assert str(info.value) == f"linear: the training process {how} without a result"
+            train_and_write(config, train_ds, test_ds, tmp_path, (ARCH_LINEAR, ARCH_HIDDEN_TANH),
+                            11)
+        assert str(info.value) == f"linear: the evaluation process {how} without a result"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "linear"]
         assert_no_child_left()
 
-    def test_a_failed_fork_raises_before_anything_trains(self, tmp_path, gauge, monkeypatch):
-        config, train_ds, test_ds = gauge
-        trained = []
-        original = experiment.train
+    @pytest.mark.parametrize("failing", ["os.pipe 1", "os.pipe 2", "os.fork 1"])
+    def test_a_failed_pipe_or_fork_raises_before_anything_trains(self, failing, forks, blas,
+                                                                   monkeypatch):
+        name, at = failing.split()
+        original = getattr(os, name.split(".")[1])
+        calls = []
 
-        def recording(train_ds, test_ds, initial, section, seed):
-            trained.append(initial.arch)
-            return original(train_ds, test_ds, initial, section, seed)
+        def fails_at(*args):
+            calls.append(None)
+            if len(calls) == int(at):
+                raise OSError(f"no {name}")
+            return original(*args)
 
-        def failing_fork():
-            raise OSError("no fork")
-
-        monkeypatch.setattr(experiment, "train", recording)
-        monkeypatch.setattr(os, "fork", failing_fork)
+        steps = []
+        gradients = experiment._gradients_into
+        monkeypatch.setattr(experiment, "_gradients_into",
+                            lambda *args: steps.append(None) or gradients(*args))
+        monkeypatch.setattr(os, name.split(".")[1], fails_at)
         fds = os.listdir("/proc/self/fd")
-        with pytest.raises(OSError, match="^no fork$"):
-            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
-        assert trained == []
+        with pytest.raises(OSError, match=f"^no {name}$"):
+            train_small()
+        assert steps == []
         assert_no_child_left()
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert os.listdir("/proc/self/fd") == fds
+        assert blas["now"] == 4
 
-    def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, gauge, monkeypatch):
-        config, train_ds, test_ds = gauge
+    def test_an_interrupt_kills_and_reaps_the_evaluator(self, forks, blas, monkeypatch):
+        parent = os.getpid()
+        patch_metrics(monkeypatch, lambda n: in_child(parent) and time.sleep(60))
+        steps = []
+        gradients = experiment._gradients_into
 
-        def interrupt():
-            raise KeyboardInterrupt
+        def interrupted_at_epoch_3(*args):
+            steps.append(None)
+            if len(steps) == 3:
+                raise KeyboardInterrupt
+            gradients(*args)
 
-        self.fail_for(monkeypatch, ARCH_LINEAR, lambda: time.sleep(60))
-        self.fail_for(monkeypatch, ARCH_HIDDEN_TANH, interrupt)  # in this process
+        monkeypatch.setattr(experiment, "_gradients_into", interrupted_at_epoch_3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            train_and_write(config, train_ds, test_ds, tmp_path, self.ARCHS, 11)
+            train_small()
         assert time.monotonic() - start < 30
+        assert len(forks) == 1
         assert_no_child_left()
+        assert blas["now"] == 4
 
-    def test_one_architecture_starts_no_process(self, tmp_path, forks):
-        run_scenario("isotope", tmp_path, train={"epochs": 1}, samples_per_config=1,
-                     grid={"distances_m": [10.0]})
-        assert forks == []
-
-    def test_the_child_leaves_the_parents_buffers_alone(self, tmp_path):
+    def test_the_evaluator_leaves_the_callers_buffers_alone(self, tmp_path):
         # Redirected to a file, stdout is block-buffered: text printed before the
-        # fork is still in the buffer the child inherits, and must be written once.
+        # fork is still in the buffer the evaluator inherits, and must be written once.
         script = (
-            "import io, sys\n"
+            "import io, os, sys\n"
             "from gammasort.experiment import run_scenario\n"
             "assert isinstance(sys.stdout.buffer, io.BufferedWriter)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
             "print('before')\n"
             f"run_scenario('gauge', {str(tmp_path / 'run')!r}, train={{'epochs': 2}},\n"
             "             samples_per_config=1, grid={'distances_m': [10.0]})\n"
-            "print('after')\n"
+            "print('after', len(forks))\n"
         )
         src = str(Path(experiment.__file__).resolve().parents[1])
         env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env["OPENBLAS_NUM_THREADS"] = "1"  # one BLAS thread: the evaluator needs no cap
         out = tmp_path / "stdout.txt"
         with out.open("w") as stdout:
             proc = subprocess.run([sys.executable, "-W", "error", "-c", script], stdout=stdout,
                                   stderr=subprocess.PIPE, text=True, env=env, timeout=300)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert out.read_text() == "before\nafter\n"
+        assert out.read_text() == "before\nafter 2\n"
         assert (tmp_path / "run" / "linear" / "model.json").is_file()
+
+
+class TestBlasThreads:
+    """BLAS is capped at half its threads while an evaluator lives, and restored."""
+
+    def test_capped_then_restored(self, forks, blas):
+        train_small()
+        assert len(forks) == 1
+        assert blas["set"] == [2, 4]
+        assert_no_child_left()
+
+    def test_restored_after_an_error(self, forks, blas):
+        with pytest.raises(ValueError, match="diverged at epoch 1"):
+            train_small(learning_rate=1e308)
+        assert blas["set"] == [2, 4]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads, cap", [(1, 1), (2, 1), (3, 1), (5, 2)])
+    def test_at_least_one_thread_each(self, forks, blas, threads, cap):
+        blas["now"] = threads
+        train_small()
+        assert blas["set"] == [cap, threads]
+
+    @pytest.mark.parametrize("found, started", [
+        ((lambda: 2, None), False),  # several threads and no setter: evaluate inline
+        ((None, None), False),  # a count not known may be several threads
+        ((lambda: 1, None), True),  # one thread needs no cap
+    ])
+    def test_no_setter_evaluates_inline_unless_one_thread(self, forks, monkeypatch, found,
+                                                          started):
+        monkeypatch.setattr(experiment, "_blas_threads", lambda: found)
+        _, history = train_small()
+        assert len(forks) == int(started)
+        assert history.epochs == [1, 2, 3, 4, 5, 6]
+
+    def test_numpys_openblas_is_found_and_restored(self, forks):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy uses {blas}")
+        get, set_ = experiment._blas_threads()
+        assert get is not None and set_ is not None
+        before = get()
+        train_small()
+        assert len(forks) == 1
+        assert get() == before
 
 
 class TestRunConfig:

@@ -285,8 +285,8 @@ def _starts_a_process(node: ast.AST) -> bool:
 
 
 def test_only_one_function_starts_processes():
-    # The gauge architectures train side by side in forked children; one
-    # function forks, so how a child leaves (without flushing the parent's
+    # Each epoch's metrics are computed in a forked evaluator; one class
+    # forks, so how the evaluator leaves (without flushing the trainer's
     # buffers) and how it is reaped is decided there and nowhere else.
     starters = set()
     for path in sorted(SRC.glob("*.py")):
@@ -294,7 +294,7 @@ def test_only_one_function_starts_processes():
             owner = getattr(top, "name", "<module>")
             starters |= {f"{path.name}:{owner}" for node in ast.walk(top)
                          if _starts_a_process(node)}
-    assert sorted(starters) == ["experiment.py:_train_each"]
+    assert sorted(starters) == ["experiment.py:_Evaluator"]
 
 def test_no_unused_imports():
     # No linter is installed, so this stands in for flake8's F401: a name a
