@@ -30,11 +30,11 @@ from .experiment import (
     evaluate,
     grid_from_config,
     read_metrics_csv,
-    read_weight_series,
     rebin_factor,
     run_config,
     run_scenario,
     train_and_write,
+    weight_series,
     write_config,
     write_confusion_csv,
 )
@@ -205,6 +205,17 @@ def _report_one(out_dir: Path, columns: dict, series: list) -> None:
         )
 
 
+def _model_series(path: Path) -> list:
+    """The weight series of the model at ``path``, or none if there is no such file."""
+    if not path.is_file():
+        return []
+    params, train_config = load_model(path)
+    try:
+        return weight_series(params, train_config)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
@@ -221,7 +232,7 @@ def cmd_report(args) -> int:
         missing = [str(run_dir / "metrics.csv")]
         raise ValueError(f"no run artifacts to report; missing: {', '.join(missing)}")
     # Every input is read before the first write, so a bad file leaves no partial report.
-    runs = [(dst, read_metrics_csv(src / "metrics.csv"), read_weight_series(src))
+    runs = [(dst, read_metrics_csv(src / "metrics.csv"), _model_series(src / "model.json"))
             for src, dst in targets]
     for dst, columns, series in runs:
         _report_one(dst, columns, series)
@@ -282,7 +293,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # the checks raise; a warning would add a stderr line
             return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # numpy's MemoryError names the array
         print(f"gammasort: error: {err}", file=sys.stderr)
         return 2
 

@@ -341,7 +341,7 @@ def _config_from_record(record: dict, built: dict) -> SourceConfig:
 
 
 def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = None) -> Path:
-    """Persist a dataset as manifest.json plus data.npy, one row per item.
+    """Persist a dataset as a compact manifest.json plus data.npy, one row per item.
 
     Each row of data.npy is the label index followed by the channel counts,
     in the dtype :func:`_stored_dtype` picks, written a block of rows at a
@@ -369,7 +369,7 @@ def write_dataset(ds: LabeledDataset, out_dir: str | Path, extra: dict | None = 
     }
     if extra:
         manifest.update(extra)
-    write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest, indent=None)
 
     dtype, width = _stored_dtype(ds), ds.n_channels + 1
     header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,

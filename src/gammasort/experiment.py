@@ -1,4 +1,4 @@
-"""Run description, training loop, evaluation metrics, weight exports, and canned scenarios.
+"""Run description, training loop, evaluation metrics, weight series, and canned scenarios.
 
 One nested run config, ``DEFAULT_CONFIG``, describes every run.  The three
 canned scenarios are presets merged over it: isotope identification and
@@ -604,46 +604,29 @@ def write_confusion_csv(path: Path, confusion: np.ndarray, class_names) -> None:
     write_csv_table(path, ["true\\predicted", *class_names], rows)
 
 
-def write_weight_series(out_dir: Path, params: NetworkParams, class_names) -> None:
-    """One ``weights_<tag>.csv`` per channel series of the weights, for plotting.
+def weight_series(params: NetworkParams, train_config: dict) -> list[tuple[str, list, list]]:
+    """(series name, channels, weights) of each channel series of a model's weights, for plotting.
 
-    Linear models write one series per output class (tag ``class_<k>``,
-    series name the class name).  Hidden-layer models have no per-class input
-    weights, so they write the first-layer rows instead, tagged and named
-    ``hidden_unit_<j>``.
+    A linear model gives one series per output class, named by the class names
+    of ``train_config["task"]``, or ``class_<k>`` when it names no task.
+    Hidden-layer models have no per-class input weights, so they give the
+    first-layer rows instead, in unit order, named ``hidden_unit_<jj>``.
     """
     if isinstance(params, LinearParams):
-        named = zip(class_names, params.weights, strict=True)
-        series = [(f"class_{k}", name, w) for k, (name, w) in enumerate(named)]
+        rows, task, tasks = params.weights, train_config.get("task"), [t.value for t in TaskKind]
+        if task is None:
+            names = [f"class_{k}" for k in range(params.n_classes)]
+        elif task in tasks:
+            names = TaskKind(task).class_names
+        else:
+            raise ValueError(f"train_config.task: expected one of {tasks}, got {task!r}")
+        if len(names) != params.n_classes:
+            raise ValueError(f"train_config.task: {task} has {len(names)} classes, "
+                             f"the model emits {params.n_classes}")
     else:
-        tags = [f"hidden_unit_{j:02d}" for j in range(params.width)]
-        series = [(tag, tag, w) for tag, w in zip(tags, params.w1)]
-    for tag, name, weights in series:
-        rows = ([str(channel), repr(w)] for channel, w in enumerate(weights.tolist()))
-        write_csv_table(out_dir / f"weights_{tag}.csv", ("channel", "weight"), rows,
-                        [f"series={name}"])
-
-
-def read_weight_series(run_dir: Path) -> list[tuple[str, list[float], list[float]]]:
-    """(series name, channels, weights) of each ``weights_*.csv`` in ``run_dir``.
-
-    The files come in the order of the number after the last ``_`` in their
-    names, so ``hidden_unit_100`` follows ``hidden_unit_99``.
-    """
-    series = []
-    for path in sorted(run_dir.glob("weights_*.csv"), key=_series_order):
-        comments, _, rows, _ = read_csv_table(path, 2, header=True)
-        if len(rows) == 0:
-            raise ValueError(f"{path}: no weight rows")
-        head = comments[0] if comments else ""
-        name = head.split("=", 1)[1] if head.startswith("# series=") else path.stem
-        series.append((name, rows[:, 0].tolist(), rows[:, 1].tolist()))
-    return series
-
-
-def _series_order(path: Path) -> tuple:
-    prefix, _, number = path.stem.rpartition("_")
-    return prefix, len(number), number  # digit strings of one length sort as integers
+        rows, names = params.w1, [f"hidden_unit_{j:02d}" for j in range(params.width)]
+    channels = list(range(params.n_channels))
+    return [(name, channels, w) for name, w in zip(names, rows.tolist())]
 
 
 def train_and_write(
@@ -656,8 +639,8 @@ def train_and_write(
 ) -> dict:
     """Train each architecture on one dataset pair and write the run directory.
 
-    ``config.json`` goes in ``out_dir``; each architecture's model, metrics,
-    confusion and weight files go there too, or in ``out_dir/<arch>`` when
+    ``config.json`` goes in ``out_dir``; each architecture's model, metrics
+    and confusion files go there too, or in ``out_dir/<arch>`` when
     there are several.  Gauge positives are oversampled first.  ``archs`` and
     ``seed`` default to the config's ``arch`` and ``seed``.  The architectures
     train in turn: the first whose training fails raises its error, after the
@@ -682,7 +665,6 @@ def train_and_write(
         save_model(arch_dir / "model.json", params, train_doc)
         write_metrics_csv(arch_dir / "metrics.csv", history, class_names)
         write_confusion_csv(arch_dir / "confusion.csv", history.confusion, class_names)
-        write_weight_series(arch_dir, params, class_names)
         results[arch] = {"params": params, "initial": initial, "history": history, "dir": arch_dir}
     return results
 

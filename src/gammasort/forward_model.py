@@ -87,10 +87,6 @@ class Isotope:
             if not 0 < intensity <= 1:
                 raise ValueError(f"{self.name}: intensity {intensity} outside (0, 1]")
 
-    @property
-    def max_line_energy(self) -> float:
-        return max(energy for energy, _ in self.lines)
-
 
 @dataclass(frozen=True)
 class Shielding:

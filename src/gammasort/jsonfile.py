@@ -17,8 +17,11 @@ import math
 from pathlib import Path
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def write_json(path: str | Path, doc: dict, indent: int | None = 2) -> None:
+    """Write ``doc`` with sorted keys; ``indent=None`` writes it compact, on one line."""
+    separators = (",", ": ") if indent is not None else (",", ":")
+    text = json.dumps(doc, indent=indent, separators=separators, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: str | Path, schema: dict) -> dict:
@@ -74,7 +77,12 @@ def _checked_leaf(where: str, example, value, nullable=frozenset()):
             raise ValueError(f"{where}: expected list, got {value!r}")
         if not example:
             return value
-        return [_checked_leaf(f"{where}[{i}]", example[0], v) for i, v in enumerate(value)]
+        try:  # under the list's own name: an item's name is built only when it fails
+            return [_checked_leaf(where, example[0], v) for v in value]
+        except ValueError:
+            for i, v in enumerate(value):
+                _checked_leaf(f"{where}[{i}]", example[0], v)
+            raise
     expected = str if example is None else type(example)
     if expected is float and type(value) is int:
         try:

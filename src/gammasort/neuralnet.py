@@ -369,7 +369,7 @@ def adam_step(
 
 
 def save_model(path: str | Path, params: NetworkParams, train_config: dict | None = None) -> None:
-    """Write a model JSON, one array per parameter field; floats round-trip exactly."""
+    """Write a compact model JSON, one array per parameter field; floats round-trip exactly."""
     doc: dict = {
         "arch": params.arch,
         "n_channels": params.n_channels,
@@ -380,7 +380,7 @@ def save_model(path: str | Path, params: NetworkParams, train_config: dict | Non
         doc["width"] = params.width
     if train_config is not None:
         doc["train_config"] = train_config
-    write_json(path, doc)
+    write_json(path, doc, indent=None)
 
 
 # Each architecture's parameter type and the typed example of its model.json arrays.
@@ -394,7 +394,8 @@ def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
     """Read a model JSON back; returns (params, train_config dict).
 
     Every array cell must be a float, else the error names its dotted key;
-    the parameter constructor then checks the shapes.  Any error names the file.
+    the parameter constructor then checks the shapes.  A ``train_config``
+    must be an object; a model without one has ``{}``.  Any error names the file.
     """
     doc = read_json(path, {"arch": ""})
     if doc["arch"] not in _MODEL_ARRAYS:
@@ -403,6 +404,7 @@ def load_model(path: str | Path) -> tuple[NetworkParams, dict]:
     try:
         arrays = checked(doc, example)
         params = params_type(*(arrays[f.name] for f in fields(params_type)))
+        train_config = checked(doc.get("train_config", {}), {}, "train_config")
     except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from err
-    return params, doc.get("train_config", {})
+    return params, train_config

@@ -46,18 +46,6 @@ class EnergyCalibration:
         """Bin width in keV (constant across the range)."""
         return (self.e_max - self.e_min) / self.n_channels
 
-    def energy_of_channel(self, channel: int) -> float:
-        """Bin-center energy in keV of an in-range channel index."""
-        if not 0 <= channel < self.n_channels:
-            raise ValueError(f"channel {channel} outside [0, {self.n_channels})")
-        return self.e_min + (channel + 0.5) * self.channel_width
-
-    def channel_of_energy(self, energy_kev: float) -> int:
-        """Index of the bin containing ``energy_kev``."""
-        if not self.e_min <= energy_kev < self.e_max:
-            raise ValueError(f"energy {energy_kev} keV outside [{self.e_min}, {self.e_max})")
-        return int((energy_kev - self.e_min) // self.channel_width)
-
     def bin_edges(self) -> np.ndarray:
         return self.e_min + self.channel_width * np.arange(self.n_channels + 1)
 

@@ -27,8 +27,8 @@ from gammasort.experiment import (
     rebin_factor,
     run_config,
 )
-from gammasort.jsonfile import write_json
-from gammasort.neuralnet import LinearParams, save_model
+from gammasort.jsonfile import checked, write_json
+from gammasort.neuralnet import LinearParams, init_params, save_model
 from gammasort.spectra import SpectrumKind
 
 SMALL_GRID_CONFIG = {
@@ -536,14 +536,15 @@ class TestSvgContent:
         (run_dir / "metrics.csv").write_text(
             f"epoch,train_loss,test_loss,overall_acc,acc_{name}\n1,0.5,0.4,0.2,0.2\n2,0.3,0.3,0.6,0.6\n"
         )
-        (run_dir / "weights_A.csv").write_text(f"# series={name}\nchannel,weight\n0,1.0\n1,0.5\n")
+        save_model(run_dir / "model.json", LinearParams(np.eye(2), np.zeros(2)))
         assert run("report", "--run", run_dir) == 0
         texts = {}
         for svg in sorted(run_dir.glob("*.svg")):
             texts[svg.name] = [t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert sorted(texts) == ["accuracy.svg", "loss.svg", "per_class_accuracy.svg", "weights.svg"]
-        for chart in ("accuracy.svg", "per_class_accuracy.svg", "weights.svg"):
+        for chart in ("accuracy.svg", "per_class_accuracy.svg"):
             assert name in texts[chart], chart
+        assert {"class_0", "class_1"} <= set(texts["weights.svg"])
 
 
 class TestSampleManifest:
@@ -870,51 +871,99 @@ class TestReportInputBoundary:
         assert err.count("\n") == 1
         assert "metrics.csv" in err
 
-    @pytest.mark.parametrize("text, where", [("# series=A\nchannel,weight\n0,1.0,3\n", ":3:"),
-                                             ("# series=A\nchannel,weight\n0,x\n", ":3:"),
-                                             ("# series=A\nchannel,weight\n", ": no weight rows"),
-                                             ("", ": no weight rows")])
-    def test_malformed_weights_csv(self, tmp_path, capsys, text, where):
+    METRICS = "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda doc: "{'a': 1}", "Expecting property name"),
+        (lambda doc: {**doc, "arch": "conv"}, "arch: unknown architecture 'conv'"),
+        (lambda doc: {**doc, "bias": [0.0]}, "inconsistent shapes: weights (5, 4), bias (1,)"),
+        (lambda doc: {**doc, "train_config": [1]}, "train_config: expected a JSON object, got list"),
+        (lambda doc: {**doc, "train_config": {"task": "Gauge"}},
+         "train_config.task: expected one of ['IsotopeID', 'ShieldingID', 'GaugeBinary'], "
+         "got 'Gauge'"),
+        (lambda doc: {**doc, "train_config": {"task": "GaugeBinary"}},
+         "train_config.task: GaugeBinary has 2 classes, the model emits 5"),
+    ], ids=["not_json", "arch", "shape", "train_config", "task", "class_count"])
+    def test_malformed_model_json(self, tmp_path, capsys, edit, cause):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        (run_dir / "metrics.csv").write_text(
-            "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
-        )
-        (run_dir / "weights_A.csv").write_text(text)
+        (run_dir / "metrics.csv").write_text(self.METRICS)
+        save_model(run_dir / "model.json", LinearParams(np.zeros((5, 4)), np.zeros(5)))
+        doc = edit(json.loads((run_dir / "model.json").read_text()))
+        (run_dir / "model.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert run("report", "--run", run_dir) == 2
         err = capsys.readouterr().err
-        assert err.startswith("gammasort: error:")
+        assert err.startswith(f"gammasort: error: {run_dir / 'model.json'}: {cause}")
         assert err.count("\n") == 1
-        assert f"weights_A.csv{where}" in err
 
-
-    def test_bad_weights_file_leaves_no_partial_report(self, tmp_path, capsys):
+    def test_bad_model_leaves_no_partial_report(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        (run_dir / "metrics.csv").write_text(
-            "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
-        )
-        (run_dir / "weights_A.csv").write_text("# series=A\nchannel,weight\n0,1.0\n")
-        (run_dir / "weights_B.csv").write_text("# series=B\nchannel,weight\n0,1.0,3\n")
+        (run_dir / "metrics.csv").write_text(self.METRICS)
+        (run_dir / "model.json").write_text('{"arch": "linear", "weights": [[0.0, "x"]], "bias": [0.0]}')
         assert run("report", "--run", run_dir) == 2
-        assert "weights_B.csv:3: 3 cells, expected 2" in capsys.readouterr().err
-        assert sorted(p.name for p in run_dir.iterdir()) == [
-            "metrics.csv", "weights_A.csv", "weights_B.csv"
-        ]
+        assert "model.json: weights[0][1]: expected float, got 'x'" in capsys.readouterr().err
+        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "model.json"]
         assert run("report", "--run", run_dir, "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
     def test_bad_file_in_one_arch_dir_leaves_no_report_in_any(self, tmp_path, capsys):
         run_dir = tmp_path / "gauge"
-        for arch, row in (("linear", "0,1.0"), ("hidden_tanh", "0,x")):
+        for arch, cell in (("linear", "1.0"), ("hidden_tanh", '"x"')):
             (run_dir / arch).mkdir(parents=True)
-            (run_dir / arch / "metrics.csv").write_text(
-                "epoch,train_loss,test_loss,overall_acc,acc_A\n1,0.5,0.5,0.2,0.2\n"
+            (run_dir / arch / "metrics.csv").write_text(self.METRICS)
+            (run_dir / arch / "model.json").write_text(
+                f'{{"arch": "linear", "weights": [[{cell}]], "bias": [0.0]}}'
             )
-            (run_dir / arch / "weights_A.csv").write_text(f"# series=A\nchannel,weight\n{row}\n")
         assert run("report", "--run", run_dir) == 2
-        assert "weights_A.csv:3: cell 2 is not a number: 'x'" in capsys.readouterr().err
+        assert "hidden_tanh/model.json: weights[0][0]: expected float, got 'x'" in (
+            capsys.readouterr().err
+        )
         assert not list(run_dir.rglob("*.svg"))
+
+    @pytest.mark.parametrize("params, train_config, names", [
+        (LinearParams(np.zeros((5, 3)), np.zeros(5)), {"task": "IsotopeID"},
+         list(TaskKind.ISOTOPE_ID.class_names)),
+        (LinearParams(np.zeros((2, 3)), np.zeros(2)), None, ["class_0", "class_1"]),
+        (init_params("hidden_tanh", 3, 2, seed=0, width=3), {"task": "GaugeBinary"},
+         ["hidden_unit_00", "hidden_unit_01", "hidden_unit_02"]),
+    ], ids=["linear", "linear_without_task", "hidden"])
+    def test_weights_chart_draws_the_model(self, tmp_path, params, train_config, names):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(self.METRICS)
+        save_model(run_dir / "model.json", params, train_config)
+        assert run("report", "--run", run_dir) == 0
+        svg = ET.parse(run_dir / "weights.svg")
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-len(names):] == names
+        assert len(list(svg.iter("{http://www.w3.org/2000/svg}polyline"))) == len(names)
+
+    def test_run_written_with_weight_csvs_reports_the_same(self, tmp_path):
+        # Before model.json was compact and the only copy of the weights, runs
+        # held it indented, beside weights_<tag>.csv files; report ignores those.
+        params = init_params("linear", 6, 5, seed=1)
+        charts = []
+        for name, indent in (("new", None), ("old", 2)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "metrics.csv").write_text(self.METRICS)
+            save_model(run_dir / "model.json", params, {"task": "IsotopeID"})
+            doc = json.loads((run_dir / "model.json").read_text())
+            (run_dir / "model.json").write_text(json.dumps(doc, indent=indent, sort_keys=True))
+            (run_dir / "weights_class_0.csv").write_text("# series=stale\nchannel,weight\n0,x\n")
+            assert run("report", "--run", run_dir) == 0
+            charts.append((run_dir / "weights.svg").read_bytes())
+        assert charts[0] == charts[1]
+
+    def test_run_without_a_model_draws_no_weights_chart(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.csv").write_text(self.METRICS)
+        assert run("report", "--run", run_dir) == 0
+        assert sorted(p.name for p in run_dir.glob("*.svg")) == [
+            "accuracy.svg", "loss.svg", "per_class_accuracy.svg"
+        ]
 
     @pytest.mark.parametrize("row, cause", [("1,0.5,0.5,0.2", "4 cells, expected 5"),
                                             ("1,0.5,0.5,0.2,0.2,7", "6 cells, expected 5"),
@@ -1021,6 +1070,49 @@ class TestDivergence:
         assert captured.out == ""
         with pytest.raises(ChildProcessError):  # reaped: no child and no zombie is left
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestMemoryRefused:
+    """A size numpy refuses to allocate (it asks for petabytes, so nothing is
+    allocated) ends the command with exit 2 and one error line."""
+
+    def test_sample(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run("synth", "--config", cfg, "--out", tmp_path / "tpl") == 0
+        big = write_config(tmp_path, {"samples_per_config": 10**15}, "big.json")
+        capsys.readouterr()
+        assert run("sample", "--config", big, "--templates", tmp_path / "tpl",
+                   "--out", tmp_path / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ds").exists()
+
+    def test_train(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "gauge", "train": {"width": 10**15}})
+        assert run("train", "--config", cfg, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gammasort: error: Unable to allocate ")
+        assert err.count("\n") == 1
+
+
+class TestJsonLayout:
+    def test_array_documents_are_compact_and_the_rest_indented(self, tmp_path):
+        cfg = write_config(tmp_path, {"train": {"epochs": 1}, "paths": {
+            "train_dataset": str(tmp_path / "ds"), "test_dataset": str(tmp_path / "ds")}})
+        assert run("synth", "--config", cfg, "--out", tmp_path / "tpl") == 0
+        assert run("sample", "--config", cfg, "--templates", tmp_path / "tpl",
+                   "--out", tmp_path / "ds") == 0
+        assert run("train", "--config", cfg, "--out", tmp_path / "run") == 0
+        assert run("eval", "--model", tmp_path / "run" / "model.json", "--dataset", tmp_path / "ds",
+                   "--out", tmp_path / "eval") == 0
+        for name in ("tpl/manifest.json", "ds/manifest.json", "run/model.json"):
+            text = (tmp_path / name).read_text()
+            doc = json.loads(text)
+            assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n", name
+        for name in ("tpl/config.json", "run/config.json", "eval/eval.json"):
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 # A grid small enough that each fuzzed command runs in milliseconds.
@@ -1175,6 +1267,18 @@ class TestJsonReadersFuzz:
             write_json(tmp_path / "doc.json", {"dwell_s": value})
         assert not (tmp_path / "doc.json").exists()
 
+    @pytest.mark.parametrize("value, where", [
+        ({"rows": [[0.0, 1.0], [2.0, 3.0], [4.0, "x"]], "items": [{"a": 1.0}] * 3},
+         "rows[2][1]: expected float, got 'x'"),
+        ({"rows": [[0.0]], "items": [{"a": 1.0}, {"a": 2.0}, {"b": 3.0}]},
+         "items[2]: missing key 'a'"),
+        ({"rows": [[0.0]] * 4400 + [0.0], "items": []}, "rows[4400]: expected list, got 0.0"),
+    ], ids=["cell", "object", "row"])
+    def test_failing_list_item_is_named(self, value, where):
+        with pytest.raises(ValueError) as info:
+            checked(value, {"rows": [[0.0]], "items": [{"a": 0.0}]}, "doc")
+        assert str(info.value) == f"doc.{where}"
+
     @pytest.mark.parametrize("key, value, expected", [
         ("bias[0]", 10**400, "expected float, got an integer too large for a float"),
         ("weights[1][2]", "x", "expected float, got 'x'"),
@@ -1197,7 +1301,7 @@ class TestJsonReadersFuzz:
 
 # The first data line of each CSV file a command reads; the lines before it
 # are ``#`` comments and the header.
-CSV_FIRST_ROW = {"run/metrics.csv": 1, "run/weights_class_1.csv": 2}
+CSV_FIRST_ROW = {"run/metrics.csv": 1}
 
 # Corruptions of one cell (a non-number, a non-finite number) or of one row
 # (a dropped or an extra cell), as (kind, text).
@@ -1230,7 +1334,6 @@ class TestCsvReadersFuzz:
            column=st.integers(0, 300), corruption=CSV_CORRUPTIONS)
     @example(name="run/metrics.csv", row=0, column=1, corruption=("replace", "nan"))
     @example(name="run/metrics.csv", row=3, column=1, corruption=("replace", "inf"))
-    @example(name="run/weights_class_1.csv", row=0, column=2, corruption=("extra", "0"))
     @settings(max_examples=60, deadline=None)
     def test_corrupt_cell_or_row(self, inputs, name, row, column, corruption):
         kind, text = corruption

@@ -33,14 +33,13 @@ from gammasort.experiment import (
     evaluate,
     oversample_positives,
     read_metrics_csv,
-    read_weight_series,
     run_config,
     run_scenario,
     train,
     train_and_write,
+    weight_series,
     write_confusion_csv,
     write_metrics_csv,
-    write_weight_series,
 )
 from gammasort.forward_model import default_detector
 from gammasort.neuralnet import (
@@ -55,6 +54,8 @@ from gammasort.neuralnet import (
     forward,
     init_adam,
     init_params,
+    load_model,
+    save_model,
     softmax,
 )
 from gammasort.spectra import EnergyCalibration, SpectrumKind
@@ -345,46 +346,53 @@ class TestTrain:
 
 
 class TestWeightFeatures:
-    def test_linear_export_shape(self, tmp_path):
+    def test_linear_series_shape(self):
         params = init_params(ARCH_LINEAR, 32, 5, seed=0)
-        write_weight_series(tmp_path, params, TaskKind.ISOTOPE_ID.class_names)
-        series = read_weight_series(tmp_path)
+        series = weight_series(params, {"task": "IsotopeID"})
         assert len(series) == 5
         assert all(channels == list(range(32)) and len(w) == 32 for _, channels, w in series)
         assert [name for name, _, _ in series] == list(TaskKind.ISOTOPE_ID.class_names)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"weights_class_{k}.csv" for k in range(5)
-        ]
 
-    def test_untrained_export_equals_initialization(self, tmp_path):
+    def test_untrained_series_equal_initialization(self):
         params = init_params(ARCH_LINEAR, 16, 3, seed=77)
         again = init_params(ARCH_LINEAR, 16, 3, seed=77)
-        write_weight_series(tmp_path, params, ("a", "b", "c"))
-        for k, (_, _, w) in enumerate(read_weight_series(tmp_path)):
+        series = weight_series(params, {})
+        assert [name for name, _, _ in series] == ["class_0", "class_1", "class_2"]
+        for k, (_, _, w) in enumerate(series):
             assert np.array_equal(w, again.weights[k])
 
-    def test_hidden_export_is_flagged(self, tmp_path):
+    def test_hidden_series_are_first_layer_rows(self):
         params = init_params(ARCH_HIDDEN_TANH, 16, 3, seed=0, width=4)
-        write_weight_series(tmp_path, params, ("a", "b", "c"))
-        series = read_weight_series(tmp_path)
-        assert len(series) == 4
-        assert all(name.startswith("hidden_unit_") for name, _, _ in series)
-        for j, (name, _, w) in enumerate(series):
-            assert (tmp_path / f"weights_{name}.csv").is_file()
+        series = weight_series(params, {"task": "IsotopeID"})
+        assert [name for name, _, _ in series] == [f"hidden_unit_{j:02d}" for j in range(4)]
+        for j, (_, _, w) in enumerate(series):
             assert np.array_equal(w, params.w1[j])
 
-    def test_hidden_units_past_99_come_back_in_unit_order(self, tmp_path):
+    def test_hidden_units_past_99_come_in_unit_order(self):
         params = init_params(ARCH_HIDDEN_TANH, 4, 2, seed=0, width=101)
-        write_weight_series(tmp_path, params, ("a", "b"))
-        series = read_weight_series(tmp_path)
+        series = weight_series(params, {})
         assert [name for name, _, _ in series] == [f"hidden_unit_{j:02d}" for j in range(101)]
         for j, (_, _, w) in enumerate(series):
             assert np.array_equal(w, params.w1[j])
 
-    def test_class_names_must_match_the_classes(self, tmp_path):
+    @pytest.mark.parametrize("task, message", [
+        ("GaugeBinary", "train_config.task: GaugeBinary has 2 classes, the model emits 3"),
+        ("Gauge", "train_config.task: expected one of ['IsotopeID', 'ShieldingID', "
+                  "'GaugeBinary'], got 'Gauge'"),
+        ([1], "train_config.task: expected one of ['IsotopeID', 'ShieldingID', "
+              "'GaugeBinary'], got [1]"),
+    ], ids=["class_count", "unknown", "unhashable"])
+    def test_class_names_must_match_the_classes(self, task, message):
         params = init_params(ARCH_LINEAR, 16, 3, seed=0)
-        with pytest.raises(ValueError):
-            write_weight_series(tmp_path, params, ("a", "b"))
+        with pytest.raises(ValueError) as info:
+            weight_series(params, {"task": task})
+        assert str(info.value) == message
+
+    def test_series_of_a_saved_model_equal_the_trained_ones(self, tmp_path):
+        params = init_params(ARCH_HIDDEN_TANH, 8, 2, seed=3, width=5)
+        save_model(tmp_path / "model.json", params, {"task": "GaugeBinary"})
+        loaded, train_config = load_model(tmp_path / "model.json")
+        assert weight_series(loaded, train_config) == weight_series(params, {"task": "GaugeBinary"})
 
 
 class TestOversample:
@@ -509,7 +517,9 @@ class TestRunScenario:
         )
         for name in ("config.json", "model.json", "metrics.csv", "confusion.csv"):
             assert (tmp_path / name).is_file(), name
-        assert len(list(tmp_path.glob("weights_class_*.csv"))) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "confusion.csv", "metrics.csv", "model.json"
+        ]
         config = json.loads((tmp_path / "config.json").read_text())
         assert config["scenario"] == "isotope"
         assert config["train"]["epochs"] == 3

@@ -50,32 +50,19 @@ class TestEnergyCalibration:
     def test_bin_center_of_first_channel(self):
         # (3000 / 1024) * 0.5
         cal = default_calibration()
-        assert cal.energy_of_channel(0) == pytest.approx(1.46484375, abs=1e-12)
+        assert cal.bin_centers()[0] == pytest.approx(1.46484375, abs=1e-12)
 
     def test_bin_center_of_last_channel(self):
         cal = default_calibration()
-        assert cal.energy_of_channel(1023) == pytest.approx(2998.53515625, abs=1e-12)
+        assert cal.bin_centers()[1023] == pytest.approx(2998.53515625, abs=1e-12)
 
     def test_unit_width_calibration(self):
         cal = EnergyCalibration(0.0, 1000.0, 1000)
-        assert cal.energy_of_channel(499) == pytest.approx(499.5)
-
-    def test_out_of_range_channel_rejected(self):
-        cal = default_calibration()
-        with pytest.raises(ValueError):
-            cal.energy_of_channel(-1)
-        with pytest.raises(ValueError):
-            cal.energy_of_channel(1024)
+        assert cal.bin_centers()[499] == pytest.approx(499.5)
 
     def test_energy_strictly_increasing_in_channel(self):
         cal = EnergyCalibration(10.0, 2500.0, 777)
-        energies = [cal.energy_of_channel(ch) for ch in range(777)]
-        assert all(a < b for a, b in zip(energies, energies[1:]))
-
-    def test_channel_of_energy_inverts_bin_center(self):
-        cal = default_calibration()
-        for ch in (0, 1, 225, 1023):
-            assert cal.channel_of_energy(cal.energy_of_channel(ch)) == ch
+        assert np.all(np.diff(cal.bin_centers()) > 0)
 
 
 class TestSpectrumValidation:
