@@ -148,7 +148,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, _ = load_model(args.model)
     ds = read_dataset(args.dataset)
-    result = evaluate(params, ds)  # checks the model against the dataset first
+    try:
+        result = evaluate(params, ds)  # checks the model against the dataset first
+    except ValueError as err:
+        raise ValueError(f"{args.model} on {args.dataset}: {err}") from err
     summary = {
         "cross_entropy": result.cross_entropy,
         "accuracy": result.accuracy,

@@ -14,10 +14,7 @@ import copy
 import fcntl
 import functools
 import os
-import pickle
-import select
 import signal
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -360,7 +357,7 @@ def train(
                 outcomes[epoch] = err
                 break
             answered = {} if evaluator is None else evaluator.answers(block=False)
-            if evaluator is not None and evaluator.pending < _BACKLOG:
+            if evaluator is not None and len(evaluator.sent) < _BACKLOG:
                 evaluator.send(epoch, params)
             else:
                 answered[epoch] = metrics_of(params)
@@ -384,9 +381,6 @@ def train(
 # The most epochs the evaluator holds unfinished: the trainer evaluates the
 # next one itself, so the split follows the ratio of step work to metric work.
 _BACKLOG = 2
-
-# An epoch number or a byte count in the evaluator's pipes.
-_INT = struct.Struct("<q")
 
 # The BLAS thread-count (getter, setter) names: numpy's bundled OpenBLAS
 # (libscipy_openblas64_) exports the first pair, a plain OpenBLAS the second.
@@ -454,66 +448,61 @@ def _evaluator(metrics_of, params: NetworkParams):
             set_(threads)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class _Evaluator:
     """A forked process that runs ``metrics_of`` on the epochs the trainer hands it.
 
     It inherits ``metrics_of``, with the datasets it reads, and a copy of
-    ``params``.  The trainer writes each epoch to one pipe as a frame: the
-    epoch number, then ``params.flat``'s raw bytes.  The evaluator answers on
-    another pipe, in order, with a length-prefixed pickle of ``(epoch,
-    metrics_of(params))``.  It leaves through ``os._exit``, so it never flushes a
-    buffer it shares with the trainer: when its frame pipe closes, or on any
-    error.  An error from ``os.pipe`` or ``os.fork`` raises before anything
-    trains, with no descriptor left open.
+    ``params``.  Over one-way ``multiprocessing`` connections, the trainer sends
+    ``params.flat``'s bytes, one message an epoch, and the evaluator reads them
+    into its copy and answers with ``metrics_of(params)``.  The answers come in
+    order, so the trainer keys each to the oldest epoch it ``sent``.  The
+    evaluator leaves through ``os._exit``, so it never flushes a buffer it shares
+    with the trainer: when its frame connection closes, or on any error.  An
+    error from ``Pipe`` or ``os.fork`` raises before anything trains, with no
+    descriptor left open.
     """
 
     def __init__(self, metrics_of, params: NetworkParams):
+        from multiprocessing import Pipe  # here, not at import: only a training run needs it
+
         self.arch = params.arch
-        self.pending = 0  # epochs handed over and not yet answered
-        self._unread = bytearray()  # answer bytes not yet unpickled
-        frame_size = _INT.size + params.flat.nbytes
-        fds: list[int] = []
+        self.sent: list[int] = []  # the epochs handed over and not yet answered, oldest first
+        conns = []
         try:
-            fds += os.pipe()  # frames: trainer to evaluator
-            fds += os.pipe()  # answers: evaluator to trainer
-            with contextlib.suppress(OSError):  # a frame that does not fit waits for the reader
-                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, frame_size)
+            conns += Pipe(duplex=False)  # frames: trainer to evaluator
+            conns += Pipe(duplex=False)  # answers: evaluator to trainer
+            # A frame (a 4-byte length, then the bytes) that does not fit waits for the reader.
+            with contextlib.suppress(OSError):
+                fcntl.fcntl(conns[1].fileno(), fcntl.F_SETPIPE_SZ, 4 + params.flat.nbytes)
             pid = os.fork()
         except BaseException:
-            for fd in fds:
-                os.close(fd)
+            for conn in conns:
+                conn.close()
             raise
-        frames_in, self._frames, self._answers, answers_out = fds
+        frames_in, self._frames, self._answers, answers_out = conns
         if pid == 0:
             status = 1  # an evaluator that fails past here answers nothing more
             try:
-                os.close(self._frames)
-                os.close(self._answers)
-                with open(frames_in, "rb") as frames:
-                    while len(frame := frames.read(frame_size)) == frame_size:
-                        params.flat[:] = np.frombuffer(frame, np.float64, offset=_INT.size)
-                        answer = pickle.dumps((_INT.unpack_from(frame)[0], metrics_of(params)))
-                        _write_all(answers_out, _INT.pack(len(answer)) + answer)
+                self._frames.close()
+                self._answers.close()
+                with contextlib.suppress(EOFError):  # the trainer closed its end
+                    while True:
+                        frames_in.recv_bytes_into(params.flat)
+                        answers_out.send(metrics_of(params))
                 status = 0
             finally:
                 os._exit(status)
-        os.close(frames_in)
-        os.close(answers_out)
+        frames_in.close()
+        answers_out.close()
         self.pid: int | None = pid
 
     def send(self, epoch: int, params: NetworkParams) -> None:
         """Hand ``epoch``'s parameters to the evaluator."""
         try:
-            _write_all(self._frames, _INT.pack(epoch) + params.flat.tobytes())
+            self._frames.send_bytes(params.flat)
         except BrokenPipeError:
             raise self._died() from None
-        self.pending += 1
+        self.sent.append(epoch)
 
     def answers(self, block: bool) -> dict:
         """The outcomes answered since the last call, by epoch.
@@ -523,36 +512,28 @@ class _Evaluator:
         architecture.
         """
         answered = {}
-        while self.pending and (block or select.select([self._answers], [], [], 0)[0]):
-            chunk = os.read(self._answers, 1 << 16)
-            if not chunk:
-                raise self._died()
-            self._unread += chunk
-            while len(self._unread) >= _INT.size:
-                end = _INT.size + _INT.unpack_from(self._unread)[0]
-                if len(self._unread) < end:
-                    break
-                epoch, outcome = pickle.loads(self._unread[_INT.size:end])
-                del self._unread[:end]
-                answered[epoch] = outcome
-                self.pending -= 1
+        try:
+            while self.sent and (block or self._answers.poll()):
+                answered[self.sent.pop(0)] = self._answers.recv()
+        except (EOFError, OSError):  # an end of file between answers, or inside one
+            raise self._died() from None
         return answered
 
     def _died(self) -> ValueError:
-        """Reap the evaluator that closed its pipe, and say how it ended."""
+        """Reap the evaluator that closed its connection, and say how it ended."""
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         return ValueError(f"{self.arch}: the evaluation process {how} without a result")
 
     def close(self) -> None:
-        """Kill the evaluator unless it is reaped, reap it, and close the pipes."""
+        """Kill the evaluator unless it is reaped, reap it, and close the connections."""
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        os.close(self._frames)
-        os.close(self._answers)
+        self._frames.close()
+        self._answers.close()
 
 
 def oversample_positives(

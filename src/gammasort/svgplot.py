@@ -90,19 +90,28 @@ def _write_chart(path, title, x_label, y_label, x_range, y_range, body) -> None:
 
 def write_line_svg(path: str | Path, series: list[tuple[str, list, list]], title: str = "",
                    x_label: str = "", y_label: str = "") -> None:
-    """Write a line chart for ``series`` = [(name, xs, ys), ...]."""
+    """Write a line chart for ``series`` = [(name, xs, ys), ...].
+
+    The legend names the first ``len(PALETTE)`` series, one row each, and counts
+    the rest in one ``+<n> more`` row, so it stays inside the plot.
+    """
     if not series or any(len(xs) == 0 or len(xs) != len(ys) for _, xs, ys in series):
         raise ValueError("each series needs matching non-empty x and y values")
+    lx = _PLOT_RIGHT - 150
 
     def lines(sx, sy):
         for i, (name, xs, ys) in enumerate(series):
             color = PALETTE[i % len(PALETTE)]
             points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-            lx, ly = _PLOT_RIGHT - 150, _MARGIN_TOP + 14 + 16 * i
+            ly = _MARGIN_TOP + 14 + 16 * i
             yield f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            yield (f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" y2="{_fmt(ly - 4)}" '
-                   f'stroke="{color}" stroke-width="2"/>')
-            yield _text(_fmt(lx + 24), _fmt(ly), name, "")
+            if i < len(PALETTE):
+                yield (f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" '
+                       f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>')
+                yield _text(_fmt(lx + 24), _fmt(ly), name, "")
+        if len(series) > len(PALETTE):
+            more_y = _MARGIN_TOP + 14 + 16 * len(PALETTE)
+            yield _text(_fmt(lx + 24), _fmt(more_y), f"+{len(series) - len(PALETTE)} more", "")
 
     x_range = _bounds([x for _, xs, _ in series for x in xs])
     y_range = _bounds([y for _, _, ys in series for y in ys])

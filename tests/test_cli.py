@@ -262,6 +262,14 @@ class TestEvalInputBoundary:
         model, ds = files
         assert run("eval", "--model", model, "--dataset", ds) == 0
 
+    def test_overflowing_logits_name_the_model_and_the_dataset(self, files, capsys):
+        model, ds = files
+        weights = np.zeros((5, 256))
+        weights[0] = 1e307  # finite, so the model loads; its logits overflow
+        save_model(model, LinearParams(weights, np.zeros(5)))
+        err = self.eval_error(capsys, model, ds)
+        assert err == f"gammasort: error: {model} on {ds}: logits must be finite\n"
+
     @pytest.mark.parametrize("label", [9.0, 5.0, -1.0, 1.5])
     def test_label_outside_class_range_names_the_item(self, files, capsys, label):
         model, ds = files

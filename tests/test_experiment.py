@@ -878,6 +878,22 @@ class TestEvaluator:
         assert_no_child_left()
         assert blas["now"] == 4
 
+    def test_answers_larger_than_one_read_are_keyed_to_their_epochs(self):
+        # Each answer (800 kB) spans many pipe reads; the epochs are not contiguous.
+        params = LinearParams(np.zeros((2, 4)), np.zeros(2))
+        evaluator = experiment._Evaluator(lambda p: np.full(100_000, p.flat[0]), params)
+        try:
+            for epoch in (1, 3, 4):
+                params.flat[0] = epoch
+                evaluator.send(epoch, params)
+            answers = evaluator.answers(block=True)
+        finally:
+            evaluator.close()
+        assert sorted(answers) == [1, 3, 4]
+        for epoch, answer in answers.items():
+            assert answer.tobytes() == np.full(100_000, float(epoch)).tobytes()
+        assert_no_child_left()
+
     def test_the_evaluator_leaves_the_callers_buffers_alone(self, tmp_path):
         # Redirected to a file, stdout is block-buffered: text printed before the
         # fork is still in the buffer the evaluator inherits, and must be written once.

@@ -123,3 +123,15 @@ def test_every_chart_text_is_escaped(tmp_path):
     assert texts.count(name) == 4  # title, x label, y label, legend
     texts = [t.text for t in ET.parse(bar).iter(SVG_TEXT)]
     assert texts.count(name) == 3  # title, y label, bar label
+
+
+def test_a_legend_of_many_series_stays_inside_the_chart(tmp_path):
+    path = tmp_path / "weights.svg"
+    series = [(f"unit {i}", [0, 1], [0.0, float(i)]) for i in range(64)]
+    write_line_svg(path, series)
+    root = ET.parse(path).getroot()
+    texts = list(root.iter(SVG_TEXT))
+    assert all(0 <= float(t.get("x")) <= 720 and 0 <= float(t.get("y")) <= 440 for t in texts)
+    legend = [t.text for t in texts if t.text.startswith(("unit", "+"))]
+    assert legend == [f"unit {i}" for i in range(10)] + ["+54 more"]
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == 64

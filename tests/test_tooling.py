@@ -169,6 +169,14 @@ def test_template_synthesis_leaves_scipy_unloaded(tmp_path, args):
     assert sorted(m for m in imported if m.startswith("scipy")) == []
 
 
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    # Only the training evaluator uses multiprocessing, and imports it when it
+    # starts, so setting up a run does not pay for the import.
+    imported = _imported_by(["-c", "import gammasort, gammasort.cli"])
+    assert "gammasort.cli" in imported
+    assert sorted(m for m in imported if m.startswith("multiprocessing")) == []
+
+
 # The functions that write files: one for JSON, one for a dataset's data.npy,
 # one for CSV, one for SVG.
 WRITERS = ["ensemble.py:write_dataset", "jsonfile.py:write_json", "spectra.py:write_csv_table",
