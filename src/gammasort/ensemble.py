@@ -35,8 +35,6 @@ from .spectra import (
     Spectrum,
     SpectrumKind,
     checked_counts,
-    csv_rows,
-    read_csv_table,
     rebin_counts,
 )
 
@@ -293,14 +291,14 @@ def template_dataset(
     return rescale(stack_templates(counts, cal, TEMPLATE_DWELL_S, grid, task), dwell_s)
 
 
-# The keys :func:`read_dataset` reads from a dataset manifest, besides the
-# name of its rows file: ``data_npy``, or ``data_csv`` in an older manifest.
+# The keys :func:`read_dataset` reads from a dataset manifest.
 DATASET_MANIFEST = {
     "task": "", "kind": "", "n_items": 0, "dwell_s": 0.0,
     "calibration": {"e_min": 0.0, "e_max": 0.0, "n_channels": 0},
     "sources": [{"isotope": "", "activity_bq": 0.0, "distance_m": 0.0, "material": "",
                  "thickness_cm": 0.0, "include_background": False}],
     "source_index": [0],
+    "data_npy": "",
 }
 
 
@@ -405,22 +403,21 @@ def _stored_dtype(ds: LabeledDataset) -> np.dtype:
 def read_dataset(path: str | Path) -> LabeledDataset:
     """Load a dataset directory (or manifest path) written by :func:`write_dataset`.
 
-    A manifest that names a ``data_csv`` instead of a ``data_npy``, as
-    written before data.npy, reads its rows with :func:`read_csv_table`.
     Malformed input raises ``ValueError`` naming the file: a missing or
     ill-typed manifest field, a source index outside the source list, a
     ``source_index`` whose length is not ``n_items``, a rows file that
-    :func:`_read_npy_rows` or :func:`read_csv_table` refuses, a row count other
-    than ``n_items``, or a label outside the task's classes, which names its item.
-    A data.csv also takes no ``#`` comment line, and its first row past
-    ``n_items`` is named by its line.
+    :func:`_read_npy_rows` refuses, or a label outside the task's classes,
+    which names its item.  A manifest written before data.npy is refused with
+    a hint to write the dataset again.
     """
     path = Path(path)
     manifest_path = path / "manifest.json" if path.is_dir() else path
     manifest = read_json(manifest_path, {})
-    legacy = "data_csv" in manifest and "data_npy" not in manifest
+    if "data_csv" in manifest and "data_npy" not in manifest:
+        raise ValueError(f"{manifest_path}: a data.csv dataset, written before data.npy; "
+                         "run synth or sample again to rewrite it")
     try:
-        manifest = checked(manifest, {**DATASET_MANIFEST, "data_csv" if legacy else "data_npy": ""})
+        manifest = checked(manifest, DATASET_MANIFEST)
         task = TaskKind(manifest["task"])
         c = manifest["calibration"]
         cal = EnergyCalibration(c["e_min"], c["e_max"], c["n_channels"])
@@ -438,19 +435,8 @@ def read_dataset(path: str | Path) -> LabeledDataset:
     except ValueError as err:
         raise ValueError(f"{manifest_path}: malformed manifest: {err}") from err
 
-    if legacy:
-        data_path = manifest_path.parent / manifest["data_csv"]
-        comments, _, rows, first_line = read_csv_table(data_path, cal.n_channels + 1)
-        if comments:
-            raise ValueError(f"{data_path}:1: comment line {comments[0]!r}; data rows take none")
-        if len(rows) > n_items:
-            line = csv_rows(data_path, first_line)[n_items][0]
-            raise ValueError(f"{data_path}:{line}: more rows than the manifest's n_items of {n_items}")
-        if len(rows) < n_items:
-            raise ValueError(f"{data_path}: {len(rows)} rows, manifest n_items is {n_items}")
-    else:
-        data_path = manifest_path.parent / manifest["data_npy"]
-        rows = _read_npy_rows(data_path, n_items, cal.n_channels + 1)
+    data_path = manifest_path.parent / manifest["data_npy"]
+    rows = _read_npy_rows(data_path, n_items, cal.n_channels + 1)
     rows.setflags(write=False)  # the dataset keeps the counts columns, not a copy
     labels = rows[:, 0]
     ok = (labels == np.floor(labels)) & (labels >= 0) & (labels < task.n_classes)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import fcntl
 import functools
 import os
 import signal
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -421,18 +421,19 @@ def _blas_threads() -> tuple:
 def _evaluator(metrics_of, params: NetworkParams):
     """An :class:`_Evaluator` for ``train``, or None to evaluate every epoch inline.
 
-    It is forked only when this process may run on at least two CPUs, and only
-    when BLAS runs on one thread or its thread count can be set.  While the
-    evaluator lives, BLAS is capped at half its threads (at least one), so the
-    trainer and the evaluator do not contend for the CPUs; the count is
-    restored on exit.  On exit, also on an error or an interrupt, the evaluator
-    is killed and reaped.
+    It is forked only when this process may run on at least two CPUs, runs no
+    other thread (a lock one held at the fork would stay held in the
+    evaluator), and BLAS runs on one thread or its thread count can be set.
+    While the evaluator lives, BLAS is capped at half its threads (at least
+    one), so the trainer and the evaluator do not contend for the CPUs; the
+    count is restored on exit.  On exit, also on an error or an interrupt, the
+    evaluator is killed and reaped.
     """
     get, set_ = _blas_threads()
     threads = get() if get is not None else None
     capped = threads is not None and set_ is not None
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or not (capped or threads == 1):
+    if cpus < 2 or threading.active_count() > 1 or not (capped or threads == 1):
         yield None
         return
     evaluator = None
@@ -465,6 +466,11 @@ class _Evaluator:
     def __init__(self, metrics_of, params: NetworkParams):
         from multiprocessing import Pipe  # here, not at import: only a training run needs it
 
+        try:  # here, not at import: fcntl is POSIX only, F_SETPIPE_SZ Linux only
+            from fcntl import F_SETPIPE_SZ, fcntl
+        except ImportError:
+            fcntl = None
+
         self.arch = params.arch
         self.sent: list[int] = []  # the epochs handed over and not yet answered, oldest first
         conns = []
@@ -472,8 +478,9 @@ class _Evaluator:
             conns += Pipe(duplex=False)  # frames: trainer to evaluator
             conns += Pipe(duplex=False)  # answers: evaluator to trainer
             # A frame (a 4-byte length, then the bytes) that does not fit waits for the reader.
-            with contextlib.suppress(OSError):
-                fcntl.fcntl(conns[1].fileno(), fcntl.F_SETPIPE_SZ, 4 + params.flat.nbytes)
+            if fcntl is not None:
+                with contextlib.suppress(OSError):
+                    fcntl(conns[1].fileno(), F_SETPIPE_SZ, 4 + params.flat.nbytes)
             pid = os.fork()
         except BaseException:
             for conn in conns:
@@ -569,7 +576,7 @@ def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
 
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
     """The columns of a ``metrics.csv`` by name, in header order."""
-    _, header, rows, _ = read_csv_table(path, header=True)
+    _, header, rows = read_csv_table(path)
     missing = [name for name in METRICS_COLUMNS if name not in header]
     if missing:
         raise ValueError(f"{path}: header lacks the columns {missing}")

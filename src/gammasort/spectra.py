@@ -210,7 +210,7 @@ def write_spectrum_csv(spectrum: Spectrum, path: str | Path) -> None:
 
 def read_spectrum_csv(path: str | Path) -> Spectrum:
     """Parse a spectrum CSV written by :func:`write_spectrum_csv` (value-exact)."""
-    comments, _, rows, _ = read_csv_table(path, 2, header=True)
+    comments, names, rows = read_csv_table(path)
     if not comments:
         raise ValueError(f"{path}: missing '# e_min=... e_max=... dwell=... kind=...' header")
     try:
@@ -221,6 +221,8 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
         raise ValueError(f"{path}:1: header missing field {err}") from err
     except ValueError as err:
         raise ValueError(f"{path}:1: bad header: {err}") from err
+    if names != ["channel", "counts"]:
+        raise ValueError(f"{path}:{len(comments) + 1}: columns {names}, not channel and counts")
     rows = rows[np.argsort(rows[:, 0])]
     if not np.array_equal(rows[:, 0], np.arange(len(rows))):
         raise ValueError(f"{path}: channel indices are not contiguous from 0")
@@ -231,7 +233,7 @@ def read_spectrum_csv(path: str | Path) -> Spectrum:
 
 
 def write_csv_table(path: str | Path, header, rows, comments=()) -> None:
-    """Write a ``# `` line per comment, the ``header`` line if any, then a line per row.
+    """Write a ``# `` line per comment, the ``header`` line, then a line per row.
 
     Each row is a list or tuple of cells.  A cell is written as itself if a
     string, as ``str(int(x))`` if an integer, else as ``repr(float(x))``, so
@@ -239,8 +241,7 @@ def write_csv_table(path: str | Path, header, rows, comments=()) -> None:
     """
     with open(path, "w") as fh:
         fh.writelines(f"# {text}\n" for text in comments)
-        if header:
-            fh.write(",".join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
@@ -250,14 +251,13 @@ def _csv_cell(cell) -> str:
     return str(int(cell)) if isinstance(cell, (int, np.integer)) else repr(float(cell))
 
 
-def read_csv_table(path: str | Path, width: int | None = None, header: bool = False) -> tuple:
+def read_csv_table(path: str | Path) -> tuple:
     """Leading ``#`` comment lines, column names and float64 rows of a CSV file.
 
-    A line of column names follows the comments if ``header``; each row holds
-    ``width`` numbers (default: one per name), and empty lines are skipped.
-    Returns ``(comments, names, rows, first_line)``, the last being the file
-    line of the first row.  The rows are parsed by one ``np.loadtxt`` call.
-    A malformed row, or a cell that is not a finite number, raises
+    A line of column names follows the comments; each row holds one number
+    per name, and empty lines are skipped.  Returns ``(comments, names,
+    rows)``.  The rows are parsed by one ``np.loadtxt`` call.  A malformed
+    row, or a cell that is not a finite number, raises
     ``ValueError("<path>:<line>: <cause>")``.
     """
     with open(path) as fh:
@@ -265,9 +265,9 @@ def read_csv_table(path: str | Path, width: int | None = None, header: bool = Fa
         while head[-1].startswith("#"):
             head.append(fh.readline())
     comments = [line.rstrip("\n") for line in head[:-1]]
-    names = head[-1].rstrip("\n").split(",") if header and head[-1] else []
-    width = len(names) if width is None else width
-    first_line = len(comments) + 1 + header
+    names = head[-1].rstrip("\n").split(",") if head[-1] else []
+    width = len(names)
+    first_line = len(comments) + 2
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -280,19 +280,16 @@ def read_csv_table(path: str | Path, width: int | None = None, header: bool = Fa
         rows = np.empty((0, width))
     if rows.shape[1] != width or not np.isfinite(rows).all():
         raise _bad_row_error(path, first_line, width)
-    return comments, names, rows, first_line
-
-
-def csv_rows(path: str | Path, first_line: int) -> list[tuple[int, str]]:
-    """(file line, text) of each row of a table that :func:`read_csv_table` read."""
-    lines = Path(path).read_text().split("\n")[first_line - 1 :]
-    return [(lineno, line) for lineno, line in enumerate(lines, first_line) if line]
+    return comments, names, rows
 
 
 def _bad_row_error(path: str | Path, first_line: int, width: int, err=None) -> ValueError:
     # np.loadtxt numbers rows inconsistently in its messages, so walk the rows
     # again to name the first bad one; this runs only on malformed files.
-    for lineno, line in csv_rows(path, first_line):
+    lines = Path(path).read_text().split("\n")[first_line - 1 :]
+    for lineno, line in enumerate(lines, first_line):
+        if not line:
+            continue
         cells = line.split(",")
         if len(cells) != width:
             return ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")

@@ -58,28 +58,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv, stdin=None):
-    """``gammasort *argv`` in a fresh interpreter, with ``stdin`` as its input."""
+def run_process(*argv, stdin=None, env=None):
+    """``gammasort *argv`` in a fresh interpreter, with ``stdin`` as its input and ``env`` set."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, "-m", "gammasort.cli", *map(str, argv)], input=stdin,
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        capture_output=True, text=True, env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        timeout=300,
     )
-
-
-def as_data_csv(ds_dir):
-    """Rewrite the dataset at ``ds_dir`` as it was stored before data.npy: ``repr`` rows in data.csv."""
-    ds = read_dataset(ds_dir)
-    manifest = json.loads((ds_dir / "manifest.json").read_text())
-    manifest["data_csv"] = "data.csv"
-    del manifest["data_npy"]
-    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
-    (ds_dir / "data.npy").unlink()
-    (ds_dir / "data.csv").write_text("".join(
-        f"{k}," + ",".join(map(repr, c.tolist())) + "\n" for k, c in zip(ds.labels.tolist(), ds.counts)
-    ))
-    return ds_dir / "data.csv"
 
 
 def assert_templates(out, n):
@@ -318,57 +305,6 @@ class TestEvalInputBoundary:
         err = self.eval_error(capsys, model, ds)
         assert err.startswith(f"gammasort: error: {ds / 'data.npy'}: {expected}")
 
-    def edit_row(self, ds, row, edit):
-        """Store ``ds`` as an older data.csv and apply ``edit`` to one of its lines."""
-        data = as_data_csv(ds)
-        lines = data.read_text().splitlines()
-        lines[row] = edit(lines[row])
-        data.write_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("label", ["9", "5", "-1"])
-    def test_label_outside_class_range(self, files, capsys, label):
-        model, ds = files
-        self.edit_row(ds, 0, lambda line: label + line[line.index(","):])
-        err = self.eval_error(capsys, model, ds)
-        assert "data.csv: item 0: " in err
-        assert f"label {label}" in err
-
-    def test_row_of_wrong_width(self, files, capsys):
-        model, ds = files
-        self.edit_row(ds, 2, lambda line: line.rsplit(",", 1)[0])
-        err = self.eval_error(capsys, model, ds)
-        assert "data.csv:3:" in err
-        assert "256 cells, expected 257" in err
-
-    @pytest.mark.parametrize("cell", ["abc", "", "1.5"])
-    def test_cell_that_is_not_a_count_or_label(self, files, capsys, cell):
-        model, ds = files
-        column = 0 if cell == "1.5" else 7
-        self.edit_row(ds, 4, lambda line: ",".join(
-            cell if i == column else c for i, c in enumerate(line.split(","))
-        ))
-        err = self.eval_error(capsys, model, ds)
-        assert ("data.csv: item 4: label 1.5" if cell == "1.5"
-                else f"data.csv:5: cell 8 is not a number: {cell!r}") in err
-
-    def test_row_count_differs_from_n_items(self, files, capsys):
-        model, ds = files
-        data = as_data_csv(ds)
-        lines = data.read_text().splitlines()
-        data.write_text("\n".join(lines[:-1]) + "\n")
-        err = self.eval_error(capsys, model, ds)
-        assert "data.csv" in err
-        assert "n_items" in err
-
-    def test_many_extra_rows_name_the_first(self, files, capsys):
-        model, ds = files
-        data = as_data_csv(ds)
-        lines = data.read_text().splitlines()
-        data.write_text("\n".join(lines * 40) + "\n")
-        err = self.eval_error(capsys, model, ds)
-        assert f"data.csv:{len(lines) + 1}: " in err
-        assert f"n_items of {len(lines)}" in err
-
     def test_missing_manifest_field(self, files, capsys):
         model, ds = files
         manifest = json.loads((ds / "manifest.json").read_text())
@@ -427,22 +363,6 @@ class TestTrainEval:
         assert first.splitlines()[-1] == second.splitlines()[-1]
         assert (tmp_path / "ev" / "eval.json").is_file()
 
-    def test_data_csv_datasets_train_and_eval_the_same(self, pipeline):
-        """Datasets of ``repr`` counts in data.csv, as written before data.npy, give the same artifacts."""
-        cfg_path, tmp_path = pipeline
-
-        def train_eval(out):
-            assert run("train", "--config", cfg_path, "--out", out / "run") == 0
-            assert run("eval", "--model", out / "run" / "model.json",
-                       "--dataset", tmp_path / "test_ds", "--out", out / "ev") == 0
-            return [(out / name).read_bytes()
-                    for name in ("run/model.json", "run/metrics.csv", "ev/eval.json")]
-
-        new = train_eval(tmp_path / "new")
-        for name in ("train_ds", "test_ds"):
-            as_data_csv(tmp_path / name)
-        assert train_eval(tmp_path / "old") == new
-
     def test_eval_channel_mismatch_reported_before_compute(self, pipeline, capsys):
         cfg_path, tmp_path = pipeline
         run_dir = tmp_path / "run"
@@ -477,6 +397,20 @@ class TestScenarioCommand:
         assert len(svgs) == 4
         for svg in svgs:
             ET.parse(svg)  # well-formed XML
+
+    def test_gauge_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 20}}))
+        names = ["comparison.csv"] + [f"{arch}/{name}" for arch in ("linear", "hidden_tanh")
+                                      for name in ("model.json", "metrics.csv", "confusion.csv")]
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            proc = run_process("scenario", "gauge", "--config", cfg, "--out", out,
+                               env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            files[threads] = [(out / name).read_bytes() for name in names]
+        assert files["1"] == files["2"]
 
     def test_report_on_empty_directory_lists_missing(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -607,15 +541,20 @@ class TestSampleManifest:
         err = self.sample_error(capsys, cfg, tpl, tmp_path)
         assert err == f"gammasort: error: {tpl / 'data.npy'}: {expected}\n"
 
-    @pytest.mark.parametrize("row", ["1,abc", "0,1.0,2"])
-    def test_bad_template_row_names_the_file(self, templates, tmp_path, capsys, row):
+    def test_dataset_written_before_data_npy_is_refused(self, templates, tmp_path, capsys):
         cfg, tpl = templates
-        data = as_data_csv(tpl)
-        lines = data.read_text().splitlines()
-        lines[-1] = row
-        data.write_text("\n".join(lines) + "\n")
-        err = self.sample_error(capsys, cfg, tpl, tmp_path)
-        assert f"{data}:{len(lines)}: " in err
+        # Such a manifest names data.csv where a current one names data.npy.
+        self.edit_manifest(tpl, lambda doc: doc.update(data_csv=doc.pop("data_npy")[:-3] + "csv"))
+        message = (f"{tpl / 'manifest.json'}: a data.csv dataset, written before data.npy; "
+                   "run synth or sample again to rewrite it")
+        with pytest.raises(ValueError) as info:
+            read_dataset(tpl)
+        assert str(info.value) == message
+        assert self.sample_error(capsys, cfg, tpl, tmp_path) == f"gammasort: error: {message}\n"
+        model = tmp_path / "model.json"
+        save_model(model, LinearParams(np.zeros((5, 256)), np.zeros(5)))
+        assert run("eval", "--model", model, "--dataset", tpl) == 2
+        assert capsys.readouterr().err == f"gammasort: error: {message}\n"
 
     def test_sampled_spectrum_among_templates_names_the_file(self, templates, tmp_path, capsys):
         cfg, tpl = templates

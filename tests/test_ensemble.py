@@ -444,138 +444,14 @@ def test_corrupt_data_npy_reads_or_names_the_file(small_grid, corrupt, kind):
             assert back.counts.shape == ds.counts.shape
 
 
-NOT_A_NUMBER = st.sampled_from(
-    ["x", "", "1.0.0", "1_0", "0x1f", "--1", "1e", "1#", "#", "#1", "# 0.0", "nan", "inf", "-inf"]
-)
-
-
-@st.composite
-def corruptions(draw):
-    """(row, edit) for one data.csv line: a cell that is not a number, a dropped
-    cell, an extra cell, or a label that is not a class index."""
-    row = draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["not_a_number", "drop", "extra", "label"]))
-    if kind == "not_a_number":
-        column, text = draw(st.integers(0, 4)), draw(NOT_A_NUMBER)
-        return row, lambda cells: cells[:column] + [text] + cells[column + 1 :]
-    if kind == "drop":
-        column = draw(st.integers(0, 4))
-        return row, lambda cells: cells[:column] + cells[column + 1 :]
-    if kind == "extra":
-        column, text = draw(st.integers(0, 5)), draw(st.sampled_from(["0", "1.5", "x"]))
-        return row, lambda cells: cells[:column] + [text] + cells[column:]
-    label = draw(st.one_of(st.integers(5, 10**6), st.integers(-(10**6), -1),
-                           st.sampled_from([0.5, 2.25, float("nan"), float("inf")])))
-    return row, lambda cells: [repr(label) if isinstance(label, float) else str(label)] + cells[1:]
-
-
-@given(corruptions())
-@settings(max_examples=80, deadline=None)
-def test_corrupt_data_row_names_its_line(small_grid, corruption):
-    """An edited row of an older data.csv is named by its line, or by its item
-    where the row parses but its label is not a class index."""
-    row, edit = corruption
-    ds = tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid)
-    with tempfile.TemporaryDirectory() as tmp:
-        write_dataset(ds, tmp)
-        data = write_data_csv(ds, Path(tmp))
-        lines = data.read_text().splitlines()
-        lines[row] = ",".join(edit(lines[row].split(",")))
-        data.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_dataset(tmp)
-    assert str(info.value).startswith((f"{data}:{row + 1}: ", f"{data}: item {row}: label "))
-
-
-def write_data_csv(ds, ds_dir):
-    """Rewrite the dataset at ``ds_dir`` as it was stored before data.npy: ``repr`` rows in data.csv."""
-    manifest = json.loads((ds_dir / "manifest.json").read_text())
-    manifest["data_csv"] = manifest.pop("data_npy").replace(".npy", ".csv")
-    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
-    (ds_dir / "data.npy").unlink()
-    (ds_dir / "data.csv").write_text("".join(
-        f"{k}," + ",".join(map(repr, c.tolist())) + "\n" for k, c in zip(ds.labels.tolist(), ds.counts)
-    ))
-    return ds_dir / "data.csv"
-
-
 class TestDataRows:
-    """The rows file holds exactly n_items rows of valid labels; so does an older data.csv."""
+    """A manifest gives a positive n_items, one source index per item, and a data_npy."""
 
     @pytest.fixture()
     def written(self, tmp_path, small_grid):
         ds = tiny_dataset(np.arange(24.0).reshape(6, 4), small_grid)
         write_dataset(ds, tmp_path)
         return tmp_path, ds
-
-    def test_data_csv_still_reads(self, written):
-        ds_dir, ds = written
-        write_data_csv(ds, ds_dir)
-        back = read_dataset(ds_dir)
-        assert back.counts.tobytes() == ds.counts.tobytes()
-        assert np.array_equal(back.labels, ds.labels)
-
-    @pytest.mark.parametrize("rows, message", [
-        (5, ": 5 rows, manifest n_items is 6"),
-        (7, ":7: more rows than the manifest's n_items of 6"),
-    ], ids=["5", "7"])
-    def test_data_csv_row_count_must_be_n_items(self, written, rows, message):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        lines = data.read_text().splitlines()
-        data.write_text("\n".join((lines * 2)[:rows]) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data) + message)}$"):
-            read_dataset(ds_dir)
-
-    @pytest.mark.parametrize("extra", [1, 500])
-    def test_extra_rows_name_the_first(self, written, extra):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        lines = data.read_text().splitlines()
-        data.write_text("\n".join(lines + lines[:1] * extra) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: .*n_items of 6"):
-            read_dataset(ds_dir)
-
-    def test_extra_row_after_an_empty_line(self, written):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        data.write_text(data.read_text() + "\n" + "0,1.0,2.0,3.0,4.0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:8: "):
-            read_dataset(ds_dir)
-
-    def test_extra_row_that_is_malformed(self, written):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        data.write_text(data.read_text() + "0,1.0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:7: "):
-            read_dataset(ds_dir)
-
-    @pytest.mark.parametrize("first", ["#", "# 0,1.0,2.0,3.0,4.0", "#0,1.0,2.0,3.0,4.0"])
-    def test_comment_line_is_rejected(self, written, first):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        lines = data.read_text().splitlines()
-        data.write_text("\n".join([first] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:1: .*comment"):
-            read_dataset(ds_dir)
-
-    def test_comment_line_before_the_rows_is_rejected(self, written):
-        # n_items rows follow it, so only the comment check refuses the file.
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        data.write_text("# 0,1.0,2.0,3.0,4.0\n" + data.read_text())
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}:1: .*comment"):
-            read_dataset(ds_dir)
-
-    @pytest.mark.parametrize("label", ["5", "-1", "0.5"])
-    def test_data_csv_label_names_its_item(self, written, label):
-        ds_dir, ds = written
-        data = write_data_csv(ds, ds_dir)
-        lines = data.read_text().splitlines()
-        lines[3] = label + lines[3][lines[3].index(","):]
-        data.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(data))}: item 3: label {label} outside"):
-            read_dataset(ds_dir)
 
     @pytest.mark.parametrize("entries", [5, 7])
     def test_source_index_length_must_be_n_items(self, written, entries):

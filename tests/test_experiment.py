@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -412,11 +413,8 @@ class TestOversample:
         assert len(oversample_positives(ds, 0, 0.25)) == len(ds)  # copies = max(1, ...)
 
 
-LOADTXT = np.loadtxt
-
-
 class TestCsvParsePath:
-    """data.npy files are read without np.loadtxt; data.csv and other tables go to it.
+    """data.npy files are read without np.loadtxt; CSV tables go to it.
 
     A fast path that silently fell back would keep every other test green.
     """
@@ -438,23 +436,6 @@ class TestCsvParsePath:
     def test_sampled_dataset_reads_without_loadtxt(self, tmp_path, templates):
         ds = sample_dataset(templates, 3, 1.0, seed=5)
         back = read_dataset(write_dataset(ds, tmp_path))
-        assert back.counts.tobytes() == ds.counts.tobytes()
-        assert np.array_equal(back.labels, ds.labels)
-
-    def test_data_csv_dataset_goes_to_loadtxt(self, tmp_path, templates, monkeypatch):
-        """A sampled data.csv of ``repr`` counts, as written before data.npy, still loads."""
-        ds = sample_dataset(templates, 3, 1.0, seed=5)
-        manifest = json.loads(write_dataset(ds, tmp_path).read_text())
-        manifest["data_csv"] = manifest.pop("data_npy").replace(".npy", ".csv")
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        (tmp_path / "data.csv").write_text("".join(
-            f"{k}," + ",".join(map(repr, c.tolist())) + "\n"
-            for k, c in zip(ds.labels.tolist(), ds.counts)
-        ))
-        with pytest.raises(self.LoadtxtCalled):
-            read_dataset(tmp_path)
-        monkeypatch.setattr(np, "loadtxt", LOADTXT)
-        back = read_dataset(tmp_path)
         assert back.counts.tobytes() == ds.counts.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
@@ -771,6 +752,19 @@ class TestEvaluator:
                      grid={"distances_m": [10.0]})
         assert forks == []
 
+    def test_a_worker_thread_trains_inline(self, forks):
+        # A lock another thread held at a fork would stay held in the evaluator.
+        trained = []
+        worker = threading.Thread(target=lambda: trained.append(train_small()))
+        worker.start()
+        worker.join()
+        assert forks == []
+        params, history = train_small()
+        assert len(forks) == 1
+        assert trained[0][0].flat.tobytes() == params.flat.tobytes()
+        assert_same_history(trained[0][1], history)
+        assert_no_child_left()
+
     def test_a_metrics_failure_names_its_epoch_after_the_trainer_moved_on(self, forks,
                                                                          monkeypatch):
         # The evaluator always holds epochs 1 and 2; its second evaluation, of
@@ -920,6 +914,32 @@ class TestEvaluator:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert out.read_text() == "before\nafter 2\n"
         assert (tmp_path / "run" / "linear" / "model.json").is_file()
+
+    def test_the_package_runs_without_fcntl(self, tmp_path):
+        # fcntl is POSIX only; without it the evaluator keeps the default pipe size.
+        script = (
+            "import os, sys\n"
+            "if sys.argv[2] == 'blocked':\n"
+            "    sys.modules['fcntl'] = None\n"
+            "import gammasort\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "gammasort.run_scenario('isotope', sys.argv[1], train={'epochs': 3},\n"
+            "                       samples_per_config=1,\n"
+            "                       grid={'distances_m': [10.0], 'shieldings': ['Bare']})\n"
+            "assert len(forks) == 1\n"
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1"}  # one BLAS thread: the evaluator needs no cap
+        for how in ("blocked", "normal"):
+            proc = subprocess.run([sys.executable, "-W", "error", "-c", script, str(tmp_path / how),
+                                   how], capture_output=True, text=True, env=env, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, "")
+        for name in ("model.json", "metrics.csv"):
+            blocked, normal = (tmp_path / how / name for how in ("blocked", "normal"))
+            assert blocked.read_bytes() == normal.read_bytes()
 
 
 class TestBlasThreads:

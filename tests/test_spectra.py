@@ -16,7 +16,6 @@ from gammasort.spectra import (
     EnergyCalibration,
     Spectrum,
     SpectrumKind,
-    csv_rows,
     default_calibration,
     read_csv_table,
     read_spectrum_csv,
@@ -211,6 +210,14 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError, match=rf"bad\.csv:4: .*{cause}"):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("table", ["channel\n0\n", "channel,counts,extra\n0,1.0,2\n",
+                                       "counts,channel\n0,1.0\n"])
+    def test_other_columns_are_rejected(self, tmp_path, table):
+        path = tmp_path / "bad.csv"
+        path.write_text("# e_min=0.0 e_max=3000.0 dwell=1.0 kind=template\n" + table)
+        with pytest.raises(ValueError, match=r"bad\.csv:2: columns \[.*\], not channel and counts$"):
+            read_spectrum_csv(path)
+
     def test_write_is_deterministic(self, tmp_path):
         s = make_spectrum(np.linspace(0, 7, 16) ** 1.5)
         write_spectrum_csv(s, tmp_path / "a.csv")
@@ -267,30 +274,22 @@ def test_spectrum_csv_round_trip_is_value_exact(counts):
 
 
 class TestCsvTable:
-    def test_returns_comments_names_rows_and_first_line(self, tmp_path):
+    def test_returns_comments_names_and_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# one\n# two\na,b,c\n1,2.5,3\n4,5,6e-3\n")
-        comments, names, rows, first_line = read_csv_table(path, header=True)
+        comments, names, rows = read_csv_table(path)
         assert comments == ["# one", "# two"]
         assert names == ["a", "b", "c"]
         assert rows.dtype == np.float64
         assert rows.tolist() == [[1.0, 2.5, 3.0], [4.0, 5.0, 0.006]]
-        assert first_line == 4
 
-    def test_without_header_every_line_is_a_row(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1,2\n3,4\n")
-        comments, names, rows, first_line = read_csv_table(path, 2)
-        assert (comments, names, first_line) == ([], [], 1)
-        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
-    @pytest.mark.parametrize("text, header", [("", False), ("", True), ("# c\n", True),
-                                              ("# c\na,b\n", True)])
-    def test_no_rows_gives_an_empty_table(self, tmp_path, text, header):
+    @pytest.mark.parametrize("text, width", [("", 0), ("# c\n", 0), ("a,b\n", 2),
+                                             ("# c\na,b\n", 2)])
+    def test_no_rows_gives_an_empty_table(self, tmp_path, text, width):
         # Warnings are errors in this suite: np.loadtxt's "no data" warning must not escape.
         path = tmp_path / "t.csv"
         path.write_text(text)
-        assert read_csv_table(path, 2, header=header)[2].shape == (0, 2)
+        assert read_csv_table(path)[2].shape == (0, width)
 
     @pytest.mark.parametrize("rows, line, cause", [
         ("1,2\n3\n", 4, "1 cells, expected 2"),
@@ -308,16 +307,8 @@ class TestCsvTable:
         path = tmp_path / "t.csv"
         path.write_text("# c\na,b\n" + rows)
         with pytest.raises(ValueError) as info:
-            read_csv_table(path, header=True)
+            read_csv_table(path)
         assert str(info.value) == f"{path}:{line}: {cause}"
-
-    def test_empty_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("# c\n1,2\n\n3,4\n\n")
-        _, _, rows, first_line = read_csv_table(path, 2)
-        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert csv_rows(path, first_line) == [(2, "1,2"), (4, "3,4")]
-
 
 # Every finite double (signed zeros, subnormals and the largest included), as a
 # Python float or np.float64, and integers a double holds exactly, as np.int64.
@@ -340,10 +331,10 @@ def test_csv_table_round_trip_is_value_exact(rows, comment):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write_csv_table(path, names, rows, comments=(comment,))
-        comments, back_names, back, first_line = read_csv_table(path, header=True)
+        comments, back_names, back = read_csv_table(path)
     expected = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     assert back.tobytes() == expected.tobytes()
-    assert (comments, back_names, first_line) == ([f"# {comment}"], names, 3)
+    assert (comments, back_names) == ([f"# {comment}"], names)
 
 
 def count_lines(at, cell=None):
@@ -364,8 +355,8 @@ def with_line(at, edit):
     return joined(lines)
 
 
-# Table texts a data.csv of older or hand-edited counts may hold: other
-# spellings of a number, other line ends, and rows of the wrong width.
+# Table texts a hand-edited CSV may hold: other spellings of a number,
+# other line ends, and rows of the wrong width.
 TABLE_TEXTS = {
     **{f"cell {cell!r}": lambda at, cell=cell: joined(count_lines(at, cell)) for cell in
        ["1.", ".0", "1.00", "1.0.0", "-0.0", "+1.0", "1e3", " 1.0", "1234567890123456"]},
@@ -401,14 +392,14 @@ def python_rows(text, first_line, width):
 def test_table_texts_read_as_python_floats(tmp_path, text, at):
     """Each text reads bit for bit as ``float`` reads its cells, or is refused
     naming the line of its first bad row."""
-    path = tmp_path / "data.csv"
+    path = tmp_path / "t.csv"
     path.write_bytes(("# c\na,b,c\n" + text(at)).encode())
     expected = python_rows(path.read_text(), 3, 3)
     if isinstance(expected, int):
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{expected}: "):
-            read_csv_table(path, 3, header=True)
+            read_csv_table(path)
     else:
-        back = read_csv_table(path, 3, header=True)[2]
+        back = read_csv_table(path)[2]
         assert back.shape == expected.shape == (70, 3)
         assert back.tobytes() == expected.tobytes()
 
