@@ -296,14 +296,31 @@ class TestEvalInputBoundary:
         (np.asfortranarray, "rows in Fortran order"),
         (lambda rows: rows[:, :-1], "shape (24, 256), expected (n_items, 1 + n_channels) = (24, 257)"),
         (lambda rows: rows[:-1], "shape (23, 257), expected"),
+        (lambda rows: np.concatenate([rows, rows[:1]]), "shape (25, 257), expected"),
+        (lambda rows: np.tile(rows, (40, 1)), "shape (960, 257), expected"),
+        (lambda rows: np.hstack([rows, rows[:, :1]]), "shape (24, 258), expected"),
         (lambda rows: rows.ravel(), "shape (6168,), expected"),
     ], ids=["int64", "object", "big-endian", "big-endian-float", "fortran", "narrow", "short",
-            "flat"])
+            "long", "many", "wide", "flat"])
     def test_rows_of_another_dtype_order_or_shape(self, files, capsys, edit, expected):
         model, ds = files
         np.save(ds / "data.npy", edit(np.load(ds / "data.npy")))
         err = self.eval_error(capsys, model, ds)
         assert err.startswith(f"gammasort: error: {ds / 'data.npy'}: {expected}")
+
+    @pytest.mark.parametrize("cell, expected", [
+        (np.nan, "counts must be finite"),
+        (np.inf, "counts must be finite"),
+        (-1.0, "counts must be non-negative"),
+        (1.5, "sampled realizations must have integer-valued counts"),
+    ])
+    def test_cell_that_is_not_a_count_or_label(self, files, capsys, cell, expected):
+        model, ds = files
+        rows = np.load(ds / "data.npy").astype(np.float64)
+        rows[4, 8] = cell
+        np.save(ds / "data.npy", rows)
+        err = self.eval_error(capsys, model, ds)
+        assert err == f"gammasort: error: {ds / 'data.npy'}: {expected}\n"
 
     def test_missing_manifest_field(self, files, capsys):
         model, ds = files
@@ -362,6 +379,19 @@ class TestTrainEval:
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
         assert (tmp_path / "ev" / "eval.json").is_file()
+
+    def test_train_refuses_a_dataset_written_before_data_npy(self, pipeline, capsys):
+        cfg_path, tmp_path = pipeline
+        manifest = tmp_path / "test_ds" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["data_csv"] = doc.pop("data_npy")[:-3] + "csv"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--config", cfg_path, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == (
+            f"gammasort: error: {manifest}: a data.csv dataset, written before data.npy; "
+            "run synth or sample again to rewrite it\n"
+        )
 
     def test_eval_channel_mismatch_reported_before_compute(self, pipeline, capsys):
         cfg_path, tmp_path = pipeline

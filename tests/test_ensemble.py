@@ -483,6 +483,49 @@ class TestDataRows:
         with pytest.raises(ValueError, match=r"malformed manifest: missing key 'data_npy'$"):
             read_dataset(ds_dir)
 
+    @pytest.mark.parametrize("at", ["directory", "manifest"])
+    def test_dataset_written_before_data_npy_is_refused(self, written, at):
+        ds_dir, _ = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["data_csv"] = doc.pop("data_npy").replace(".npy", ".csv")
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            read_dataset(ds_dir if at == "directory" else manifest)
+        assert str(info.value) == (f"{manifest}: a data.csv dataset, written before data.npy; "
+                                   "run synth or sample again to rewrite it")
+
+    def test_manifest_naming_both_rows_files_reads_data_npy(self, written):
+        ds_dir, ds = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["data_csv"] = "data.csv"  # no such file: only data.npy is read
+        manifest.write_text(json.dumps(doc))
+        back = read_dataset(ds_dir)
+        assert back.counts.tobytes() == ds.counts.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("n_rows", [5, 7, 506])
+    def test_rows_must_number_n_items(self, written, n_rows):
+        ds_dir, _ = written
+        data = ds_dir / "data.npy"
+        rows = np.load(data)
+        np.save(data, np.resize(rows, (n_rows, rows.shape[1])))
+        message = f": shape ({n_rows}, 5), expected (n_items, 1 + n_channels) = (6, 5)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data) + message)}$"):
+            read_dataset(ds_dir)
+
+    @pytest.mark.parametrize("label", [5.0, -1.0, 0.5, np.nan, np.inf, -np.inf])
+    def test_label_outside_the_classes_names_its_item(self, written, label):
+        ds_dir, ds = written
+        data = ds_dir / "data.npy"
+        rows = np.load(data)
+        rows[3, 0] = label
+        np.save(data, rows)
+        message = f": item 3: label {label:g} outside [0, 5) for task {ds.task.value}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(data) + message)}$"):
+            read_dataset(ds_dir)
+
 
 class TestTableLoads:
     """Reading a manifest builds each distinct isotope and shielding once."""

@@ -310,6 +310,23 @@ class TestCsvTable:
             read_csv_table(path)
         assert str(info.value) == f"{path}:{line}: {cause}"
 
+    def test_empty_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# c\na,b\n1,2\n\n3,4\n\n")
+        assert read_csv_table(path)[2].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text("# c\na,b\n1,2\n\n3\n\n")
+        with pytest.raises(ValueError) as info:
+            read_csv_table(path)
+        assert str(info.value) == f"{path}:5: 1 cells, expected 2"
+
+    def test_a_table_without_rows_keeps_its_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv_table(path, ["a", "b"], [], comments=("c",))
+        assert path.read_text() == "# c\na,b\n"
+        comments, names, rows = read_csv_table(path)
+        assert (comments, names, rows.shape) == (["# c"], ["a", "b"], (0, 2))
+
+
 # Every finite double (signed zeros, subnormals and the largest included), as a
 # Python float or np.float64, and integers a double holds exactly, as np.int64.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
