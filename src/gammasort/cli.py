@@ -43,7 +43,7 @@ from .forward_model import (
     build_template,  # noqa: F401  (bound: perfbench's selftest reads cli.build_template)
 )
 from .jsonfile import read_json, write_json
-from .neuralnet import load_model
+from .neuralnet import ARCHS, load_model
 from .spectra import SpectrumKind, rebin_counts, write_csv_table
 
 
@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
                 f"train {train_ds.task.value}, test {test_ds.task.value}"
             )
         results = train_and_write(config, train_ds, test_ds, args.out)
-    for arch in ("linear", "hidden_tanh"):
+    for arch in ARCHS:
         if arch in results:
             history = results[arch]["history"]
             print(
@@ -232,8 +232,7 @@ def cmd_report(args) -> int:
             if sub.is_dir() and (sub / "metrics.csv").is_file():
                 targets.append((sub, out_dir / sub.name if args.out else sub))
     if not targets:
-        missing = [str(run_dir / "metrics.csv")]
-        raise ValueError(f"no run artifacts to report; missing: {', '.join(missing)}")
+        raise ValueError(f"no run artifacts to report; missing: {run_dir / 'metrics.csv'}")
     # Every input is read before the first write, so a bad file leaves no partial report.
     runs = [(dst, read_metrics_csv(src / "metrics.csv"), _model_series(src / "model.json"))
             for src, dst in targets]
@@ -250,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON run config (merged over defaults)")
         p.add_argument("--seed", type=_seed_flag, help="master seed override")
         p.add_argument("--rebin", type=int, choices=(1024, 256),
                        help="channel count after rebinning")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p_synth = sub.add_parser("synth", help="write template spectra for the config grid")
     add_common(p_synth)

@@ -478,10 +478,9 @@ def _read_npy_rows(path: Path, n_items: int, width: int) -> np.ndarray:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 version = fmt.read_magic(fh)
-                if version not in ((1, 0), (2, 0)):
+                if version != (1, 0):  # the format write_dataset writes
                     raise ValueError(f"unsupported .npy format version {version}")
-                read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-                shape, fortran_order, dtype = read(fh)
+                shape, fortran_order, dtype = fmt.read_array_header_1_0(fh)
         except (ValueError, TypeError, tokenize.TokenError, UserWarning) as err:
             raise ValueError(f"{path}: {err}") from err
         if dtype not in _NPY_DTYPES:

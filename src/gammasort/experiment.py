@@ -394,26 +394,21 @@ _BLAS_THREAD_FUNCTIONS = (
 def _blas_threads() -> tuple:
     """The BLAS thread count's ``(getter, setter)``; either is None when not found.
 
-    They are looked up by name in the libraries this process has mapped whose
-    file name holds ``blas``, so they are the ones numpy calls.
+    They are looked up by name through numpy's compiled core module, whose
+    symbol lookup also searches the libraries it links, so they are the ones
+    numpy calls.
     """
     import ctypes  # here, not at import: only a training run needs it
 
     try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        fields = []
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "blas" in Path(f[5]).name})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # mapped already: this finds the loaded library
-        except OSError:
-            continue
-        for names in _BLAS_THREAD_FUNCTIONS:
-            found = tuple(getattr(lib, name, None) for name in names)
-            if any(found):
-                return found
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    lib = ctypes.CDLL(core.__file__)  # loaded already: this opens the loaded module
+    for names in _BLAS_THREAD_FUNCTIONS:
+        found = tuple(getattr(lib, name, None) for name in names)
+        if any(found):
+            return found
     return None, None
 
 

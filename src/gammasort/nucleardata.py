@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .spectra import read_csv_table
+
 DATA_DIR_ENV_VAR = "GAMMASORT_DATA_DIR"
 
 _BUNDLED_DIR = Path(__file__).parent / "data"
@@ -23,29 +25,40 @@ def data_dir() -> Path:
     return Path(override) if override else _BUNDLED_DIR
 
 
-def _read_rows(name: str) -> list[dict]:
+def _table_path(name: str) -> Path:
     path = data_dir() / name
     if not path.is_file():
         raise FileNotFoundError(f"bundled data file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        return list(reader)
+    return path
 
 
 def load_nuclide_lines() -> dict[str, tuple[tuple[float, float], ...]]:
     """Gamma lines per isotope name: {name: ((energy_keV, intensity), ...)}."""
+    path = _table_path("nuclide_lines.csv")
     table: dict[str, list[tuple[float, float]]] = {}
-    for row in _read_rows("nuclide_lines.csv"):
-        table.setdefault(row["isotope"], []).append(
-            (float(row["energy_keV"]), float(row["intensity"]))
-        )
+    with open(path, newline="") as fh:
+        # A comment line reads as an empty row, so line_num stays the file's line.
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        rows = (row for row in reader if row)
+        names = next(rows, [])
+        if names != ["isotope", "energy_keV", "intensity"]:
+            raise ValueError(f"{path}:{reader.line_num}: columns {names}, "
+                             "not isotope, energy_keV and intensity")
+        for row in rows:
+            if len(row) != 3:
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, expected 3")
+            try:
+                table.setdefault(row[0], []).append((float(row[1]), float(row[2])))
+            except ValueError as err:
+                raise ValueError(f"{path}:{reader.line_num}: {err}") from err
     return {name: tuple(lines) for name, lines in table.items()}
 
 
 def load_attenuation_table(material_slug: str) -> tuple[np.ndarray, np.ndarray]:
     """(energies_keV, mu_per_cm) arrays for one material table file."""
-    rows = _read_rows(f"attenuation_{material_slug}.csv")
-    energies = np.array([float(r["energy_keV"]) for r in rows])
-    mu = np.array([float(r["mu_per_cm"]) for r in rows])
-    order = np.argsort(energies)
-    return energies[order], mu[order]
+    path = _table_path(f"attenuation_{material_slug}.csv")
+    comments, names, rows = read_csv_table(path)
+    if names != ["energy_keV", "mu_per_cm"]:
+        raise ValueError(f"{path}:{len(comments) + 1}: columns {names}, not energy_keV and mu_per_cm")
+    order = np.argsort(rows[:, 0])
+    return rows[order, 0], rows[order, 1]

@@ -8,7 +8,6 @@ Both share one immutable container type, distinguished by a ``kind`` flag.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -256,48 +255,33 @@ def read_csv_table(path: str | Path) -> tuple:
 
     A line of column names follows the comments; each row holds one number
     per name, and empty lines are skipped.  Returns ``(comments, names,
-    rows)``.  The rows are parsed by one ``np.loadtxt`` call.  A malformed
-    row, or a cell that is not a finite number, raises
-    ``ValueError("<path>:<line>: <cause>")``.
+    rows)``.  Each cell is read by ``float``; it must be ASCII (a byte that
+    does not decode is not) with no ``_`` digit separator, and finite.  The
+    first row that breaks a rule raises ``ValueError("<path>:<line>: <cause>")``.
     """
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         head = [fh.readline()]
         while head[-1].startswith("#"):
             head.append(fh.readline())
+        names = head[-1].rstrip("\n").split(",") if head[-1] else []
+        rows = [_csv_row(line.rstrip("\n").split(","), len(names), f"{path}:{lineno}")
+                for lineno, line in enumerate(fh, len(head) + 1) if line != "\n"]
     comments = [line.rstrip("\n") for line in head[:-1]]
-    names = head[-1].rstrip("\n").split(",") if head[-1] else []
-    width = len(names)
-    first_line = len(comments) + 2
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, skiprows=first_line - 1
-            )
-    except ValueError as err:
-        raise _bad_row_error(path, first_line, width, err) from err
-    if rows.size == 0:
-        rows = np.empty((0, width))
-    if rows.shape[1] != width or not np.isfinite(rows).all():
-        raise _bad_row_error(path, first_line, width)
-    return comments, names, rows
+    return comments, names, np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
 
 
-def _bad_row_error(path: str | Path, first_line: int, width: int, err=None) -> ValueError:
-    # np.loadtxt numbers rows inconsistently in its messages, so walk the rows
-    # again to name the first bad one; this runs only on malformed files.
-    lines = Path(path).read_text().split("\n")[first_line - 1 :]
-    for lineno, line in enumerate(lines, first_line):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            return ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {width}")
-        for column, cell in enumerate(cells, 1):
-            try:
-                value = float(cell.replace("_", "x"))  # np.loadtxt takes no digit separators
-            except ValueError:
-                return ValueError(f"{path}:{lineno}: cell {column} is not a number: {cell!r}")
-            if not math.isfinite(value):
-                return ValueError(f"{path}:{lineno}: cell {column} is not a finite number: {cell!r}")
-    return ValueError(f"{path}: {err}")
+def _csv_row(cells: list, width: int, where: str) -> list:
+    if len(cells) != width:
+        raise ValueError(f"{where}: {len(cells)} cells, expected {width}")
+    values = []
+    for column, cell in enumerate(cells, 1):
+        try:
+            if not cell.isascii() or "_" in cell:  # float reads other digits and "_" too
+                raise ValueError
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"{where}: cell {column} is not a number: {cell!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: cell {column} is not a finite number: {cell!r}")
+        values.append(value)
+    return values

@@ -515,6 +515,20 @@ class TestDataRows:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(data) + message)}$"):
             read_dataset(ds_dir)
 
+    def test_format_2_0_header_is_refused(self, written):
+        # write_dataset writes format 1.0 only; np.save writes 2.0 for headers
+        # over 64 KiB, which a data.npy header never is.
+        ds_dir, _ = written
+        data = ds_dir / "data.npy"
+        rows = np.load(data)
+        with open(data, "wb") as fh:
+            np.lib.format.write_array_header_2_0(fh, np.lib.format.header_data_from_array_1_0(rows))
+            fh.write(rows.tobytes())
+        assert np.array_equal(np.load(data), rows)  # a valid 2.0 file of the same rows
+        with pytest.raises(ValueError) as info:
+            read_dataset(ds_dir)
+        assert str(info.value) == f"{data}: unsupported .npy format version (2, 0)"
+
     @pytest.mark.parametrize("label", [5.0, -1.0, 0.5, np.nan, np.inf, -np.inf])
     def test_label_outside_the_classes_names_its_item(self, written, label):
         ds_dir, ds = written

@@ -1,4 +1,5 @@
 import math
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gammasort import cli, nucleardata
 from gammasort.ensemble import TaskKind, standard_grid, template_dataset
 from gammasort.forward_model import (
     DEFAULT_BACKGROUND_CPS,
@@ -409,6 +411,29 @@ class TestDataDirOverride:
         with pytest.raises(FileNotFoundError) as err:
             isotope_by_name("Cesium")
         assert str(tmp_path) in str(err.value)
+
+    @pytest.mark.parametrize("name, text, cause", [
+        ("attenuation_steel.csv", "# c\nenergy_keV,mu\n10,1.0\n",
+         "2: columns ['energy_keV', 'mu'], not energy_keV and mu_per_cm"),
+        ("attenuation_steel.csv", "energy_keV,mu_per_cm\n10,1.0\n\n20,abc\n",
+         "4: cell 2 is not a number: 'abc'"),
+        ("nuclide_lines.csv", "# c\nisotope,energy_keV,intensity\nCesium,661.7\n",
+         "3: 2 cells, expected 3"),
+        ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,abc,0.851\n",
+         "2: could not convert string to float: 'abc'"),
+        ("nuclide_lines.csv", "# c\n\nisotope,energy,intensity\n",
+         "3: columns ['isotope', 'energy', 'intensity'], not isotope, energy_keV and intensity"),
+    ], ids=["attenuation-columns", "attenuation-cell", "nuclide-width", "nuclide-cell",
+            "nuclide-columns"])
+    def test_malformed_table_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                               name, text, cause):
+        for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):
+            shutil.copy(bundled, tmp_path)
+        (tmp_path / name).write_text(text)
+        monkeypatch.setenv("GAMMASORT_DATA_DIR", str(tmp_path))
+        assert cli.main(["synth", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"gammasort: error: grid: {tmp_path / name}:{cause}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestErf:

@@ -286,7 +286,7 @@ class TestCsvTable:
     @pytest.mark.parametrize("text, width", [("", 0), ("# c\n", 0), ("a,b\n", 2),
                                              ("# c\na,b\n", 2)])
     def test_no_rows_gives_an_empty_table(self, tmp_path, text, width):
-        # Warnings are errors in this suite: np.loadtxt's "no data" warning must not escape.
+        # Warnings are errors in this suite: reading no rows must not warn.
         path = tmp_path / "t.csv"
         path.write_text(text)
         assert read_csv_table(path)[2].shape == (0, width)
@@ -301,14 +301,23 @@ class TestCsvTable:
         ("1,2\n\n\n3,4\n  \n", 7, "1 cells, expected 2"),
         ("1,2\n3,nan\n", 4, "cell 2 is not a finite number: 'nan'"),
         ("1e999,2\n", 3, "cell 1 is not a finite number: '1e999'"),
+        ("1,2\n1,\u0661\n", 4, "cell 2 is not a number: '\u0661'"),
+        ("\uff11,2\n", 3, "cell 1 is not a number: '\uff11'"),
     ], ids=["short", "long", "all-wide", "letter", "empty-cell", "separator", "blank-lines",
-            "nan", "overflow"])
+            "nan", "overflow", "arabic-indic-digit", "fullwidth-digit"])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, line, cause):
         path = tmp_path / "t.csv"
         path.write_text("# c\na,b\n" + rows)
         with pytest.raises(ValueError) as info:
             read_csv_table(path)
         assert str(info.value) == f"{path}:{line}: {cause}"
+
+    def test_a_byte_that_does_not_decode_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"# c\na,b\n1,2\n1,\xff\n")
+        with pytest.raises(ValueError) as info:
+            read_csv_table(path)
+        assert str(info.value) == f"{path}:4: cell 2 is not a number: '\\udcff'"
 
     def test_empty_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
         path = tmp_path / "t.csv"

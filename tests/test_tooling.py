@@ -151,6 +151,18 @@ def test_no_module_imports_scipy():
     assert _importers("scipy") == []
 
 
+def test_only_spectra_parses_csv():
+    # Every numeric CSV goes through spectra.read_csv_table's one pass, which
+    # names the line of a bad row.  numpy's text readers would be a second
+    # parser that takes other cells; the nuclide table, with its text column,
+    # is the one csv module reader.
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("loadtxt", "genfromtxt")]
+    assert calls == []
+    assert _importers("csv") == ["nucleardata.py"]
+
+
 def _imported_by(args: list[str]) -> set[str]:
     """Every module a fresh ``python -X importtime <args>`` process imports."""
     run = subprocess.run([sys.executable, "-X", "importtime", *args],
