@@ -58,7 +58,7 @@ from .neuralnet import (
     save_model,
     softmax,
 )
-from .spectra import EnergyCalibration, read_csv_table, write_csv_table
+from .spectra import EnergyCalibration, csv_columns, read_csv_table, write_csv_table
 
 # The one run description.  Every key a run config may set is here, and each
 # leaf's value fixes the type it takes; a ``None`` leaf takes a string.
@@ -394,17 +394,16 @@ _BLAS_THREAD_FUNCTIONS = (
 def _blas_threads() -> tuple:
     """The BLAS thread count's ``(getter, setter)``; either is None when not found.
 
-    They are looked up by name through numpy's compiled core module, whose
-    symbol lookup also searches the libraries it links, so they are the ones
-    numpy calls.
+    They are looked up by name through numpy's compiled core module, whose symbol
+    lookup also searches the libraries it links, so they are the ones numpy calls.
     """
     import ctypes  # here, not at import: only a training run needs it
 
+    core = np.core if np.__version__.startswith("1.") else np._core  # 1.26's np._core: .py stubs
     try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as core
-    lib = ctypes.CDLL(core.__file__)  # loaded already: this opens the loaded module
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)  # loaded already: opens the loaded one
+    except OSError:  # not a library dlopen takes: evaluate inline
+        return None, None
     for names in _BLAS_THREAD_FUNCTIONS:
         found = tuple(getattr(lib, name, None) for name in names)
         if any(found):
@@ -571,10 +570,8 @@ def write_metrics_csv(path: Path, history: MetricsHistory, class_names) -> None:
 
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
     """The columns of a ``metrics.csv`` by name, in header order."""
-    _, header, rows = read_csv_table(path)
-    missing = [name for name in METRICS_COLUMNS if name not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks the columns {missing}")
+    comments, header, rows = read_csv_table(path)
+    csv_columns(path, comments, header, METRICS_COLUMNS)
     if not any(name.startswith("acc_") for name in header):
         raise ValueError(f"{path}: header has no per-class 'acc_<class>' column")
     if len(rows) == 0:

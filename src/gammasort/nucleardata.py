@@ -7,58 +7,43 @@ tables with more isotopes or materials).
 
 from __future__ import annotations
 
-import csv
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .spectra import read_csv_table
+from .spectra import csv_columns, csv_numbers, read_csv_cells
 
 DATA_DIR_ENV_VAR = "GAMMASORT_DATA_DIR"
 
 _BUNDLED_DIR = Path(__file__).parent / "data"
 
 
-def data_dir() -> Path:
-    override = os.environ.get(DATA_DIR_ENV_VAR)
-    return Path(override) if override else _BUNDLED_DIR
-
-
-def _table_path(name: str) -> Path:
-    path = data_dir() / name
+def _read_table(name: str, wanted: tuple) -> tuple:
+    """A table file's ``(where, cells)`` rows, width and index of each ``wanted`` column."""
+    path = Path(os.environ.get(DATA_DIR_ENV_VAR) or _BUNDLED_DIR) / name
     if not path.is_file():
         raise FileNotFoundError(f"bundled data file not found: {path}")
-    return path
+    comments, names, rows = read_csv_cells(path)
+    return rows, len(names), csv_columns(path, comments, names, wanted)
 
 
 def load_nuclide_lines() -> dict[str, tuple[tuple[float, float], ...]]:
     """Gamma lines per isotope name: {name: ((energy_keV, intensity), ...)}."""
-    path = _table_path("nuclide_lines.csv")
+    wanted = ("isotope", "energy_keV", "intensity")
+    rows, width, (isotope, *numbers) = _read_table("nuclide_lines.csv", wanted)
     table: dict[str, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        # A comment line reads as an empty row, so line_num stays the file's line.
-        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
-        rows = (row for row in reader if row)
-        names = next(rows, [])
-        if names != ["isotope", "energy_keV", "intensity"]:
-            raise ValueError(f"{path}:{reader.line_num}: columns {names}, "
-                             "not isotope, energy_keV and intensity")
-        for row in rows:
-            if len(row) != 3:
-                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, expected 3")
-            try:
-                table.setdefault(row[0], []).append((float(row[1]), float(row[2])))
-            except ValueError as err:
-                raise ValueError(f"{path}:{reader.line_num}: {err}") from err
+    for where, cells in rows:
+        energy, intensity = csv_numbers(cells, width, where, numbers)
+        table.setdefault(cells[isotope], []).append((energy, intensity))
     return {name: tuple(lines) for name, lines in table.items()}
 
 
 def load_attenuation_table(material_slug: str) -> tuple[np.ndarray, np.ndarray]:
     """(energies_keV, mu_per_cm) arrays for one material table file."""
-    path = _table_path(f"attenuation_{material_slug}.csv")
-    comments, names, rows = read_csv_table(path)
-    if names != ["energy_keV", "mu_per_cm"]:
-        raise ValueError(f"{path}:{len(comments) + 1}: columns {names}, not energy_keV and mu_per_cm")
-    order = np.argsort(rows[:, 0])
-    return rows[order, 0], rows[order, 1]
+    wanted = ("energy_keV", "mu_per_cm")
+    rows, width, columns = _read_table(f"attenuation_{material_slug}.csv", wanted)
+    table = np.array([csv_numbers(cells, width, where, columns) for where, cells in rows])
+    table = table.reshape(-1, 2)  # also with no rows
+    order = np.argsort(table[:, 0])
+    return table[order, 0], table[order, 1]

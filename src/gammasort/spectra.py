@@ -251,37 +251,54 @@ def _csv_cell(cell) -> str:
 
 
 def read_csv_table(path: str | Path) -> tuple:
-    """Leading ``#`` comment lines, column names and float64 rows of a CSV file.
+    """``(comments, names, rows)`` of a CSV file whose rows hold one number per name.
 
-    A line of column names follows the comments; each row holds one number
-    per name, and empty lines are skipped.  Returns ``(comments, names,
-    rows)``.  Each cell is read by ``float``; it must be ASCII (a byte that
-    does not decode is not) with no ``_`` digit separator, and finite.  The
-    first row that breaks a rule raises ``ValueError("<path>:<line>: <cause>")``.
+    Lines are split by :func:`read_csv_cells` and rows read by :func:`csv_numbers`,
+    into a float64 ``rows``; the first bad line raises ``ValueError("<path>:<line>: ...")``.
     """
-    with open(path, errors="surrogateescape") as fh:
-        head = [fh.readline()]
-        while head[-1].startswith("#"):
-            head.append(fh.readline())
-        names = head[-1].rstrip("\n").split(",") if head[-1] else []
-        rows = [_csv_row(line.rstrip("\n").split(","), len(names), f"{path}:{lineno}")
-                for lineno, line in enumerate(fh, len(head) + 1) if line != "\n"]
-    comments = [line.rstrip("\n") for line in head[:-1]]
+    comments, names, text_rows = read_csv_cells(path)
+    rows = [csv_numbers(cells, len(names), where, range(len(names))) for where, cells in text_rows]
     return comments, names, np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
 
 
-def _csv_row(cells: list, width: int, where: str) -> list:
+def read_csv_cells(path: str | Path) -> tuple:
+    """Leading ``#`` comment lines, column names and ``(<path>:<line>, cells)`` rows of a CSV;
+    empty rows are skipped, and a line holding a byte that does not decode is refused."""
+    with open(path, errors="surrogateescape") as fh:  # a bad byte reads as U+DC80-U+DCFF
+        lines = [line.rstrip("\n") for line in fh]
+    for lineno, line in enumerate(lines, 1):
+        if not line.isascii() and any("\udc80" <= char <= "\udcff" for char in line):
+            raise ValueError(f"{path}:{lineno}: a byte does not decode")
+    start = next((n for n, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    names = lines[start].split(",") if start < len(lines) else []
+    rows = [(f"{path}:{lineno}", line.split(","))
+            for lineno, line in enumerate(lines[start + 1:], start + 2) if line]
+    return lines[:start], names, rows
+
+
+def csv_columns(path: str | Path, comments: list, names: list, wanted) -> list[int]:
+    """The index in ``names`` of each ``wanted`` column; others may come in any order."""
+    missing = [name for name in wanted if name not in names]
+    if missing:
+        raise ValueError(f"{path}:{len(comments) + 1}: header lacks the columns {missing}")
+    return [names.index(name) for name in wanted]
+
+
+def csv_numbers(cells: list, width: int, where: str, columns) -> list:
+    """The ``columns`` (indexes) of a row of ``width`` cells read at ``where``, each by ``float``
+    and refused unless ASCII, with no ``_`` digit separator, and finite."""
     if len(cells) != width:
         raise ValueError(f"{where}: {len(cells)} cells, expected {width}")
     values = []
-    for column, cell in enumerate(cells, 1):
+    for column in columns:
+        cell = cells[column]
         try:
             if not cell.isascii() or "_" in cell:  # float reads other digits and "_" too
                 raise ValueError
             value = float(cell)
         except ValueError:
-            raise ValueError(f"{where}: cell {column} is not a number: {cell!r}") from None
+            raise ValueError(f"{where}: cell {column + 1} is not a number: {cell!r}") from None
         if not math.isfinite(value):
-            raise ValueError(f"{where}: cell {column} is not a finite number: {cell!r}")
+            raise ValueError(f"{where}: cell {column + 1} is not a finite number: {cell!r}")
         values.append(value)
     return values

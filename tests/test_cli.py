@@ -884,6 +884,17 @@ class TestReportInputBoundary:
         assert run("report", "--run", run_dir, "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    def test_undecodable_metrics_header_leaves_no_report(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        metrics = self.METRICS.replace("acc_A", "acc_\xff")
+        (run_dir / "metrics.csv").write_bytes(metrics.encode("latin-1"))
+        assert run("report", "--run", run_dir) == 2
+        assert capsys.readouterr().err == (
+            f"gammasort: error: {run_dir / 'metrics.csv'}:1: a byte does not decode\n"
+        )
+        assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv"]
+
     def test_bad_file_in_one_arch_dir_leaves_no_report_in_any(self, tmp_path, capsys):
         run_dir = tmp_path / "gauge"
         for arch, cell in (("linear", "1.0"), ("hidden_tanh", '"x"')):

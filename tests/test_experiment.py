@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import signal
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -978,6 +980,39 @@ class TestBlasThreads:
         train_small()
         assert len(forks) == 1
         assert get() == before
+
+    def test_a_core_module_dlopen_refuses_evaluates_inline(self, forks, monkeypatch):
+        _, expected = train_small()
+        forks.clear()
+
+        def refuse(path):
+            raise OSError(f"{path}: invalid ELF header")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        experiment._blas_threads.cache_clear()
+        try:
+            assert experiment._blas_threads() == (None, None)
+            _, history = train_small()
+        finally:
+            experiment._blas_threads.cache_clear()
+        assert forks == []
+        assert_same_history(history, expected)
+
+    @pytest.mark.parametrize("version, package", [("2.4.0", "_core"), ("1.26.4", "core")])
+    def test_the_core_module_follows_numpys_major_version(self, monkeypatch, version, package):
+        # numpy 1.26 ships numpy._core as .py stubs, which dlopen cannot open.
+        core = types.SimpleNamespace(
+            _multiarray_umath=types.SimpleNamespace(__file__=f"{package}/core.so"))
+        monkeypatch.setitem(vars(np), package, core)
+        monkeypatch.setattr(np, "__version__", version)
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", opened.append)
+        experiment._blas_threads.cache_clear()
+        try:
+            assert experiment._blas_threads() == (None, None)
+        finally:
+            experiment._blas_threads.cache_clear()
+        assert opened == [f"{package}/core.so"]
 
 
 class TestRunConfig:

@@ -406,6 +406,19 @@ class TestDataDirOverride:
         mystery = isotope_by_name("Mystery")
         assert mystery.lines == ((500.0, 1.0),)
 
+    def test_columns_are_found_by_name(self, tmp_path, monkeypatch):
+        # An override table may order its columns as it likes and add its own.
+        (tmp_path / "nuclide_lines.csv").write_text(
+            "energy_keV,source,intensity,isotope\n500.0,lab,1.0,Mystery\n"
+        )
+        (tmp_path / "attenuation_steel.csv").write_text(
+            "note,mu_per_cm,energy_keV\nhigh,2.0,10\nlow,1.0,20\n"
+        )
+        monkeypatch.setenv("GAMMASORT_DATA_DIR", str(tmp_path))
+        assert isotope_by_name("Mystery").lines == ((500.0, 1.0),)
+        energies, mu = nucleardata.load_attenuation_table("steel")
+        assert (energies.tolist(), mu.tolist()) == ([10.0, 20.0], [2.0, 1.0])
+
     def test_missing_override_file_reports_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMASORT_DATA_DIR", str(tmp_path))
         with pytest.raises(FileNotFoundError) as err:
@@ -414,22 +427,24 @@ class TestDataDirOverride:
 
     @pytest.mark.parametrize("name, text, cause", [
         ("attenuation_steel.csv", "# c\nenergy_keV,mu\n10,1.0\n",
-         "2: columns ['energy_keV', 'mu'], not energy_keV and mu_per_cm"),
+         "2: header lacks the columns ['mu_per_cm']"),
         ("attenuation_steel.csv", "energy_keV,mu_per_cm\n10,1.0\n\n20,abc\n",
          "4: cell 2 is not a number: 'abc'"),
         ("nuclide_lines.csv", "# c\nisotope,energy_keV,intensity\nCesium,661.7\n",
          "3: 2 cells, expected 3"),
         ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,abc,0.851\n",
-         "2: could not convert string to float: 'abc'"),
-        ("nuclide_lines.csv", "# c\n\nisotope,energy,intensity\n",
-         "3: columns ['isotope', 'energy', 'intensity'], not isotope, energy_keV and intensity"),
+         "2: cell 2 is not a number: 'abc'"),
+        ("nuclide_lines.csv", "# c\nisotope,energy,intensity\n",
+         "2: header lacks the columns ['energy_keV']"),
+        ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCes\xffium,661.7,0.851\n",
+         "2: a byte does not decode"),
     ], ids=["attenuation-columns", "attenuation-cell", "nuclide-width", "nuclide-cell",
-            "nuclide-columns"])
+            "nuclide-columns", "nuclide-byte"])
     def test_malformed_table_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                name, text, cause):
         for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):
             shutil.copy(bundled, tmp_path)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
         monkeypatch.setenv("GAMMASORT_DATA_DIR", str(tmp_path))
         assert cli.main(["synth", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"gammasort: error: grid: {tmp_path / name}:{cause}\n"

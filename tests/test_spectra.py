@@ -312,12 +312,17 @@ class TestCsvTable:
             read_csv_table(path)
         assert str(info.value) == f"{path}:{line}: {cause}"
 
-    def test_a_byte_that_does_not_decode_names_its_line(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        (b"# c\na,b\n1,2\n1,\xff\n", 4),
+        (b"# c\xff\na,b\n1,2\n", 1),
+        (b"# c\na,acc_\xff\n1,2\n", 2),
+    ], ids=["cell", "comment", "header"])
+    def test_a_byte_that_does_not_decode_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
-        path.write_bytes(b"# c\na,b\n1,2\n1,\xff\n")
+        path.write_bytes(text)
         with pytest.raises(ValueError) as info:
             read_csv_table(path)
-        assert str(info.value) == f"{path}:4: cell 2 is not a number: '\\udcff'"
+        assert str(info.value) == f"{path}:{line}: a byte does not decode"
 
     def test_empty_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -152,15 +152,15 @@ def test_no_module_imports_scipy():
 
 
 def test_only_spectra_parses_csv():
-    # Every numeric CSV goes through spectra.read_csv_table's one pass, which
-    # names the line of a bad row.  numpy's text readers would be a second
-    # parser that takes other cells; the nuclide table, with its text column,
-    # is the one csv module reader.
+    # Every CSV, the nuclide table's text column included, goes through
+    # spectra.read_csv_cells and its cells through spectra.csv_numbers, which
+    # name the line of a bad row.  numpy's text readers or the csv module
+    # would be a second parser that takes other cells.
     calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in ("loadtxt", "genfromtxt")]
     assert calls == []
-    assert _importers("csv") == ["nucleardata.py"]
+    assert _importers("csv") == []
 
 
 def _imported_by(args: list[str]) -> set[str]:
