@@ -39,7 +39,7 @@ from .spectra import (
 )
 
 ISOTOPE_NAMES = ("Cesium", "Cobalt", "Barium", "Selenium", "Iridium")
-SHIELDING_NAMES = ("Bare", "Concrete", "Steel", "DepletedUranium")
+SHIELDING_NAMES = tuple(m.value for m in ShieldMaterial)
 DEFAULT_DISTANCES_M = tuple(float(d) for d in range(10, 21))
 
 

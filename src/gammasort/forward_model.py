@@ -13,7 +13,7 @@ grid that cannot be synthesised fails before ``gammasort synth`` writes a file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -52,12 +52,6 @@ BACKGROUND_MAX_KEV = 2614.0
 BACKGROUND_FLAT_LEVEL = 0.02
 DEFAULT_BACKGROUND_CPS = 300.0
 
-DEFAULT_SHIELD_THICKNESS_CM = {
-    "Concrete": 5.0,
-    "Steel": 1.0,
-    "DepletedUranium": 0.5,
-}
-
 # Depleted uranium shielding is itself a gamma emitter (Pa-234m daughter
 # lines); modeled as a co-located source scaling with shield thickness.
 DU_EMISSION_LINES = ((766.4, 0.00294), (1001.0, 0.00835))
@@ -69,6 +63,14 @@ class ShieldMaterial(Enum):
     CONCRETE = "Concrete"
     STEEL = "Steel"
     DEPLETED_URANIUM = "DepletedUranium"
+
+
+# Each shield material's attenuation table, attenuation_<slug>.csv, and default thickness in cm.
+_SHIELD_TABLES = {
+    ShieldMaterial.CONCRETE: ("concrete", 5.0),
+    ShieldMaterial.STEEL: ("steel", 1.0),
+    ShieldMaterial.DEPLETED_URANIUM: ("depleted_uranium", 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -175,31 +177,32 @@ def bare_shielding() -> Shielding:
     return Shielding(ShieldMaterial.BARE, 0.0)
 
 
-_MATERIAL_SLUGS = {
-    ShieldMaterial.CONCRETE: "concrete",
-    ShieldMaterial.STEEL: "steel",
-    ShieldMaterial.DEPLETED_URANIUM: "depleted_uranium",
-}
-
-
 def default_shielding(material: ShieldMaterial | str, thickness_cm: float | None = None) -> Shielding:
-    """Shielding with the bundled attenuation table and default thickness."""
+    """Shielding with the bundled attenuation table and default thickness; a
+    table that :class:`Shielding` refuses raises ``ValueError`` naming its file."""
     if isinstance(material, str):
         material = ShieldMaterial(material)
     if material is ShieldMaterial.BARE:
         return bare_shielding()
-    if thickness_cm is None:
-        thickness_cm = DEFAULT_SHIELD_THICKNESS_CM[material.value]
-    energies, mu = nucleardata.load_attenuation_table(_MATERIAL_SLUGS[material])
-    return Shielding(material, thickness_cm, energies, mu)
+    slug, default_cm = _SHIELD_TABLES[material]
+    energies, mu = nucleardata.load_attenuation_table(slug)
+    try:
+        shielding = Shielding(material, default_cm, energies, mu)
+    except ValueError as err:
+        raise ValueError(f"{nucleardata.table_path(f'attenuation_{slug}.csv')}: {err}") from err
+    return shielding if thickness_cm is None else replace(shielding, thickness_cm=thickness_cm)
 
 
 def isotope_by_name(name: str) -> Isotope:
-    """Isotope built from the bundled line table."""
+    """Isotope built from the bundled line table; lines that :class:`Isotope`
+    refuses raise ``ValueError`` naming the file."""
     lines = nucleardata.load_nuclide_lines()
     if name not in lines:
         raise ValueError(f"unknown isotope {name!r}; bundled: {sorted(lines)}")
-    return Isotope(name, lines[name])
+    try:
+        return Isotope(name, lines[name])
+    except ValueError as err:
+        raise ValueError(f"{nucleardata.table_path('nuclide_lines.csv')}: {err}") from err
 
 
 def attenuation_factor(shielding: Shielding, energy_kev: float) -> float:
@@ -209,7 +212,7 @@ def attenuation_factor(shielding: Shielding, energy_kev: float) -> float:
     energies = shielding.energies_kev
     if not energies[0] <= energy_kev <= energies[-1]:
         raise ValueError(
-            f"energy {energy_kev} keV outside attenuation table "
+            f"{shielding.material.value}: energy {energy_kev} keV outside attenuation table "
             f"[{energies[0]}, {energies[-1]}]"
         )
     log_mu = np.interp(math.log(energy_kev), np.log(energies), np.log(shielding.mu_per_cm))
@@ -368,10 +371,11 @@ def template_matrix(
 
     Per line: activity * dwell * intensity * shield transmission * geometric
     fraction * intrinsic efficiency, times the line's :func:`line_response`
-    shape.  Depleted-uranium shielding adds its own emission lines; background
-    is added only to the cells that ask for it.  A line's shape depends only
-    on the detector and the line energy, so each distinct energy's shape is
-    computed once per call.  A line outside the calibration range raises
+    shape.  Depleted-uranium shielding adds its own emission lines, which pass
+    no shielding; background is added only to the cells that ask for it.  A
+    line's shape depends only on the detector and the line energy, so each
+    distinct energy's shape is computed once per call.  A line outside the
+    calibration range, or outside its shield's attenuation table, raises
     ``ValueError`` naming its isotope (or the DU shield) and the range; so
     does a cell whose distance puts the sphere inside the detector face
     (4 pi (100 d)^2 below ``face_area_cm2``), naming its isotope and distance.
@@ -382,15 +386,6 @@ def template_matrix(
     if not dwell_s > 0:
         raise ValueError(f"dwell {dwell_s} must be positive")
     shapes: dict[float, np.ndarray] = {}
-
-    def shape(source: str, energy: float) -> np.ndarray:
-        if energy not in shapes:
-            try:
-                shapes[energy] = line_response(detector, energy, 1.0)
-            except ValueError as err:
-                raise ValueError(f"{source}: {err}") from err
-        return shapes[energy]
-
     background = None
     if any(config.include_background for config in grid):
         background = background_template(detector, dwell_s, background_cps)
@@ -404,24 +399,23 @@ def template_matrix(
                              f"({detector.face_area_cm2} cm^2) exceeds the whole sphere")
         geom = geometric_fraction(config.distance_m, detector.face_area_cm2)
         counts = np.zeros(detector.calibration.n_channels)
-
-        for energy, intensity in config.isotope.lines:
-            expected = (
-                config.activity_bq
-                * dwell_s
-                * intensity
-                * attenuation_factor(config.shielding, energy)
-                * geom
-                * detector.intrinsic_efficiency
-            )
-            counts = counts + expected * shape(config.isotope.name, energy)
-
+        # (source, activity, shielding its lines pass, lines): a DU shield emits
+        # from where it sits, so its own lines pass no shielding.
+        emitters = [(config.isotope.name, config.activity_bq, config.shielding, config.isotope.lines)]
         if config.shielding.material is ShieldMaterial.DEPLETED_URANIUM:
-            du_activity = DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm
-            for energy, intensity in DU_EMISSION_LINES:
-                expected = du_activity * dwell_s * intensity * geom * detector.intrinsic_efficiency
-                counts = counts + expected * shape(ShieldMaterial.DEPLETED_URANIUM.value, energy)
-
+            emitters.append((ShieldMaterial.DEPLETED_URANIUM.value,
+                             DU_EMISSION_BQ_PER_CM * config.shielding.thickness_cm,
+                             bare_shielding(), DU_EMISSION_LINES))
+        for source, activity, shielding, lines in emitters:
+            try:
+                for energy, intensity in lines:
+                    expected = (activity * dwell_s * intensity * attenuation_factor(shielding, energy)
+                                * geom * detector.intrinsic_efficiency)
+                    if energy not in shapes:
+                        shapes[energy] = line_response(detector, energy, 1.0)
+                    counts = counts + expected * shapes[energy]
+            except ValueError as err:
+                raise ValueError(f"{source}: {err}") from err
         if not np.isfinite(counts).all():
             raise ValueError(f"grid.activity_bq: {config.activity_bq} Bq of "
                              f"{config.isotope.name} at {config.distance_m} m over {dwell_s} s "

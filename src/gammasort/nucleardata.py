@@ -19,9 +19,14 @@ DATA_DIR_ENV_VAR = "GAMMASORT_DATA_DIR"
 _BUNDLED_DIR = Path(__file__).parent / "data"
 
 
+def table_path(name: str) -> Path:
+    """The table file ``name`` in ``GAMMASORT_DATA_DIR`` if that is set, else the bundled one."""
+    return Path(os.environ.get(DATA_DIR_ENV_VAR) or _BUNDLED_DIR) / name
+
+
 def _read_table(name: str, wanted: tuple) -> tuple:
     """A table file's ``(where, cells)`` rows, width and index of each ``wanted`` column."""
-    path = Path(os.environ.get(DATA_DIR_ENV_VAR) or _BUNDLED_DIR) / name
+    path = table_path(name)
     if not path.is_file():
         raise FileNotFoundError(f"bundled data file not found: {path}")
     comments, names, rows = read_csv_cells(path)

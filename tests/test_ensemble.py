@@ -474,6 +474,18 @@ class TestDataRows:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(manifest))}: malformed manifest: .*n_items"):
             read_dataset(ds_dir)
 
+    def test_negative_thickness_keeps_the_manifest_message(self, written):
+        ds_dir, _ = written
+        manifest = ds_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        steel = next(s for s in doc["sources"] if s["material"] == "Steel")
+        steel["thickness_cm"] = -1.0
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            read_dataset(ds_dir)
+        assert str(info.value) == (f"{manifest}: malformed manifest: "
+                                   "thickness -1.0 cm must be non-negative")
+
     def test_manifest_without_a_rows_file_names_data_npy(self, written):
         ds_dir, _ = written
         manifest = ds_dir / "manifest.json"

@@ -18,7 +18,9 @@ from gammasort.forward_model import (
     FWHM_TO_SIGMA,
     GAUSSIAN_TRUNCATION_SIGMA,
     TEMPLATE_DWELL_S,
+    _SHIELD_TABLES,
     DetectorModel,
+    Shielding,
     ShieldMaterial,
     SourceConfig,
     _erf,
@@ -102,6 +104,16 @@ class TestAttenuation:
     def test_default_thicknesses(self):
         assert default_shielding("Concrete").thickness_cm == 5.0
         assert default_shielding("DepletedUranium").thickness_cm == 0.5
+
+    def test_each_shield_material_has_one_bundled_table(self):
+        # The ShieldingID classes are the enum's values in its order.
+        assert TaskKind.SHIELDING_ID.class_names == ("Bare", "Concrete", "Steel", "DepletedUranium")
+        shields = [m for m in ShieldMaterial if m is not ShieldMaterial.BARE]
+        assert list(_SHIELD_TABLES) == shields
+        for material in shields:
+            shielding = default_shielding(material)
+            assert shielding.thickness_cm == _SHIELD_TABLES[material][1]
+            assert shielding.energies_kev.size >= 2
 
 
 class TestComptonEdge:
@@ -382,6 +394,22 @@ class TestTemplateMatrix:
             template_matrix(grid, detector, 1.0)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("isotope, e_max, table_max, message", [
+        ("Cesium", 3000.0, 500.0,
+         "Cesium: Steel: energy 661.7 keV outside attenuation table [10.0, 500.0]"),
+        # Two defects: the 1173.2 keV line's shape is refused before the
+        # 1332.5 keV line's attenuation lookup.
+        ("Cobalt", 1000.0, 1250.0,
+         "Cobalt: line at 1173.2 keV is outside calibration range [0.0, 1000.0] keV"),
+    ], ids=["table", "calibration-first"])
+    def test_a_line_outside_the_attenuation_table_names_its_source_and_shield(
+            self, isotope, e_max, table_max, message):
+        steel = Shielding(ShieldMaterial.STEEL, 1.0, [10.0, table_max], [2.0, 1.0])
+        grid = [SourceConfig(isotope_by_name(isotope), 1.0e8, 10.0, steel)]
+        with pytest.raises(ValueError) as info:
+            template_matrix(grid, DetectorModel(EnergyCalibration(0.0, e_max, 256)), 1.0)
+        assert str(info.value) == message
+
     def test_a_face_larger_than_the_sphere_names_the_isotope_and_distance(self):
         grid = standard_grid(isotopes=("Cesium",), distances_m=(0.001,), materials=("Bare",))
         with pytest.raises(ValueError) as info:
@@ -438,8 +466,18 @@ class TestDataDirOverride:
          "2: header lacks the columns ['energy_keV']"),
         ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCes\xffium,661.7,0.851\n",
          "2: a byte does not decode"),
+        # Values that Shielding or Isotope refuses name the file, not a line.
+        ("attenuation_steel.csv", "energy_keV,mu_per_cm\n10,1343.3\n",
+         " attenuation table needs matching 1-D energy/mu arrays"),
+        ("attenuation_steel.csv", "energy_keV,mu_per_cm\n10,1343.3\n150,-0.2161\n",
+         " attenuation coefficients must be positive"),
+        ("attenuation_steel.csv", "energy_keV,mu_per_cm\n10,1343.3\n10,1.0\n",
+         " attenuation energies must be strictly increasing"),
+        ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,661.7,1.851\n",
+         " Cesium: intensity 1.851 outside (0, 1]"),
     ], ids=["attenuation-columns", "attenuation-cell", "nuclide-width", "nuclide-cell",
-            "nuclide-columns", "nuclide-byte"])
+            "nuclide-columns", "nuclide-byte", "attenuation-rows", "attenuation-mu",
+            "attenuation-order", "nuclide-intensity"])
     def test_malformed_table_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                name, text, cause):
         for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):

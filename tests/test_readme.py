@@ -1,9 +1,11 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 
+from gammasort import cli, nucleardata
 from gammasort.ensemble import read_dataset
 from gammasort.experiment import DEFAULT_CONFIG
 from gammasort.spectra import read_csv_table
@@ -46,3 +48,44 @@ def test_csv_messages_are_the_ones_read_csv_table_raises(tmp_path, row, quoted, 
     for placeholder, value in {"<file>": str(path), "<line>": "3", **values}.items():
         quoted = quoted.replace(placeholder, value)
     assert str(info.value) == quoted
+
+
+# Each README quote of a refused GAMMASORT_DATA_DIR table: the bundled table
+# replaced, its text, what synth's error line holds before the quote, and the
+# quote's placeholders other than <file>.
+OVERRIDE_TABLE_ERRORS = {
+    "<file>:<line>: header lacks the columns [<names>]": (
+        "attenuation_steel.csv", "energy_keV,mu\n10,1.0\n", "grid: ",
+        {"<line>": "1", "<names>": "'mu_per_cm'"}),
+    "<file>:<line>: <cause>": (
+        "nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,abc,0.851\n", "grid: ",
+        {"<line>": "2", "<cause>": "cell 2 is not a number: 'abc'"}),
+    "<file>: <cause>": (
+        "attenuation_steel.csv", "energy_keV,mu_per_cm\n10,2.0\n10,1.0\n", "grid: ",
+        {"<cause>": "attenuation energies must be strictly increasing"}),
+    "<file>: attenuation coefficients must be positive": (
+        "attenuation_steel.csv", "energy_keV,mu_per_cm\n10,2.0\n20,-0.5\n", "grid: ", {}),
+    "<file>: <isotope>: intensity <value> outside (0, 1]": (
+        "nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,661.7,1.851\n", "grid: ",
+        {"<isotope>": "Cesium", "<value>": "1.851"}),
+    "<isotope>: <material>: energy <E> keV outside attenuation table [<low>, <high>]": (
+        "attenuation_steel.csv", "energy_keV,mu_per_cm\n10,2.0\n500,1.0\n", "",
+        {"<isotope>": "Cesium", "<material>": "Steel", "<E>": "661.7", "<low>": "10.0",
+         "<high>": "500.0"}),
+}
+
+
+@pytest.mark.parametrize("quoted", list(OVERRIDE_TABLE_ERRORS))
+def test_override_table_messages_are_the_ones_synth_prints(tmp_path, monkeypatch, capsys, quoted):
+    # On a copy of the bundled tables with one replaced, synth exits 2 with
+    # one error line that ends in the quote, its placeholders filled in.
+    assert f"`{quoted}`" in " ".join(README.read_text().split())
+    name, text, before, values = OVERRIDE_TABLE_ERRORS[quoted]
+    for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):
+        shutil.copy(bundled, tmp_path)
+    (tmp_path / name).write_text(text)
+    monkeypatch.setenv(nucleardata.DATA_DIR_ENV_VAR, str(tmp_path))
+    assert cli.main(["synth", "--out", str(tmp_path / "out")]) == 2
+    for placeholder, value in {"<file>": str(tmp_path / name), **values}.items():
+        quoted = quoted.replace(placeholder, value)
+    assert capsys.readouterr().err == f"gammasort: error: {before}{quoted}\n"
