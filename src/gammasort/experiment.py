@@ -12,15 +12,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
-import os
-import signal
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import ensemble, seeding, spectra
+from . import ensemble, forking, seeding, spectra
 from .ensemble import (
     LabeledDataset,
     TaskKind,
@@ -207,6 +204,8 @@ def grid_from_config(config: dict) -> list[SourceConfig]:
         )
     except ValueError as err:
         raise ValueError(f"grid: {err}") from err
+    except FileNotFoundError as err:  # a table missing from GAMMASORT_DATA_DIR
+        raise FileNotFoundError(f"grid: {err}") from err
 
 
 def rebin_factor(config: dict) -> int:
@@ -415,9 +414,8 @@ def _blas_threads() -> tuple:
 def _evaluator(metrics_of, params: NetworkParams):
     """An :class:`_Evaluator` for ``train``, or None to evaluate every epoch inline.
 
-    It is forked only when this process may run on at least two CPUs, runs no
-    other thread (a lock one held at the fork would stay held in the
-    evaluator), and BLAS runs on one thread or its thread count can be set.
+    It is forked only when :func:`forking.may_fork` allows a child and BLAS
+    runs on one thread or its thread count can be set.
     While the evaluator lives, BLAS is capped at half its threads (at least
     one), so the trainer and the evaluator do not contend for the CPUs; the
     count is restored on exit.  On exit, also on an error or an interrupt, the
@@ -426,8 +424,7 @@ def _evaluator(metrics_of, params: NetworkParams):
     get, set_ = _blas_threads()
     threads = get() if get is not None else None
     capped = threads is not None and set_ is not None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or threading.active_count() > 1 or not (capped or threads == 1):
+    if not forking.may_fork() or not (capped or threads == 1):
         yield None
         return
     evaluator = None
@@ -451,15 +448,12 @@ class _Evaluator:
     ``params.flat``'s bytes, one message an epoch, and the evaluator reads them
     into its copy and answers with ``metrics_of(params)``.  The answers come in
     order, so the trainer keys each to the oldest epoch it ``sent``.  The
-    evaluator leaves through ``os._exit``, so it never flushes a buffer it shares
-    with the trainer: when its frame connection closes, or on any error.  An
-    error from ``Pipe`` or ``os.fork`` raises before anything trains, with no
-    descriptor left open.
+    evaluator is a :class:`forking.Child`, so it leaves through ``os._exit``
+    when its frame connection closes, or on any error.  An error from ``Pipe``
+    or ``os.fork`` raises before anything trains, with no descriptor left open.
     """
 
     def __init__(self, metrics_of, params: NetworkParams):
-        from multiprocessing import Pipe  # here, not at import: only a training run needs it
-
         try:  # here, not at import: fcntl is POSIX only, F_SETPIPE_SZ Linux only
             from fcntl import F_SETPIPE_SZ, fcntl
         except ImportError:
@@ -469,33 +463,29 @@ class _Evaluator:
         self.sent: list[int] = []  # the epochs handed over and not yet answered, oldest first
         conns = []
         try:
-            conns += Pipe(duplex=False)  # frames: trainer to evaluator
-            conns += Pipe(duplex=False)  # answers: evaluator to trainer
+            conns += forking.Child.pipe()  # frames: trainer to evaluator
+            conns += forking.Child.pipe()  # answers: evaluator to trainer
             # A frame (a 4-byte length, then the bytes) that does not fit waits for the reader.
             if fcntl is not None:
                 with contextlib.suppress(OSError):
                     fcntl(conns[1].fileno(), F_SETPIPE_SZ, 4 + params.flat.nbytes)
-            pid = os.fork()
-        except BaseException:
-            for conn in conns:
-                conn.close()
-            raise
-        frames_in, self._frames, self._answers, answers_out = conns
-        if pid == 0:
-            status = 1  # an evaluator that fails past here answers nothing more
-            try:
+            frames_in, self._frames, self._answers, answers_out = conns
+
+            def serve():  # an evaluator that fails answers nothing more
                 self._frames.close()
                 self._answers.close()
                 with contextlib.suppress(EOFError):  # the trainer closed its end
                     while True:
                         frames_in.recv_bytes_into(params.flat)
                         answers_out.send(metrics_of(params))
-                status = 0
-            finally:
-                os._exit(status)
+
+            self._child = forking.Child(serve)
+        except BaseException:
+            for conn in conns:
+                conn.close()
+            raise
         frames_in.close()
         answers_out.close()
-        self.pid: int | None = pid
 
     def send(self, epoch: int, params: NetworkParams) -> None:
         """Hand ``epoch``'s parameters to the evaluator."""
@@ -522,17 +512,11 @@ class _Evaluator:
 
     def _died(self) -> ValueError:
         """Reap the evaluator that closed its connection, and say how it ended."""
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return ValueError(f"{self.arch}: the evaluation process {how} without a result")
+        return ValueError(f"{self.arch}: {forking.no_result('evaluation', self._child.reap())}")
 
     def close(self) -> None:
         """Kill the evaluator unless it is reaped, reap it, and close the connections."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        self._child.kill()
         self._frames.close()
         self._answers.close()
 

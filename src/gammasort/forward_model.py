@@ -194,15 +194,16 @@ def default_shielding(material: ShieldMaterial | str, thickness_cm: float | None
 
 
 def isotope_by_name(name: str) -> Isotope:
-    """Isotope built from the bundled line table; lines that :class:`Isotope`
-    refuses raise ``ValueError`` naming the file."""
+    """Isotope built from the nuclide line table; a name the table lacks, or
+    lines that :class:`Isotope` refuses, raise ``ValueError`` naming the file."""
     lines = nucleardata.load_nuclide_lines()
+    path = nucleardata.table_path("nuclide_lines.csv")
     if name not in lines:
-        raise ValueError(f"unknown isotope {name!r}; bundled: {sorted(lines)}")
+        raise ValueError(f"{path}: unknown isotope {name!r}; the file lists {sorted(lines)}")
     try:
         return Isotope(name, lines[name])
     except ValueError as err:
-        raise ValueError(f"{nucleardata.table_path('nuclide_lines.csv')}: {err}") from err
+        raise ValueError(f"{path}: {err}") from err
 
 
 def attenuation_factor(shielding: Shielding, energy_kev: float) -> float:

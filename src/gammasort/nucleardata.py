@@ -28,7 +28,7 @@ def _read_table(name: str, wanted: tuple) -> tuple:
     """A table file's ``(where, cells)`` rows, width and index of each ``wanted`` column."""
     path = table_path(name)
     if not path.is_file():
-        raise FileNotFoundError(f"bundled data file not found: {path}")
+        raise FileNotFoundError(f"{path}: not found")
     comments, names, rows = read_csv_cells(path)
     return rows, len(names), csv_columns(path, comments, names, wanted)
 

@@ -81,19 +81,23 @@ def keyed_rngs(keys: np.ndarray) -> Iterator[np.random.Generator]:
     """A generator at the start of the Philox stream of each row of ``keys``, in turn.
 
     Every row yields the same generator, re-keyed, so draw from it before
-    taking the next.
+    taking the next.  One state dict is re-keyed for every row: setting the
+    state copies its words, so the zero counter and buffer stay zero.
     """
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
+    key_state = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": key_state,
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for key in keys:
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key_state["key"] = key
+        bit_generator.state = state
         yield generator
 
 

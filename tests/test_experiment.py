@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import os
 import signal
@@ -16,13 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gammasort import experiment, seeding
+from gammasort import cli, experiment, seeding
 from gammasort.ensemble import (
+    FORK_MIN_ITEMS,
     LabeledDataset,
     TaskKind,
     build_dataset,
+    poisson_sample,
     read_dataset,
     sample_dataset,
+    stack_templates,
     standard_grid,
     template_dataset,
     write_dataset,
@@ -61,7 +65,7 @@ from gammasort.neuralnet import (
     save_model,
     softmax,
 )
-from gammasort.spectra import EnergyCalibration, SpectrumKind
+from gammasort.spectra import EnergyCalibration, Spectrum, SpectrumKind
 
 DETECTOR = default_detector()
 
@@ -1013,6 +1017,147 @@ class TestBlasThreads:
         finally:
             experiment._blas_threads.cache_clear()
         assert opened == [f"{package}/core.so"]
+
+
+@functools.cache
+def sampler_templates(n_items: int) -> LabeledDataset:
+    """``n_items`` templates of 32 channels, some of zero rate, on the default grid's cells."""
+    grid = standard_grid()
+    rates = np.random.default_rng(8).gamma(0.5, 20.0, size=(n_items, 32))
+    rates[:, 1::3] = 0.0
+    rates[5] = 0.0
+    cal = EnergyCalibration(0.0, 3000.0, 32)
+    return stack_templates(rates, cal, 10.0, [grid[i % len(grid)] for i in range(n_items)],
+                           TaskKind.ISOTOPE_ID)
+
+
+def sample_templates(n_items=FORK_MIN_ITEMS) -> np.ndarray:
+    """The counts of one 2.5 s realization of each of ``sampler_templates(n_items)``."""
+    return sample_dataset(sampler_templates(n_items), 1, 2.5, seed=31).counts
+
+
+def patch_keyed_rngs(monkeypatch, in_child_first):
+    """Patch ``seeding.keyed_rngs`` to call ``in_child_first()`` first in a forked child."""
+    parent, keyed_rngs = os.getpid(), seeding.keyed_rngs
+
+    def patched(keys):
+        if in_child(parent):
+            in_child_first()
+        return keyed_rngs(keys)
+
+    monkeypatch.setattr(seeding, "keyed_rngs", patched)
+
+
+class TestForkedSampler:
+    """From FORK_MIN_ITEMS items on, a forked child draws the second half of a sampled dataset."""
+
+    @pytest.mark.parametrize("n_items, n_forks", [(FORK_MIN_ITEMS - 1, 0), (FORK_MIN_ITEMS, 1)])
+    def test_forks_once_from_the_threshold_on(self, forks, n_items, n_forks):
+        sample_templates(n_items)
+        assert len(forks) == n_forks
+        assert_no_child_left()
+
+    def test_the_same_bits_forked_on_one_cpu_and_from_a_thread(self, forks, monkeypatch):
+        forked = sample_templates()
+        assert len(forks) == 1
+        assert_no_child_left()
+        from_thread = []
+        worker = threading.Thread(target=lambda: from_thread.append(sample_templates()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = sample_templates()
+        assert len(forks) == 1
+        assert forked.tobytes() == one_cpu.tobytes() == from_thread[0].tobytes()
+
+    def test_both_halves_keep_the_per_item_streams(self, forks):
+        templates = sampler_templates(FORK_MIN_ITEMS)
+        counts = sample_templates()
+        assert len(forks) == 1
+        half = FORK_MIN_ITEMS // 2
+        for item in (0, 5, half - 1, half, FORK_MIN_ITEMS - 1):
+            template = Spectrum(templates.counts[item], templates.calibration, 10.0,
+                                SpectrumKind.EXPECTED_TEMPLATE)
+            expected = poisson_sample(template, 2.5, seeding.derive_seed(31, item, 0))
+            assert counts[item].tobytes() == expected.counts.tobytes()
+        assert not counts[5].any() and counts[half:].any()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ])
+    def test_a_dead_sampler_is_a_one_line_error(self, forks, monkeypatch, die, how):
+        patch_keyed_rngs(monkeypatch, die)
+        with pytest.raises(ValueError) as info:
+            sample_templates()
+        assert str(info.value) == f"the sampling process {how} without a result"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_dead_sampler_fails_the_sample_command(self, tmp_path, forks, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "grid": {"isotopes": ["Cesium", "Cobalt"], "distances_m": [10.0],
+                     "shieldings": ["Bare", "Steel"]},
+            "samples_per_config": FORK_MIN_ITEMS // 4, "rebin": 256,
+        }))
+        assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "tpl")]) == 0
+        capsys.readouterr()
+        patch_keyed_rngs(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        out = tmp_path / "ds"
+        assert cli.main(["sample", "--config", str(config), "--templates", str(tmp_path / "tpl"),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "gammasort: error: the sampling process was killed by signal 9 without a result\n")
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_sampler(self, forks, monkeypatch):
+        parent, keyed_rngs = os.getpid(), seeding.keyed_rngs
+
+        def interrupted_at_item_10(keys):  # the child sleeps until it is killed
+            if in_child(parent):
+                time.sleep(60)
+            for item, generator in enumerate(keyed_rngs(keys)):
+                if item == 10:
+                    raise KeyboardInterrupt
+                yield generator
+
+        monkeypatch.setattr(seeding, "keyed_rngs", interrupted_at_item_10)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sample_templates()
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_the_sampler_leaves_the_callers_buffers_alone(self, tmp_path):
+        # As for the evaluator: text printed before the fork is written once.
+        script = (
+            "import io, os, sys\n"
+            "from gammasort import ensemble\n"
+            "from gammasort.forward_model import default_detector\n"
+            "assert isinstance(sys.stdout.buffer, io.BufferedWriter)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "print('before')\n"
+            "grid = ensemble.standard_grid()\n"
+            "samples = -(-ensemble.FORK_MIN_ITEMS // len(grid))\n"
+            "ds = ensemble.build_dataset(grid, ensemble.TaskKind.ISOTOPE_ID, default_detector(),\n"
+            "                            samples, 1.0, 7, rebin_factor=16)\n"
+            "print('after', len(forks), len(ds) >= ensemble.FORK_MIN_ITEMS)\n"
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        out = tmp_path / "stdout.txt"
+        with out.open("w") as stdout:
+            proc = subprocess.run([sys.executable, "-W", "error", "-c", script], stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == "before\nafter 1 True\n"
 
 
 class TestRunConfig:

@@ -475,14 +475,21 @@ class TestDataDirOverride:
          " attenuation energies must be strictly increasing"),
         ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCesium,661.7,1.851\n",
          " Cesium: intensity 1.851 outside (0, 1]"),
+        # A grid isotope the table lacks names the file; so does a missing table.
+        ("nuclide_lines.csv", "isotope,energy_keV,intensity\nCobalt,1173.2,0.9985\n",
+         " unknown isotope 'Cesium'; the file lists ['Cobalt']"),
+        ("attenuation_steel.csv", None, " not found"),
     ], ids=["attenuation-columns", "attenuation-cell", "nuclide-width", "nuclide-cell",
             "nuclide-columns", "nuclide-byte", "attenuation-rows", "attenuation-mu",
-            "attenuation-order", "nuclide-intensity"])
+            "attenuation-order", "nuclide-intensity", "nuclide-isotope", "attenuation-missing"])
     def test_malformed_table_is_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                name, text, cause):
         for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):
             shutil.copy(bundled, tmp_path)
-        (tmp_path / name).write_bytes(text.encode("latin-1"))
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_bytes(text.encode("latin-1"))
         monkeypatch.setenv("GAMMASORT_DATA_DIR", str(tmp_path))
         assert cli.main(["synth", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"gammasort: error: grid: {tmp_path / name}:{cause}\n"

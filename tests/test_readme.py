@@ -51,8 +51,8 @@ def test_csv_messages_are_the_ones_read_csv_table_raises(tmp_path, row, quoted, 
 
 
 # Each README quote of a refused GAMMASORT_DATA_DIR table: the bundled table
-# replaced, its text, what synth's error line holds before the quote, and the
-# quote's placeholders other than <file>.
+# replaced, its text (None: the table removed), what synth's error line holds
+# before the quote, and the quote's placeholders other than <file>.
 OVERRIDE_TABLE_ERRORS = {
     "<file>:<line>: header lacks the columns [<names>]": (
         "attenuation_steel.csv", "energy_keV,mu\n10,1.0\n", "grid: ",
@@ -72,6 +72,10 @@ OVERRIDE_TABLE_ERRORS = {
         "attenuation_steel.csv", "energy_keV,mu_per_cm\n10,2.0\n500,1.0\n", "",
         {"<isotope>": "Cesium", "<material>": "Steel", "<E>": "661.7", "<low>": "10.0",
          "<high>": "500.0"}),
+    "<file>: unknown isotope '<isotope>'; the file lists [<names>]": (
+        "nuclide_lines.csv", "isotope,energy_keV,intensity\nCobalt,1173.2,0.9985\n", "grid: ",
+        {"<isotope>": "Cesium", "<names>": "'Cobalt'"}),
+    "<file>: not found": ("attenuation_steel.csv", None, "grid: ", {}),
 }
 
 
@@ -83,7 +87,10 @@ def test_override_table_messages_are_the_ones_synth_prints(tmp_path, monkeypatch
     name, text, before, values = OVERRIDE_TABLE_ERRORS[quoted]
     for bundled in nucleardata._BUNDLED_DIR.glob("*.csv"):
         shutil.copy(bundled, tmp_path)
-    (tmp_path / name).write_text(text)
+    if text is None:
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_text(text)
     monkeypatch.setenv(nucleardata.DATA_DIR_ENV_VAR, str(tmp_path))
     assert cli.main(["synth", "--out", str(tmp_path / "out")]) == 2
     for placeholder, value in {"<file>": str(tmp_path / name), **values}.items():
